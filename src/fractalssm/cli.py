@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -17,12 +16,11 @@ import numpy as np
 
 from . import fileio
 from .measure import FractionalMeasure, measure_profile
-from .operators import ALPHA_MAX, build_operators
+from .operators import build_operators, check_alpha
 from .quadrature import QuadratureError
 from .spectral import condition_number, eig_triangular, spectral_init
-from .ssm import (DiscreteDiagonalSSM, SequenceBatch, layer_forward, recur_scan,
-                  recur_sequential, zoh_discretize)
-from .verify import ode_consistency, run_full_suite
+from .ssm import SequenceBatch, layer_forward, recur_scan, recur_sequential, zoh_discretize
+from .verify import ode_consistency, random_system, run_full_suite
 
 __all__ = ["main"]
 
@@ -31,11 +29,6 @@ _SIGNALS = {
     "poly": lambda s: 0.3 * s ** 3 - s + 0.5,
     "const": lambda s: np.ones_like(np.asarray(s, dtype=float)),
 }
-
-
-def _quad_order_default() -> int | None:
-    env = os.environ.get("FRACTAL_QUAD_ORDER")
-    return int(env) if env else None
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -52,20 +45,12 @@ def _parse_grid(raw: str) -> list[float]:
     except ValueError as exc:
         raise ValueError(f"malformed alpha grid {raw!r}") from exc
     for alpha in grid:
-        if not (0.0 <= alpha <= ALPHA_MAX):
-            raise ValueError(f"alpha {alpha} outside the admissible range [0, {ALPHA_MAX}]")
+        check_alpha(alpha)
     return grid
 
 
-def _check_alpha_arg(alpha: float) -> float:
-    if not (0.0 <= alpha <= ALPHA_MAX):
-        raise ValueError(f"alpha must lie in [0, {ALPHA_MAX}], got {alpha}")
-    return alpha
-
-
 def _cmd_matrix(args) -> int:
-    _check_alpha_arg(args.alpha)
-    ops = build_operators(args.alpha, args.n, args.order or args.quad_order)
+    ops = build_operators(args.alpha, args.n, args.quad_order)
     fileio.ensure_parent(args.out)
     fileio.write_operator_file(args.out, ops)
     print(f"wrote {args.out} (alpha={ops.alpha:g}, n={ops.n}, order={ops.quadrature_order})")
@@ -95,7 +80,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    _check_alpha_arg(args.alpha)
     ops = build_operators(args.alpha, args.n, args.quad_order)
     eigenvalues, v, _ = eig_triangular(ops.a)
     kappa_v = condition_number(v)
@@ -145,12 +129,7 @@ def _cmd_bench(args) -> int:
     if args.len < 1 or args.n < 1 or args.channels < 1:
         raise ValueError("n, len and channels must all be >= 1")
     rng = np.random.default_rng(args.seed)
-    systems = []
-    for _ in range(args.channels):
-        radius = rng.uniform(0.1, 0.99, size=args.n)
-        phase = rng.uniform(-np.pi, np.pi, size=args.n)
-        b = rng.standard_normal((args.n, 1)) + 1j * rng.standard_normal((args.n, 1))
-        systems.append(DiscreteDiagonalSSM(radius * np.exp(1j * phase), b, 1.0))
+    systems = [random_system(rng, args.n) for _ in range(args.channels)]
     u = SequenceBatch(rng.standard_normal((args.len, 1)))
 
     best_seq = best_scan = float("inf")
@@ -178,11 +157,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_discretize(args) -> int:
-    _check_alpha_arg(args.alpha)
     if args.delta <= 0:
         raise ValueError(f"delta must be positive, got {args.delta}")
-    init = spectral_init(args.alpha, args.n, args.input_width,
-                         args.order or args.quad_order)
+    init = spectral_init(args.alpha, args.n, args.input_width, args.quad_order)
     ssm = zoh_discretize(init, args.delta)
     fileio.ensure_parent(args.out)
     fileio.write_dssm_file(args.out, ssm)
@@ -191,7 +168,6 @@ def _cmd_discretize(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    _check_alpha_arg(args.alpha)
     report = ode_consistency(args.alpha, args.n, _SIGNALS[args.signal],
                              t=args.t, h=args.h)
     payload = {"name": report.name, "max_deviation": report.max_deviation,
@@ -213,31 +189,35 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Fractional-order memory operators: build, verify, analyze, run.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, json_flag=True):
+    def seed(p):
         p.add_argument("--seed", type=int, default=0, help="seed for randomized signals")
-        p.add_argument("--quad-order", type=int, default=_quad_order_default(),
+
+    def quad_order(p):
+        p.add_argument("--quad-order", type=int, default=None,
                        help="override the default quadrature order")
-        if json_flag:
-            p.add_argument("--json", action="store_true", help="machine-readable output")
+
+    def json_flag(p):
+        p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("matrix", help="build the operator pair and write a JSON file")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--order", type=int, default=None)
     p.add_argument("--out", required=True)
-    common(p, json_flag=False)
+    quad_order(p)
     p.set_defaults(func=_cmd_matrix)
 
     p = sub.add_parser("verify", help="run the analytic verification suite")
     p.add_argument("--alpha-grid", required=True, help="comma-separated alphas")
     p.add_argument("--n", type=int, default=8)
-    common(p)
+    seed(p)
+    json_flag(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("spectrum", help="eigenvalues and conditioning of A(alpha)")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
-    common(p)
+    quad_order(p)
+    json_flag(p)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("measure", help="emit the measure-density comparison table")
@@ -245,14 +225,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--out", required=True)
-    common(p, json_flag=False)
     p.set_defaults(func=_cmd_measure)
 
     p = sub.add_parser("run", help="run a model file over an input sequence")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    common(p, json_flag=False)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("bench", help="time sequential vs scan recurrence execution")
@@ -260,7 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--len", type=int, required=True)
     p.add_argument("--channels", type=int, default=1)
     p.add_argument("--repeat", type=int, default=3)
-    common(p)
+    seed(p)
+    json_flag(p)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("discretize",
@@ -269,9 +248,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--input-width", type=int, default=1)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--order", type=int, default=None)
     p.add_argument("--out", required=True)
-    common(p, json_flag=False)
+    quad_order(p)
     p.set_defaults(func=_cmd_discretize)
 
     p = sub.add_parser("oracle", help="finite-difference check of the update law")
@@ -280,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signal", choices=sorted(_SIGNALS), default="sin")
     p.add_argument("--t", type=float, default=3.0)
     p.add_argument("--h", type=float, default=None)
-    common(p)
+    json_flag(p)
     p.set_defaults(func=_cmd_oracle)
 
     return parser

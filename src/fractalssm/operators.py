@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QuadratureRule, default_order, gauss_jacobi
+from .quadrature import default_order, gauss_jacobi
 from .specfun import JacobiParam, basis_scale, generalized_binomial, jacobi_eval_all
 
 __all__ = [
     "HippoOperators",
     "ALPHA_MAX",
     "N_MAX",
+    "check_alpha",
     "build_B",
     "build_A",
     "build_operators",
@@ -46,11 +47,10 @@ class HippoOperators:
     quadrature_order: int
 
 
-def _check_alpha(alpha: float) -> None:
+def check_alpha(alpha: float) -> None:
+    """Raise ValueError unless alpha lies in the admissible range [0, ALPHA_MAX]."""
     if not (0.0 <= alpha <= ALPHA_MAX):
-        raise ValueError(
-            f"singularity index must lie in [0, {ALPHA_MAX}] for operator "
-            f"construction, got {alpha}")
+        raise ValueError(f"singularity index must lie in [0, {ALPHA_MAX}], got {alpha}")
 
 
 def build_B(alpha: float, n: int) -> np.ndarray:
@@ -63,13 +63,12 @@ def build_B(alpha: float, n: int) -> np.ndarray:
                      for k in range(n)])
 
 
-def _basis_tables(alpha: float, rule: QuadratureRule, n_max: int):
-    """P_0..P_{n_max} and the operator image P + (1+eta) P' at the rule nodes.
+def _basis_tables(alpha: float, x: np.ndarray, n_max: int):
+    """P_0..P_{n_max} and the operator image P + (1+eta) P' at the nodes x.
 
     Evaluated in extended precision on the refined nodes; the derivative
     uses the parameter-shift identity.
     """
-    x = rule.nodes_hi
     p = jacobi_eval_all(JacobiParam(-alpha, 0.0), n_max, x, dtype=_LD)
     img = p.copy()
     if n_max >= 1:
@@ -92,9 +91,9 @@ def build_A(alpha: float, n: int, order: int | None = None,
 
     `regularization` > 0 replaces the weight by (1 - eta + delta)^(-alpha)
     (an O(delta^(1-alpha)) perturbation); the default rule needs no such
-    softening up to alpha = 0.95.
+    softening up to ALPHA_MAX.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if n < 1 or n > N_MAX:
         raise ValueError(f"state dimension must lie in [1, {N_MAX}], got {n}")
     if order is None:
@@ -103,11 +102,12 @@ def build_A(alpha: float, n: int, order: int | None = None,
         raise ValueError(f"quadrature order must be >= 2n = {2 * n}, got {order}")
 
     if regularization > 0.0:
-        return _build_a_regularized(alpha, n, order, regularization)
-
-    rule = gauss_jacobi(JacobiParam(-alpha, 0.0), order)
-    p, img = _basis_tables(alpha, rule, n - 1)
-    w = rule.weights_hi
+        rule = gauss_jacobi(JacobiParam(0.0, 0.0), order)
+        w = rule.weights_hi * (1 + _LD(regularization) - rule.nodes_hi) ** (-_LD(alpha))
+    else:
+        rule = gauss_jacobi(JacobiParam(-alpha, 0.0), order)
+        w = rule.weights_hi
+    p, img = _basis_tables(alpha, rule.nodes_hi, n - 1)
     gammas = np.array([basis_scale(alpha, k).gamma_n for k in range(n)], dtype=_LD)
     hs = np.array([basis_scale(alpha, k).h_n for k in range(n)], dtype=_LD)
 
@@ -121,29 +121,6 @@ def build_A(alpha: float, n: int, order: int | None = None,
         a[row, :row] = (gammas[row] / gammas[:row] * ips / hs[:row]).astype(float)
     if not np.all(np.isfinite(a)):
         raise ArithmeticError(f"non-finite entry in A({alpha}) at n={n}")
-    return a
-
-
-def _build_a_regularized(alpha: float, n: int, order: int, delta: float) -> np.ndarray:
-    """Softened-weight variant: integrals under (1 - eta + delta)^(-alpha)."""
-    rule = gauss_jacobi(JacobiParam(0.0, 0.0), order)
-    x = rule.nodes_hi
-    w = rule.weights_hi * (1 + _LD(delta) - x) ** (-_LD(alpha))
-    p = jacobi_eval_all(JacobiParam(-alpha, 0.0), n - 1, x, dtype=_LD)
-    img = p.copy()
-    if n >= 2:
-        shifted = jacobi_eval_all(JacobiParam(1.0 - alpha, 1.0), n - 2, x, dtype=_LD)
-        for k in range(1, n):
-            dp = (_LD(k) + 1 - _LD(alpha)) / 2 * shifted[k - 1]
-            img[k] = p[k] + (1 + x) * dp
-    gammas = np.array([basis_scale(alpha, k).gamma_n for k in range(n)], dtype=_LD)
-    hs = np.array([basis_scale(alpha, k).h_n for k in range(n)], dtype=_LD)
-    a = np.zeros((n, n))
-    for row in range(n):
-        a[row, row] = row + 1
-        if row:
-            ips = p[:row] @ (w * img[row])
-            a[row, :row] = (gammas[row] / gammas[:row] * ips / hs[:row]).astype(float)
     return a
 
 

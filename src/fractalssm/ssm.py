@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from .operators import check_alpha
 from .spectral import SpectralInit, spectral_init
 
 __all__ = [
@@ -62,8 +63,8 @@ class FilterBankConfig:
         alphas = tuple(float(a) for a in alphas)
         if len(alphas) != self.channels:
             raise ValueError(f"expected {self.channels} alphas, got {len(alphas)}")
-        if any(not (0.0 <= a <= 0.95) for a in alphas):
-            raise ValueError("channel singularity indices must lie in [0, 0.95]")
+        for alpha in alphas:
+            check_alpha(alpha)
         object.__setattr__(self, "alphas", alphas)
         delta = self.delta
         if delta is None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import measure as measure_mod
-from .operators import build_A, build_B, legs_closed_form
+from .operators import build_A, build_B, check_alpha, legs_closed_form
 from .quadrature import default_order, gauss_jacobi
 from .specfun import JacobiParam, basis_scale, jacobi_eval_all
 from .spectral import condition_number, eig_triangular, spectral_init
@@ -24,6 +24,7 @@ __all__ = [
     "projection_coefficients",
     "ode_consistency",
     "run_full_suite",
+    "random_system",
     "TABLE_ALPHA0",
     "TABLE_ALPHA05",
     "CONDITION_TABLE",
@@ -170,7 +171,12 @@ def _check_orthonormality(grid, n_max: int = 32) -> OracleReport:
 
 
 def _check_diagonal_invariance(grid, n: int) -> OracleReport:
-    """Galerkin diagonal recomputed by quadrature: must equal n+1."""
+    """Galerkin diagonal recomputed by quadrature: must equal n+1.
+
+    The basis image is rebuilt here on purpose rather than taken from
+    operators._basis_tables: the oracle must not share code with the
+    assembly it checks, or a defect there would cancel out of the check.
+    """
     detail = []
     worst = 0.0
     for alpha in grid:
@@ -229,7 +235,12 @@ def _check_eigenvalue_invariance(grid, n: int) -> OracleReport:
 
 
 def _check_condition_growth() -> OracleReport:
-    """kappa(V) against the reference grid (10x) plus monotonicity in N and alpha."""
+    """kappa(V) against the reference grid (10x) plus monotonicity in N and alpha.
+
+    Always evaluates the fixed grid of CONDITION_TABLE (N in {8, 16, 32, 64},
+    alpha in {0, 0.2, 0.4, 0.6, 0.8, 0.9}), whatever alpha grid and n_max the
+    suite was given.
+    """
     sizes = sorted({n for n, _ in CONDITION_TABLE})
     alphas = sorted({a for _, a in CONDITION_TABLE})
     kappa = {}
@@ -293,7 +304,8 @@ def _check_monotonicity(grid, n_max: int = 16) -> OracleReport:
         "offdiag-monotonicity", float(violations + (not gap_ok)), 0.0, detail)
 
 
-def _random_system(rng, n: int, width: int = 1) -> DiscreteDiagonalSSM:
+def random_system(rng, n: int, width: int = 1) -> DiscreteDiagonalSSM:
+    """A stable diagonal system with pole radii drawn from [0.05, 0.995]."""
     radius = rng.uniform(0.05, 0.995, size=n)
     phase = rng.uniform(-np.pi, np.pi, size=n)
     lambda_bar = radius * np.exp(1j * phase)
@@ -308,7 +320,7 @@ def _check_scan_equivalence(rng, systems: int = 50) -> OracleReport:
     for trial in range(systems):
         n = int(rng.integers(1, 65))
         length = lengths[trial % 3] if trial < 45 else 65536
-        ssm = _random_system(rng, n)
+        ssm = random_system(rng, n)
         u = SequenceBatch(rng.standard_normal((length, 1)))
         seq = recur_sequential(ssm, u)
         scan = recur_scan(ssm, u)
@@ -344,8 +356,8 @@ def run_full_suite(alpha_grid, n_max: int, seed: int = 0) -> list[OracleReport]:
     failed claims; inspect the `passed` flags.
     """
     grid = [float(a) for a in alpha_grid]
-    if any(not (0.0 <= a <= 0.95) for a in grid):
-        raise ValueError("alpha grid must lie within [0, 0.95]")
+    for alpha in grid:
+        check_alpha(alpha)
     if not grid:
         return []
     rng = np.random.default_rng(seed)

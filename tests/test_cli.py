@@ -34,11 +34,35 @@ class TestMatrixCommand:
         err = capsys.readouterr().err
         assert "[0, 0.95]" in err
 
+    def test_quad_order_written(self, tmp_path):
+        out = tmp_path / "op.json"
+        assert run_cli("matrix", "--alpha", "0.3", "--n", "5", "--quad-order", "64",
+                       "--out", str(out)) == 0
+        assert json.loads(out.read_text())["quadrature_order"] == 64
+
+    def test_quad_order_below_minimum(self, tmp_path, capsys):
+        assert run_cli("matrix", "--alpha", "0.3", "--n", "5", "--quad-order", "0",
+                       "--out", str(tmp_path / "op.json")) == 2
+
     def test_byte_determinism(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run_cli("matrix", "--alpha", "0.3", "--n", "6", "--out", str(a))
         run_cli("matrix", "--alpha", "0.3", "--n", "6", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestOptionScope:
+    # each subcommand accepts only the options it reads
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--alpha-grid", "0", "--quad-order", "3"],
+        ["run", "--model", "m.json", "--input", "in.csv", "--out", "o.csv", "--seed", "5"],
+        ["matrix", "--alpha", "0", "--n", "5", "--out", "op.json", "--order", "8"],
+    ])
+    def test_unread_option_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from fractalssm.operators import (build_A, build_B, build_operators, legs_closed_form,
-                                  offdiag_monotonicity)
+from fractalssm.cli import main as cli_main
+from fractalssm.operators import (ALPHA_MAX, build_A, build_B, build_operators,
+                                  legs_closed_form, offdiag_monotonicity)
 from fractalssm.specfun import basis_scale, generalized_binomial
-from fractalssm.verify import TABLE_ALPHA0, TABLE_ALPHA05
+from fractalssm.ssm import FilterBankConfig
+from fractalssm.verify import TABLE_ALPHA0, TABLE_ALPHA05, run_full_suite
 
 
 def endpoint_form_entry(alpha: float, n: int, k: int) -> float:
@@ -149,3 +151,39 @@ def test_legs_closed_form_small():
     assert a == pytest.approx(np.array([[1.0, 0.0], [math.sqrt(3.0), 2.0]]))
     assert legs_closed_form(5)[4, 3] == pytest.approx(math.sqrt(63.0))
     assert legs_closed_form(1)[0, 0] == 1.0
+
+
+def _cli(argv, capsys):
+    """Run the CLI; a usage error (exit 2) is raised as ValueError with its message."""
+    code = cli_main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    if code == 2:
+        raise ValueError(err)
+    return code
+
+
+# every entry point that takes a singularity index, called with a small state
+ALPHA_ENTRY_POINTS = {
+    "build_A": lambda alpha, tmp, capsys: build_A(alpha, 2),
+    "FilterBankConfig": lambda alpha, tmp, capsys: FilterBankConfig(
+        channels=1, block_state=2, alphas=(alpha,)),
+    "run_full_suite": lambda alpha, tmp, capsys: run_full_suite([alpha], 2),
+    "cli matrix": lambda alpha, tmp, capsys: _cli(
+        ["matrix", f"--alpha={alpha!r}", "--n", 2, "--out", tmp / "op.json"], capsys),
+    "cli verify": lambda alpha, tmp, capsys: _cli(
+        ["verify", "--alpha-grid", f"0,{alpha!r}", "--n", 2], capsys),
+}
+# run_full_suite and verify take seconds on an admissible grid
+CHEAP_ENTRY_POINTS = ["build_A", "FilterBankConfig", "cli matrix"]
+
+
+class TestAlphaBound:
+    @pytest.mark.parametrize("alpha", [float(np.nextafter(ALPHA_MAX, 1.0)), -1e-12])
+    @pytest.mark.parametrize("entry", sorted(ALPHA_ENTRY_POINTS))
+    def test_rejected_everywhere(self, entry, alpha, tmp_path, capsys):
+        with pytest.raises(ValueError, match=r"\[0, 0\.95\]"):
+            ALPHA_ENTRY_POINTS[entry](alpha, tmp_path, capsys)
+
+    @pytest.mark.parametrize("entry", CHEAP_ENTRY_POINTS)
+    def test_bound_itself_accepted(self, entry, tmp_path, capsys):
+        ALPHA_ENTRY_POINTS[entry](ALPHA_MAX, tmp_path, capsys)
