@@ -8,30 +8,26 @@ through an associative parallel scan.
 
 from .measure import (FractionalMeasure, check_scale_invariance, density,
                       mass_oldest, mass_recent, measure_profile, total_mass)
-from .operators import (HippoOperators, build_A, build_B, build_operators,
-                        legs_closed_form, offdiag_monotonicity)
-from .quadrature import QuadratureRule, default_order, gauss_jacobi, integrate, weight_mass
-from .specfun import (BasisScale, JacobiParam, basis_scale, generalized_binomial,
-                      jacobi_derivative, jacobi_endpoint, jacobi_eval_all, ln_gamma)
+from .operators import HippoOperators, build_A, build_B, build_operators, legs_closed_form
+from .quadrature import QuadratureRule, default_order, gauss_jacobi, weight_mass
+from .specfun import BasisScale, JacobiParam, basis_scale, generalized_binomial, jacobi_eval_all
 from .spectral import SpectralInit, condition_number, eig_triangular, spectral_init
 from .ssm import (DiscreteDiagonalSSM, FilterBankConfig, LayerWeights, SequenceBatch,
                   build_filter_bank, layer_forward, recur_scan, recur_sequential,
-                  scan_combine, silu, zoh_discretize)
+                  silu, zoh_discretize)
 from .verify import OracleReport, ode_consistency, projection_coefficients, run_full_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisScale", "JacobiParam", "basis_scale", "generalized_binomial",
-    "jacobi_derivative", "jacobi_endpoint", "jacobi_eval_all", "ln_gamma",
-    "QuadratureRule", "default_order", "gauss_jacobi", "integrate", "weight_mass",
+    "BasisScale", "JacobiParam", "basis_scale", "generalized_binomial", "jacobi_eval_all",
+    "QuadratureRule", "default_order", "gauss_jacobi", "weight_mass",
     "FractionalMeasure", "check_scale_invariance", "density", "mass_oldest",
     "mass_recent", "measure_profile", "total_mass",
-    "HippoOperators", "build_A", "build_B", "build_operators",
-    "legs_closed_form", "offdiag_monotonicity",
+    "HippoOperators", "build_A", "build_B", "build_operators", "legs_closed_form",
     "SpectralInit", "condition_number", "eig_triangular", "spectral_init",
     "DiscreteDiagonalSSM", "FilterBankConfig", "LayerWeights", "SequenceBatch",
     "build_filter_bank", "layer_forward", "recur_scan", "recur_sequential",
-    "scan_combine", "silu", "zoh_discretize",
+    "silu", "zoh_discretize",
     "OracleReport", "ode_consistency", "projection_coefficients", "run_full_suite",
 ]

@@ -26,7 +26,6 @@ __all__ = [
     "build_A",
     "build_operators",
     "legs_closed_form",
-    "offdiag_monotonicity",
 ]
 
 _LD = np.longdouble
@@ -55,8 +54,7 @@ def check_alpha(alpha: float) -> None:
 
 def build_B(alpha: float, n: int) -> np.ndarray:
     """Input projection vector B_n = gamma_n * C(n - alpha, n)."""
-    if not (0.0 <= alpha < 1.0):
-        raise ValueError(f"singularity index must lie in [0, 1), got {alpha}")
+    check_alpha(alpha)
     if n < 1:
         raise ValueError(f"state dimension must be >= 1, got {n}")
     return np.array([basis_scale(alpha, k).gamma_n * generalized_binomial(k - alpha, k)
@@ -80,18 +78,13 @@ def _basis_tables(alpha: float, x: np.ndarray, n_max: int):
     return p, img
 
 
-def build_A(alpha: float, n: int, order: int | None = None,
-            regularization: float = 0.0) -> np.ndarray:
+def build_A(alpha: float, n: int, order: int | None = None) -> np.ndarray:
     """State matrix A(alpha) of dimension n, via Gauss-Jacobi quadrature.
 
     Entries below the diagonal are Galerkin projections
     (gamma_n / gamma_k) <L[P_n], P_k>_w / h_k; diagonal entries are
     assigned their exact value n+1; entries above the diagonal are
     structurally zero and never computed.
-
-    `regularization` > 0 replaces the weight by (1 - eta + delta)^(-alpha)
-    (an O(delta^(1-alpha)) perturbation); the default rule needs no such
-    softening up to ALPHA_MAX.
     """
     check_alpha(alpha)
     if n < 1 or n > N_MAX:
@@ -101,12 +94,7 @@ def build_A(alpha: float, n: int, order: int | None = None,
     if order < 2 * n:
         raise ValueError(f"quadrature order must be >= 2n = {2 * n}, got {order}")
 
-    if regularization > 0.0:
-        rule = gauss_jacobi(JacobiParam(0.0, 0.0), order)
-        w = rule.weights_hi * (1 + _LD(regularization) - rule.nodes_hi) ** (-_LD(alpha))
-    else:
-        rule = gauss_jacobi(JacobiParam(-alpha, 0.0), order)
-        w = rule.weights_hi
+    rule = gauss_jacobi(JacobiParam(-alpha, 0.0), order)
     p, img = _basis_tables(alpha, rule.nodes_hi, n - 1)
     gammas = np.array([basis_scale(alpha, k).gamma_n for k in range(n)], dtype=_LD)
     hs = np.array([basis_scale(alpha, k).h_n for k in range(n)], dtype=_LD)
@@ -116,7 +104,7 @@ def build_A(alpha: float, n: int, order: int | None = None,
         a[row, row] = row + 1
         if row == 0:
             continue
-        weighted = w * img[row]
+        weighted = rule.weights_hi * img[row]
         ips = p[:row] @ weighted
         a[row, :row] = (gammas[row] / gammas[:row] * ips / hs[:row]).astype(float)
     if not np.all(np.isfinite(a)):
@@ -144,14 +132,3 @@ def legs_closed_form(n: int) -> np.ndarray:
             a[row, col] = np.sqrt((2 * row + 1) * (2 * col + 1))
     return a
 
-
-def offdiag_monotonicity(k: int, n: int, alphas) -> tuple[bool, list[float]]:
-    """Whether A_nk strictly increases along the given alpha grid.
-
-    Returns the verdict together with the traced entry values.
-    """
-    if not k < n:
-        raise ValueError(f"requires k < n, got k={k}, n={n}")
-    trace = [float(build_A(alpha, n + 1)[n, k]) for alpha in alphas]
-    increasing = all(x < y for x, y in zip(trace, trace[1:]))
-    return increasing, trace

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .specfun import JacobiParam, ln_gamma
+from .specfun import JacobiParam
 
-__all__ = ["QuadratureRule", "QuadratureError", "gauss_jacobi", "integrate",
-           "weight_mass", "default_order"]
+__all__ = ["QuadratureRule", "QuadratureError", "gauss_jacobi", "weight_mass",
+           "default_order"]
 
 _LD = np.longdouble
 _NEWTON_SWEEPS = 3
@@ -44,8 +44,8 @@ class QuadratureRule:
 def weight_mass(param: JacobiParam) -> float:
     """Total mass of the weight: 2^(a+b+1) Gamma(a+1) Gamma(b+1) / Gamma(a+b+2)."""
     a, b = param.a, param.b
-    return math.exp((a + b + 1) * math.log(2.0) + ln_gamma(a + 1.0)
-                    + ln_gamma(b + 1.0) - ln_gamma(a + b + 2.0))
+    return math.exp((a + b + 1) * math.log(2.0) + math.lgamma(a + 1.0)
+                    + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
 
 
 def default_order(alpha: float, n: int) -> int:
@@ -114,12 +114,3 @@ def gauss_jacobi(param: JacobiParam, order: int) -> QuadratureRule:
     return QuadratureRule(param=param, order=order, nodes=nodes, weights=weights,
                           nodes_hi=x, weights_hi=w)
 
-
-def integrate(rule: QuadratureRule, f) -> float:
-    """Weighted quadrature sum: approximates the integral of f(x) w(x) dx."""
-    vals = np.asarray(f(rule.nodes), dtype=float)
-    if vals.shape != rule.nodes.shape:
-        vals = np.broadcast_to(vals, rule.nodes.shape)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("integrand produced non-finite values at quadrature nodes")
-    return float(np.dot(rule.weights, vals))

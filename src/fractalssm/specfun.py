@@ -2,7 +2,9 @@
 
 Everything here is scalar/vector plumbing for the weight family
 w(y) = (1-y)^a (1+y)^b on [-1, 1]; the rest of the package uses it with
-(a, b) = (-alpha, 0) for a singularity index alpha in [0, 1).
+(a, b) = (-alpha, 0) for a singularity index alpha.  The measure takes
+alpha in [0, 1); the operator pair, filter bank, verify and the CLI take
+alpha in [0, 0.95] (operators.ALPHA_MAX).
 """
 
 from __future__ import annotations
@@ -15,11 +17,8 @@ import numpy as np
 __all__ = [
     "JacobiParam",
     "BasisScale",
-    "ln_gamma",
     "generalized_binomial",
     "jacobi_eval_all",
-    "jacobi_endpoint",
-    "jacobi_derivative",
     "basis_scale",
 ]
 
@@ -52,13 +51,6 @@ class BasisScale:
     n: int
     gamma_n: float
     h_n: float
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if x <= 0.0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def generalized_binomial(z: float, n: int) -> float:
@@ -108,27 +100,12 @@ def jacobi_eval_all(p: JacobiParam, n_max: int, y, dtype=np.float64) -> np.ndarr
     return out[:, 0] if scalar else out
 
 
-def jacobi_endpoint(p: JacobiParam, n: int) -> float:
-    """P_n^(a,b)(1) = C(n+a, n)."""
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    return generalized_binomial(n + p.a, n)
-
-
-def jacobi_derivative(p: JacobiParam, n: int, y) -> float:
-    """d/dy P_n^(a,b)(y) via the parameter-shift formula.
-
-    The derivative of P_n^(a,b) is (n+a+b+1)/2 times P_{n-1}^(a+1,b+1).
-    """
-    if n == 0:
-        return 0.0 if np.ndim(y) == 0 else np.zeros(np.shape(y))
-    shifted = JacobiParam(p.a + 1.0, p.b + 1.0)
-    vals = jacobi_eval_all(shifted, n - 1, y)
-    return (n + p.a + p.b + 1) / 2.0 * vals[n - 1]
-
-
 def basis_scale(alpha: float, n: int) -> BasisScale:
-    """Normalization constants gamma_n and h_n of the fractional basis."""
+    """Normalization constants gamma_n and h_n of the fractional basis.
+
+    The closed forms are exact on all of [0, 1), so this takes the measure's
+    range; ALPHA_MAX bounds only the quadrature of the operator assembly.
+    """
     if not (0.0 <= alpha < 1.0):
         raise ValueError(f"singularity index must lie in [0, 1), got {alpha}")
     if n < 0:

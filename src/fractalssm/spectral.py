@@ -78,10 +78,10 @@ def condition_number(v: np.ndarray) -> float:
 
 
 def spectral_init(alpha: float, n: int, input_width: int = 1,
-                  order: int | None = None, omega: np.ndarray | None = None) -> SpectralInit:
+                  order: int | None = None) -> SpectralInit:
     """Build the diagonal initialization for one channel.
 
-    omega defaults to the linear imaginary ramp pi * n.  For input_width
+    The imaginary parts are the linear ramp pi * n.  For input_width
     U > 1 the transformed input vector is replicated across columns with a
     1/sqrt(U) scale, preserving total input energy.
     """
@@ -92,12 +92,7 @@ def spectral_init(alpha: float, n: int, input_width: int = 1,
     a = build_A(alpha, n, order)
     b = build_B(alpha, n)
     diag, v, v_inv = eig_triangular(a)
-    if omega is None:
-        omega = np.pi * np.arange(n)
-    omega = np.asarray(omega, dtype=float)
-    if omega.shape != (n,):
-        raise ValueError(f"omega must have shape ({n},)")
-    eigenvalues = -diag + 1j * omega
+    eigenvalues = -diag + 1j * (np.pi * np.arange(n))
     phys = v_inv @ b
     b_tilde = np.repeat(phys[:, None], input_width, axis=1).astype(complex)
     b_tilde /= np.sqrt(input_width)

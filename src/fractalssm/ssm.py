@@ -1,14 +1,15 @@
 """Discrete execution: ZOH discretization, linear recurrence, gated layer.
 
 The diagonal recurrence x_k = lambda_bar * x_{k-1} + b_bar u_k runs either
-sequentially or as an inclusive associative scan with the combine
-(a1, b1) * (a2, b2) = (a1 a2, a2 b1 + b2).  A filter bank stacks channels
-with distinct singularity indices; the layer output is gated by a
-SiLU-activated branch of the input.
+sequentially or as a chunked two-level scan: the chunks step in lockstep,
+then each chunk's carry is added through powers of lambda_bar.  A filter
+bank stacks channels with distinct singularity indices; the layer output is
+gated by a SiLU-activated branch of the input.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,6 @@ __all__ = [
     "zoh_discretize",
     "recur_sequential",
     "recur_scan",
-    "scan_combine",
     "build_filter_bank",
     "layer_forward",
 ]
@@ -73,8 +73,8 @@ class FilterBankConfig:
             delta = (float(delta),) * self.channels
         else:
             delta = tuple(float(d) for d in delta)
-        if len(delta) != self.channels or any(d <= 0 for d in delta):
-            raise ValueError("need one positive timestep per channel")
+        if len(delta) != self.channels or not all(math.isfinite(d) and d > 0 for d in delta):
+            raise ValueError("need one finite positive timestep per channel")
         object.__setattr__(self, "delta", delta)
 
     @property
@@ -128,8 +128,8 @@ def zoh_discretize(init: SpectralInit, delta: float) -> DiscreteDiagonalSSM:
 
     lambda_bar = exp(delta * lambda); b_bar = (lambda_bar - 1)/lambda * b_tilde.
     """
-    if delta <= 0.0:
-        raise ValueError(f"timestep must be positive, got {delta}")
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"timestep must be finite and positive, got {delta}")
     lam = init.eigenvalues
     lambda_bar = np.exp(delta * lam)
     b_bar = ((lambda_bar - 1.0) / lam)[:, None] * init.b_tilde
@@ -157,26 +157,18 @@ def recur_sequential(ssm: DiscreteDiagonalSSM, u: SequenceBatch) -> np.ndarray:
     return out
 
 
-def scan_combine(e1, e2):
-    """Associative combine of recurrence elements: (a1 a2, a2 b1 + b2)."""
-    a1, b1 = e1
-    a2, b2 = e2
-    return a1 * a2, a2 * b1 + b2
-
-
 _SCAN_CHUNK = 1024
 
 
 def recur_scan(ssm: DiscreteDiagonalSSM, u: SequenceBatch) -> np.ndarray:
-    """State trajectory via the inclusive associative scan.
+    """State trajectory via a chunked two-level scan.
 
-    Two-level block decomposition of the prefix combine: all chunks are
-    swept in lockstep (one vectorized combine per in-chunk step), the
-    chunk-boundary elements are scanned, and each carry is folded into its
-    chunk through the same combine.  The coefficient component of every
-    element is lambda_bar, so the blockwise prefix coefficients are its
-    cumulative powers.  Matches recur_sequential to floating-point
-    reassociation tolerance.
+    Two-level block decomposition: all chunks run the recurrence in
+    lockstep from a zero state (one vectorized step per in-chunk position),
+    the chunk-end states are scanned into per-chunk carries, and each carry
+    enters its chunk multiplied by lambda_bar^(s+1), the cumulative powers
+    of the constant coefficient.  Matches recur_sequential to
+    floating-point reassociation tolerance.
     """
     drive = _driven_inputs(ssm, u).astype(complex)
     length, n = drive.shape
@@ -207,9 +199,9 @@ def recur_scan(ssm: DiscreteDiagonalSSM, u: SequenceBatch) -> np.ndarray:
     return local.reshape(blocks * chunk, n)[:length]
 
 
-def build_filter_bank(config: FilterBankConfig, order: int | None = None) -> list[SpectralInit]:
+def build_filter_bank(config: FilterBankConfig) -> list[SpectralInit]:
     """One spectral initialization per channel of the bank."""
-    return [spectral_init(alpha, config.block_state, config.input_width, order)
+    return [spectral_init(alpha, config.block_state, config.input_width)
             for alpha in config.alphas]
 
 
@@ -225,10 +217,10 @@ def layer_forward(config: FilterBankConfig, weights: LayerWeights,
     if z_in.width != config.input_width:
         raise ValueError(
             f"input width {z_in.width} does not match config width {config.input_width}")
-    run = recur_scan if scan else recur_sequential
-    states = np.concatenate([run(ssm, z_in) for ssm in ssms], axis=1)
     if weights.c_tilde.shape != (config.output_width, config.total_state):
         raise ValueError("output map shape does not match the filter bank")
+    run = recur_scan if scan else recur_sequential
+    states = np.concatenate([run(ssm, z_in) for ssm in ssms], axis=1)
     y = (states @ weights.c_tilde.T).real
     d = weights.d
     if np.isscalar(d):

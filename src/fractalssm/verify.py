@@ -95,8 +95,7 @@ def projection_coefficients(u, alpha: float, n: int, t: float, order: int) -> np
     return pref * gammas * (p @ (rule.weights * signal))
 
 
-def ode_consistency(alpha: float, n: int, u, t: float, h: float | None = None,
-                    order: int | None = None, tolerance: float = 1e-6) -> OracleReport:
+def ode_consistency(alpha: float, n: int, u, t: float, h: float | None = None) -> OracleReport:
     """Finite-difference check of the memory update law.
 
     Compares the central difference of the projection coefficients with
@@ -107,9 +106,8 @@ def ode_consistency(alpha: float, n: int, u, t: float, h: float | None = None,
         h = 1e-4 * t
     if not t > 2 * h > 0:
         raise ValueError("requires t > 2h > 0")
-    if order is None:
-        order = max(default_order(alpha, n), 64)
-    a = build_A(alpha, n, max(order, 2 * n))
+    order = max(default_order(alpha, n), 64)
+    a = build_A(alpha, n, order)
     b = build_B(alpha, n)
     u_now = float(np.asarray(u(np.array([t]))).reshape(()))
     x_now = projection_coefficients(u, alpha, n, t, order)
@@ -126,7 +124,7 @@ def ode_consistency(alpha: float, n: int, u, t: float, h: float | None = None,
     ratio = devs[0] / devs[1] if devs[1] > 0 else float("inf")
     detail.append({"convergence_ratio": ratio})
     return OracleReport.from_deviation(
-        f"ode-consistency[alpha={alpha:g}]", devs[0], tolerance, detail)
+        f"ode-consistency[alpha={alpha:g}]", devs[0], 1e-6, detail)
 
 
 # --- individual suite checks -------------------------------------------------
@@ -304,12 +302,12 @@ def _check_monotonicity(grid, n_max: int = 16) -> OracleReport:
         "offdiag-monotonicity", float(violations + (not gap_ok)), 0.0, detail)
 
 
-def random_system(rng, n: int, width: int = 1) -> DiscreteDiagonalSSM:
-    """A stable diagonal system with pole radii drawn from [0.05, 0.995]."""
+def random_system(rng, n: int) -> DiscreteDiagonalSSM:
+    """A stable single-input diagonal system with pole radii drawn from [0.05, 0.995]."""
     radius = rng.uniform(0.05, 0.995, size=n)
     phase = rng.uniform(-np.pi, np.pi, size=n)
     lambda_bar = radius * np.exp(1j * phase)
-    b_bar = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
+    b_bar = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
     return DiscreteDiagonalSSM(lambda_bar=lambda_bar, b_bar=b_bar, delta=1.0)
 
 

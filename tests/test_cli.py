@@ -121,6 +121,13 @@ class TestMeasureCommand:
         assert run_cli("measure", "--alphas", "0.5", "--samples", "1",
                        "--out", "/tmp/x.csv") == 2
 
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_non_finite_time(self, t, tmp_path, capsys):
+        out = tmp_path / "measure.csv"
+        assert run_cli("measure", "--alphas", "0.5", "--samples", "3", "--t", t,
+                       "--out", str(out)) == 2
+        assert not out.exists()
+
 
 @pytest.fixture
 def model_path(tmp_path):
@@ -215,6 +222,13 @@ class TestDiscretizeCommand:
     def test_invalid_delta(self, tmp_path, capsys):
         assert run_cli("discretize", "--alpha", "0.4", "--n", "6", "--delta", "0",
                        "--out", str(tmp_path / "x.json")) == 2
+
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_non_finite_delta(self, delta, tmp_path, capsys):
+        out = tmp_path / "dssm.json"
+        assert run_cli("discretize", "--alpha", "0.4", "--n", "3", "--delta", delta,
+                       "--out", str(out)) == 2
+        assert not out.exists()
 
 
 class TestOracleCommand:

@@ -36,8 +36,9 @@ class TestDensity:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             FractionalMeasure(1.0, 1.0)
-        with pytest.raises(ValueError):
-            FractionalMeasure(0.5, 0.0)
+        for t in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                FractionalMeasure(0.5, t)
 
 
 class TestTotalMass:
@@ -124,6 +125,11 @@ class TestMeasureProfile:
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             measure_profile([0.5], samples=1)
+
+    def test_time_checked_without_alphas(self):
+        for t in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                measure_profile([], samples=3, t=t)
 
 
 class TestScaleInvariance:

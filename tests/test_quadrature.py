@@ -6,9 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fractalssm.quadrature import (QuadratureRule, default_order, gauss_jacobi,
-                                   integrate, weight_mass)
-from fractalssm.specfun import JacobiParam, jacobi_eval_all
+from fractalssm.quadrature import QuadratureRule, default_order, gauss_jacobi, weight_mass
+from fractalssm.specfun import JacobiParam
 
 
 def exact_moment(alpha_frac: Fraction, j: int) -> float:
@@ -75,36 +74,6 @@ class TestRuleConstruction:
     def test_default_order_policy(self):
         assert default_order(0.5, 16) == 32
         assert default_order(0.85, 16) == 64
-
-
-class TestIntegrate:
-    def test_constant(self):
-        rule = gauss_jacobi(JacobiParam(-0.3, 0.0), 10)
-        assert integrate(rule, lambda x: np.ones_like(x)) == pytest.approx(
-            float(np.sum(rule.weights)))
-
-    def test_orthogonal_pair(self):
-        alpha = 0.5
-        rule = gauss_jacobi(JacobiParam(-alpha, 0.0), 32)
-
-        def f(x):
-            vals = jacobi_eval_all(JacobiParam(-alpha, 0.0), 2, x)
-            return vals[1] * vals[2]
-
-        assert integrate(rule, f) == pytest.approx(0.0, abs=1e-12)
-
-    def test_odd_function(self):
-        rule = gauss_jacobi(JacobiParam(0.0, 0.0), 16)
-        assert integrate(rule, lambda x: x) == pytest.approx(0.0, abs=1e-15)
-
-    def test_nonfinite_propagates(self):
-        rule = gauss_jacobi(JacobiParam(0.0, 0.0), 4)
-        with np.errstate(divide="ignore"), pytest.raises(ValueError):
-            integrate(rule, lambda x: 1.0 / (x - x[0]))
-
-    def test_scalar_integrand_broadcast(self):
-        rule = gauss_jacobi(JacobiParam(0.0, 0.0), 4)
-        assert integrate(rule, lambda x: 1.0) == pytest.approx(2.0)
 
 
 def test_rule_is_immutable_record():

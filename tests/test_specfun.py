@@ -7,33 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractalssm.specfun import (JacobiParam, basis_scale, generalized_binomial,
-                                jacobi_derivative, jacobi_endpoint, jacobi_eval_all,
-                                ln_gamma)
-
-
-class TestLnGamma:
-    def test_gamma_one(self):
-        assert ln_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_half(self):
-        # Gamma(1/2) = sqrt(pi)
-        assert ln_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
-
-    def test_factorial(self):
-        assert ln_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
-
-    def test_against_mpmath_reference(self):
-        mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 30
-        for x in np.geomspace(0.05, 200.0, 40):
-            ref = float(mpmath.loggamma(mpmath.mpf(float(x))))
-            assert ln_gamma(float(x)) == pytest.approx(ref, rel=1e-13, abs=1e-14)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
-    def test_domain_error(self, x):
-        with pytest.raises(ValueError):
-            ln_gamma(x)
+from fractalssm.specfun import JacobiParam, basis_scale, generalized_binomial, jacobi_eval_all
 
 
 class TestGeneralizedBinomial:
@@ -58,7 +32,7 @@ class TestGeneralizedBinomial:
     def test_matches_gamma_ratio(self, z, n):
         if z - n + 1 <= 0:
             return
-        ref = math.exp(ln_gamma(z + 1) - ln_gamma(z - n + 1) - ln_gamma(n + 1.0))
+        ref = math.exp(math.lgamma(z + 1) - math.lgamma(z - n + 1) - math.lgamma(n + 1.0))
         assert generalized_binomial(z, n) == pytest.approx(ref, rel=1e-11)
 
 
@@ -97,47 +71,8 @@ class TestJacobiEval:
             n = int(rng.integers(0, 40))
             p = JacobiParam(-alpha, 0.0)
             via_recurrence = jacobi_eval_all(p, n, 1.0)[n]
-            via_endpoint = jacobi_endpoint(p, n)
+            via_endpoint = generalized_binomial(n - alpha, n)
             assert via_recurrence == pytest.approx(via_endpoint, rel=1e-11)
-
-
-class TestJacobiEndpoint:
-    def test_degree_zero(self):
-        assert jacobi_endpoint(JacobiParam(-0.3, 0.0), 0) == 1.0
-
-    def test_half_parameter(self):
-        assert jacobi_endpoint(JacobiParam(-0.5, 0.0), 1) == pytest.approx(0.5)
-
-    @pytest.mark.parametrize("n", [0, 1, 3, 10])
-    def test_legendre_is_one(self, n):
-        assert jacobi_endpoint(JacobiParam(0.0, 0.0), n) == pytest.approx(1.0)
-
-
-class TestJacobiDerivative:
-    def test_constant_has_zero_derivative(self):
-        assert jacobi_derivative(JacobiParam(-0.4, 0.0), 0, 0.3) == 0.0
-
-    def test_legendre_linear(self):
-        assert jacobi_derivative(JacobiParam(0.0, 0.0), 1, 0.3) == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("alpha,n,y", [(0.5, 2, 0.0), (0.3, 5, -0.4), (0.9, 8, 0.7)])
-    def test_matches_central_difference(self, alpha, n, y):
-        p = JacobiParam(-alpha, 0.0)
-        h = 1e-6
-        fd = (jacobi_eval_all(p, n, y + h)[n] - jacobi_eval_all(p, n, y - h)[n]) / (2 * h)
-        assert jacobi_derivative(p, n, y) == pytest.approx(fd, abs=1e-6)
-
-    def test_grid_against_finite_differences(self):
-        rng = np.random.default_rng(3)
-        for _ in range(40):
-            alpha = rng.uniform(0.0, 0.9)
-            n = int(rng.integers(1, 20))
-            y = rng.uniform(-0.9, 0.9)
-            p = JacobiParam(-alpha, 0.0)
-            h = 1e-6
-            fd = (jacobi_eval_all(p, n, y + h)[n]
-                  - jacobi_eval_all(p, n, y - h)[n]) / (2 * h)
-            assert jacobi_derivative(p, n, y) == pytest.approx(fd, abs=1e-6)
 
 
 class TestBasisScale:

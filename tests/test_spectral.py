@@ -106,13 +106,6 @@ class TestSpectralInit:
         for j in range(4):
             assert init.b_tilde[:, j] == pytest.approx(phys / 2.0)
 
-    def test_omega_override(self):
-        omega = np.array([0.5, 1.5, 2.5])
-        init = spectral_init(0.2, 3, omega=omega)
-        assert init.eigenvalues.imag == pytest.approx(omega)
-        with pytest.raises(ValueError):
-            spectral_init(0.2, 3, omega=np.array([1.0]))
-
     def test_input_width_floor(self):
         with pytest.raises(ValueError):
             spectral_init(0.2, 3, input_width=0)

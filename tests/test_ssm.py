@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fractalssm.spectral import SpectralInit, spectral_init
 from fractalssm.ssm import (DiscreteDiagonalSSM, FilterBankConfig, LayerWeights,
                             SequenceBatch, build_filter_bank, layer_forward, recur_scan,
-                            recur_sequential, scan_combine, silu, zoh_discretize)
+                            recur_sequential, silu, zoh_discretize)
 
 
 def toy_init(lam: complex) -> SpectralInit:
@@ -48,8 +48,9 @@ class TestZohDiscretize:
         assert moduli == pytest.approx(np.exp(-delta * np.arange(1, 13)), rel=1e-12)
 
     def test_invalid_step(self):
-        with pytest.raises(ValueError):
-            zoh_discretize(toy_init(-1.0), 0.0)
+        for delta in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                zoh_discretize(toy_init(-1.0), delta)
 
 
 class TestSequentialRecurrence:
@@ -100,24 +101,6 @@ class TestSequentialRecurrence:
                  + b * recur_sequential(ssm, SequenceBatch(v)))
         scale = np.max(np.abs(parts))
         assert np.max(np.abs(combo - parts)) / scale < 1e-10
-
-
-class TestScanCombine:
-    def test_identity_element(self):
-        e = (0.3 + 0.1j, -2.0 + 0.5j)
-        assert scan_combine((1.0, 0.0), e) == pytest.approx(e)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.tuples(
-        st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
-        st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)),
-        min_size=3, max_size=3))
-    def test_associativity(self, elems):
-        e1, e2, e3 = elems
-        left = scan_combine(scan_combine(e1, e2), e3)
-        right = scan_combine(e1, scan_combine(e2, e3))
-        assert left[0] == pytest.approx(right[0], abs=1e-12)
-        assert left[1] == pytest.approx(right[1], abs=1e-12)
 
 
 class TestScanEquivalence:
@@ -180,8 +163,9 @@ class TestFilterBank:
             FilterBankConfig(channels=2, block_state=4, alphas=(0.0,))
         with pytest.raises(ValueError):
             FilterBankConfig(channels=1, block_state=4, alphas=(0.99,))
-        with pytest.raises(ValueError):
-            FilterBankConfig(channels=1, block_state=4, delta=-0.1)
+        for delta in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                FilterBankConfig(channels=1, block_state=4, delta=delta)
 
 
 class TestLayerForward:
@@ -237,12 +221,18 @@ class TestLayerForward:
         out_seq = layer_forward(config, weights, ssms, z_in, scan=False)
         assert out_scan.values == pytest.approx(out_seq.values, abs=1e-10)
 
-    def test_shape_mismatch(self):
+    def test_shape_mismatch(self, monkeypatch):
         config, weights, ssms = self.small_layer()
         with pytest.raises(ValueError):
             layer_forward(config, weights, ssms, SequenceBatch(np.zeros((4, 3))))
         with pytest.raises(ValueError):
             layer_forward(config, weights, ssms[:1], SequenceBatch(np.zeros((4, 1))))
+        # the output map is checked before any channel runs
+        monkeypatch.setattr("fractalssm.ssm.recur_scan", lambda *_: pytest.fail("channels ran"))
+        narrow = LayerWeights(c_tilde=weights.c_tilde[:, 1:], w_out=weights.w_out,
+                              w_gate=weights.w_gate)
+        with pytest.raises(ValueError, match="output map"):
+            layer_forward(config, narrow, ssms, SequenceBatch(np.zeros((4, 1))))
 
     def test_feedthrough_matrix(self):
         config, weights, ssms = self.small_layer()
