@@ -111,6 +111,21 @@ class TestPublishedHalfIndexTable:
 
 
 class TestMonotonicity:
+    @staticmethod
+    def trace(k, n, alphas):
+        return [float(build_A(alpha, n + 1)[n, k]) for alpha in alphas]
+
+    def test_first_column_pair(self):
+        trace = self.trace(0, 1, [0.0, 0.5])
+        assert trace[0] < trace[1]
+        assert trace[0] == pytest.approx(math.sqrt(3.0), abs=5e-3)
+        assert trace[1] == pytest.approx(2.24, abs=5e-3)
+
+    def test_last_subdiagonal_pair(self):
+        trace = self.trace(3, 4, [0.0, 0.5])
+        assert trace[0] < trace[1]
+        assert trace[0] == pytest.approx(math.sqrt(63.0), rel=1e-10)
+
     def test_gap_amplification(self):
         lo = build_A(0.0, 8)
         hi = build_A(0.5, 8)

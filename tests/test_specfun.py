@@ -75,6 +75,23 @@ class TestJacobiEval:
             assert via_recurrence == pytest.approx(via_endpoint, rel=1e-11)
 
 
+class TestJacobiEndpoint:
+    @staticmethod
+    def endpoint(p, n):
+        # P_n^(a,b)(1) = C(n + a, n), by the closed form and by the recurrence
+        return generalized_binomial(n + p.a, n), jacobi_eval_all(p, n, 1.0)[n]
+
+    def test_degree_zero(self):
+        assert self.endpoint(JacobiParam(-0.3, 0.0), 0) == (1.0, 1.0)
+
+    def test_half_parameter(self):
+        assert self.endpoint(JacobiParam(-0.5, 0.0), 1) == pytest.approx((0.5, 0.5))
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 10])
+    def test_legendre_is_one(self, n):
+        assert self.endpoint(JacobiParam(0.0, 0.0), n) == pytest.approx((1.0, 1.0))
+
+
 class TestBasisScale:
     def test_uniform_degree_zero(self):
         s = basis_scale(0.0, 0)
