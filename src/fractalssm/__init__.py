@@ -2,8 +2,10 @@
 
 The package builds the operator pair (A(alpha), B(alpha)) of the power-law
 projection measure, verifies its analytic properties against brute-force
-oracles, and executes the discretized diagonal recurrence sequentially or
-through an associative parallel scan.
+oracles, and executes the discretized diagonal recurrence: state
+trajectories sequentially or through a chunked scan, and the gated
+filter-bank layer as a causal convolution with its output kernel, truncated
+once every state has decayed below double-precision eps.
 """
 
 from .measure import (FractionalMeasure, check_scale_invariance, density,

@@ -19,7 +19,8 @@ from .measure import measure_profile
 from .operators import build_operators, check_alpha
 from .quadrature import QuadratureError
 from .spectral import condition_number, eig_triangular, spectral_init
-from .ssm import SequenceBatch, layer_forward, recur_scan, recur_sequential, zoh_discretize
+from .ssm import (SequenceBatch, _check_step, layer_forward, recur_scan, recur_sequential,
+                  zoh_discretize)
 from .verify import ode_consistency, random_system, run_full_suite
 
 __all__ = ["main"]
@@ -114,7 +115,7 @@ def _cmd_run(args) -> int:
             f"input width {z_in.width} does not match model width {config.input_width}")
     ssms = [zoh_discretize(init, delta)
             for init, delta in zip(inits, config.delta)]
-    z_out = layer_forward(config, weights, ssms, z_in, scan=False)
+    z_out = layer_forward(config, weights, ssms, z_in)
     fileio.ensure_parent(args.out)
     fileio.write_sequence_csv(args.out, z_out, prefix="y")
     print(f"wrote {args.out} ({z_out.length} steps, width {z_out.width})")
@@ -155,6 +156,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_discretize(args) -> int:
+    _check_step(args.delta)
     init = spectral_init(args.alpha, args.n, args.input_width, args.quad_order)
     ssm = zoh_discretize(init, args.delta)
     fileio.ensure_parent(args.out)

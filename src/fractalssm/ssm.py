@@ -1,10 +1,14 @@
 """Discrete execution: ZOH discretization, linear recurrence, gated layer.
 
-The diagonal recurrence x_k = lambda_bar * x_{k-1} + b_bar u_k runs either
-sequentially or as a chunked two-level scan: the chunks step in lockstep,
-then each chunk's carry is added through powers of lambda_bar.  A filter
-bank stacks channels with distinct singularity indices; the layer output is
-gated by a SiLU-activated branch of the input.
+The diagonal recurrence x_k = lambda_bar * x_{k-1} + b_bar u_k yields its
+state trajectory either sequentially or as a chunked two-level scan: the
+chunks step in lockstep, then each chunk's carry is added through powers of
+lambda_bar.  A filter bank stacks channels with distinct singularity
+indices; the layer output is gated by a SiLU-activated branch of the input.
+The layer needs only y = Re(C x), a causal convolution of the input with
+the kernel K_j = Re sum_n c_n b_bar_n lambda_bar_n^j, so it applies that
+kernel, truncated once every state has decayed below eps, with one real FFT
+instead of building the state trajectory.
 """
 
 from __future__ import annotations
@@ -123,13 +127,17 @@ def silu(x):
     return x * expit(x)
 
 
+def _check_step(delta: float) -> None:
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"timestep must be finite and positive, got {delta}")
+
+
 def zoh_discretize(init: SpectralInit, delta: float) -> DiscreteDiagonalSSM:
     """Zero-order-hold discretization of a diagonal system with step delta.
 
     lambda_bar = exp(delta * lambda); b_bar = (lambda_bar - 1)/lambda * b_tilde.
     """
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise ValueError(f"timestep must be finite and positive, got {delta}")
+    _check_step(delta)
     lam = init.eigenvalues
     lambda_bar = np.exp(delta * lam)
     b_bar = ((lambda_bar - 1.0) / lam)[:, None] * init.b_tilde
@@ -172,6 +180,8 @@ def recur_scan(ssm: DiscreteDiagonalSSM, u: SequenceBatch) -> np.ndarray:
     """
     drive = _driven_inputs(ssm, u).astype(complex)
     length, n = drive.shape
+    if length == 0:
+        return drive
     lam = ssm.lambda_bar
     chunk = min(_SCAN_CHUNK, length)
     blocks = -(-length // chunk)
@@ -199,6 +209,63 @@ def recur_scan(ssm: DiscreteDiagonalSSM, u: SequenceBatch) -> np.ndarray:
     return local.reshape(blocks * chunk, n)[:length]
 
 
+_EPS = np.finfo(float).eps
+
+
+def _output_kernel(ssms: list[DiscreteDiagonalSSM], c_tilde: np.ndarray,
+                   length: int) -> np.ndarray:
+    """Output kernel K[j, out, in] = Re sum_n c_n b_bar_n lambda_bar_n^j of the bank.
+
+    The kernel stops at taps = min(length, ceil(log(eps) / log(max|lambda_bar|))):
+    past it every state has decayed by more than eps, so the dropped tail
+    sum_n |c_n b_bar_n| |lambda_bar_n|^j / (1 - |lambda_bar_n|) is below the
+    rounding error the recurrence itself makes.  A bank with
+    max|lambda_bar| >= 1 does not decay and keeps all `length` taps.
+    Channels are added one at a time, so at most taps x block_state powers
+    are held at once.
+    """
+    radius = max(float(np.max(np.abs(ssm.lambda_bar))) for ssm in ssms)
+    taps = length
+    if radius == 0.0:
+        taps = min(length, 1)
+    elif radius < 1.0:
+        taps = min(length, math.ceil(math.log(_EPS) / math.log(radius)))
+    kernel = np.zeros((taps, c_tilde.shape[0], ssms[0].b_bar.shape[1]))
+    start = 0
+    for ssm in ssms:
+        n = ssm.lambda_bar.shape[0]
+        powers = np.ones((taps, n), dtype=complex)
+        rest = powers[1:]
+        np.cumprod(np.broadcast_to(ssm.lambda_bar, rest.shape), axis=0, out=rest)
+        kernel += np.einsum("jn,on,ni->joi", powers, c_tilde[:, start:start + n],
+                            ssm.b_bar).real
+        start += n
+    return kernel
+
+
+def _fast_length(n: int) -> int:
+    """Smallest 5-smooth integer >= n, a length numpy's FFT transforms quickly."""
+    best = 1 << max(n - 1, 0).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # odd * 2^k for the least k that reaches n
+            best = min(best, odd << max(-(-n // odd) - 1, 0).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
+def _causal_convolve(kernel: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """y[k, out] = sum_j sum_in K[j, out, in] u[k - j, in] for the first len(u) steps."""
+    length = u.shape[0]
+    size = _fast_length(length + kernel.shape[0] - 1)
+    spectrum = np.einsum("foi,fi->fo", np.fft.rfft(kernel, size, axis=0),
+                         np.fft.rfft(u, size, axis=0))
+    return np.fft.irfft(spectrum, size, axis=0)[:length]
+
+
 def build_filter_bank(config: FilterBankConfig) -> list[SpectralInit]:
     """One spectral initialization per channel of the bank."""
     return [spectral_init(alpha, config.block_state, config.input_width)
@@ -208,20 +275,30 @@ def build_filter_bank(config: FilterBankConfig) -> list[SpectralInit]:
 def layer_forward(config: FilterBankConfig, weights: LayerWeights,
                   ssms: list[DiscreteDiagonalSSM], z_in: SequenceBatch,
                   scan: bool = True) -> SequenceBatch:
-    """Gated layer: run all channels, project, and gate with SiLU(W_gate z).
+    """Gated layer: filter all channels, project, and gate with SiLU(W_gate z).
 
     z_out = (W_out y) * silu(W_gate z_in) with y = Re(C_tilde x) + D z_in.
+    With scan=True (the default) Re(C_tilde x) is the input convolved with
+    the bank's output kernel, truncated where max|lambda_bar|^j falls below
+    eps (see `_output_kernel`), through one real FFT; no state trajectory
+    is built.  scan=False runs `recur_sequential` on every channel, the
+    per-step reference.
     """
     if len(ssms) != config.channels:
         raise ValueError(f"expected {config.channels} channel systems, got {len(ssms)}")
     if z_in.width != config.input_width:
         raise ValueError(
             f"input width {z_in.width} does not match config width {config.input_width}")
+    shape = (config.block_state, config.input_width)
+    if any(ssm.b_bar.shape != shape or ssm.lambda_bar.shape != shape[:1] for ssm in ssms):
+        raise ValueError(f"channel systems must have {shape[0]} states of width {shape[1]}")
     if weights.c_tilde.shape != (config.output_width, config.total_state):
         raise ValueError("output map shape does not match the filter bank")
-    run = recur_scan if scan else recur_sequential
-    states = np.concatenate([run(ssm, z_in) for ssm in ssms], axis=1)
-    y = (states @ weights.c_tilde.T).real
+    if scan:
+        y = _causal_convolve(_output_kernel(ssms, weights.c_tilde, z_in.length), z_in.values)
+    else:
+        states = np.concatenate([recur_sequential(ssm, z_in) for ssm in ssms], axis=1)
+        y = (states @ weights.c_tilde.T).real
     d = weights.d
     if np.isscalar(d):
         if d != 0.0:

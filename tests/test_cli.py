@@ -230,6 +230,14 @@ class TestDiscretizeCommand:
                        "--out", str(out)) == 2
         assert not out.exists()
 
+    def test_step_checked_before_build(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("fractalssm.cli.spectral_init",
+                            lambda *_: pytest.fail("built before the step check"))
+        out = tmp_path / "dssm.json"
+        assert run_cli("discretize", "--alpha", "0.9", "--n", "256", "--delta", "nan",
+                       "--out", str(out)) == 2
+        assert not out.exists()
+
 
 class TestOracleCommand:
     def test_uniform_measure_passes(self, capsys):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from fractalssm.spectral import SpectralInit, spectral_init
 from fractalssm.ssm import (DiscreteDiagonalSSM, FilterBankConfig, LayerWeights,
-                            SequenceBatch, build_filter_bank, layer_forward, recur_scan,
-                            recur_sequential, silu, zoh_discretize)
+                            SequenceBatch, _output_kernel, build_filter_bank, layer_forward,
+                            recur_scan, recur_sequential, silu, zoh_discretize)
 
 
 def toy_init(lam: complex) -> SpectralInit:
@@ -113,6 +113,12 @@ class TestScanEquivalence:
         scan = recur_scan(ssm, u)
         scale = max(np.max(np.abs(seq)), 1e-300)
         assert np.max(np.abs(scan - seq)) / scale < 1e-10
+
+    def test_zero_length(self):
+        ssm = random_system(np.random.default_rng(7), 5, width=2)
+        u = SequenceBatch(np.zeros((0, 2)))
+        assert recur_sequential(ssm, u).shape == (0, 5)
+        assert recur_scan(ssm, u).shape == (0, 5)
 
     def test_long_sequence(self):
         rng = np.random.default_rng(99)
@@ -227,12 +233,15 @@ class TestLayerForward:
             layer_forward(config, weights, ssms, SequenceBatch(np.zeros((4, 3))))
         with pytest.raises(ValueError):
             layer_forward(config, weights, ssms[:1], SequenceBatch(np.zeros((4, 1))))
-        # the output map is checked before any channel runs
-        monkeypatch.setattr("fractalssm.ssm.recur_scan", lambda *_: pytest.fail("channels ran"))
+        # the output map is checked before any channel runs, on either path
+        for helper in ("_output_kernel", "recur_sequential"):
+            monkeypatch.setattr(f"fractalssm.ssm.{helper}",
+                                lambda *_: pytest.fail("channels ran"))
         narrow = LayerWeights(c_tilde=weights.c_tilde[:, 1:], w_out=weights.w_out,
                               w_gate=weights.w_gate)
-        with pytest.raises(ValueError, match="output map"):
-            layer_forward(config, narrow, ssms, SequenceBatch(np.zeros((4, 1))))
+        for scan in (True, False):
+            with pytest.raises(ValueError, match="output map"):
+                layer_forward(config, narrow, ssms, SequenceBatch(np.zeros((4, 1))), scan=scan)
 
     def test_feedthrough_matrix(self):
         config, weights, ssms = self.small_layer()
@@ -242,6 +251,112 @@ class TestLayerForward:
         z_in = SequenceBatch(np.ones((4, 1)))
         out = layer_forward(config, weights, ssms, z_in)
         assert out.values == pytest.approx(2.0 / (1.0 + math.exp(-1.0)) * np.ones((4, 1)))
+
+
+class TestConvolutionPath:
+    """The default kernel-convolution path against the per-step reference."""
+
+    @staticmethod
+    def assert_paths_agree(config, weights, ssms, z_in):
+        fast = layer_forward(config, weights, ssms, z_in).values
+        reference = layer_forward(config, weights, ssms, z_in, scan=False).values
+        assert fast.shape == reference.shape == (z_in.length, config.output_width)
+        scale = max(np.max(np.abs(reference)), 1e-300)
+        assert np.max(np.abs(fast - reference)) / scale < 1e-10
+
+    @staticmethod
+    def layer(ssms, width=1, out_width=1, seed=0, d=0.0):
+        block = ssms[0].lambda_bar.shape[0]
+        config = FilterBankConfig(channels=len(ssms), block_state=block,
+                                  input_width=width, output_width=out_width,
+                                  delta=ssms[0].delta)
+        rng = np.random.default_rng(seed)
+        total = config.total_state
+        weights = LayerWeights(
+            c_tilde=(rng.standard_normal((out_width, total))
+                     + 1j * rng.standard_normal((out_width, total))),
+            w_out=rng.standard_normal((out_width, out_width)),
+            w_gate=rng.standard_normal((out_width, width)), d=d)
+        return config, weights
+
+    @staticmethod
+    def bank(delta, channels=2, block=4, width=1):
+        config = FilterBankConfig(channels=channels, block_state=block,
+                                  input_width=width, delta=delta)
+        return [zoh_discretize(init, d)
+                for init, d in zip(build_filter_bank(config), config.delta)]
+
+    @staticmethod
+    def taps(ssms, length):
+        c_tilde = np.ones((1, sum(s.lambda_bar.shape[0] for s in ssms)))
+        return _output_kernel(ssms, c_tilde, length).shape[0]
+
+    def test_truncated_multi_width(self):
+        ssms = self.bank(0.05, width=2)
+        length = 3000
+        radius = max(np.max(np.abs(s.lambda_bar)) for s in ssms)
+        taps = math.ceil(math.log(np.finfo(float).eps) / math.log(radius))
+        assert self.taps(ssms, length) == taps < length
+        rng = np.random.default_rng(11)
+        config, weights = self.layer(ssms, width=2, out_width=3, seed=1,
+                                     d=rng.standard_normal((3, 2)))
+        self.assert_paths_agree(config, weights, ssms,
+                                SequenceBatch(rng.standard_normal((length, 2))))
+
+    @pytest.mark.parametrize("length", [1, 2, 50])
+    def test_shorter_than_kernel(self, length):
+        ssms = self.bank(0.05)
+        assert self.taps(ssms, length) == length
+        config, weights = self.layer(ssms, seed=length)
+        rng = np.random.default_rng(length)
+        self.assert_paths_agree(config, weights, ssms,
+                                SequenceBatch(rng.standard_normal((length, 1))))
+
+    def test_untruncated_slow_decay(self):
+        ssms = self.bank(1e-5)
+        length = 4096
+        assert self.taps(ssms, length) == length
+        config, weights = self.layer(ssms, seed=2)
+        rng = np.random.default_rng(2)
+        self.assert_paths_agree(config, weights, ssms,
+                                SequenceBatch(rng.standard_normal((length, 1))))
+
+    def test_hand_built_near_unit_modulus(self):
+        rng = np.random.default_rng(3)
+        phases = rng.uniform(-np.pi, np.pi, size=(2, 3))
+        ssms = [DiscreteDiagonalSSM(lambda_bar=0.9999 * np.exp(1j * p),
+                                    b_bar=rng.standard_normal((3, 1))
+                                    + 1j * rng.standard_normal((3, 1)), delta=1.0)
+                for p in phases]
+        config, weights = self.layer(ssms, seed=3, d=0.5)
+        self.assert_paths_agree(config, weights, ssms,
+                                SequenceBatch(rng.standard_normal((20000, 1))))
+
+    @pytest.mark.parametrize("scan", [True, False])
+    def test_growing_system_raises(self, scan):
+        ssms = [DiscreteDiagonalSSM(lambda_bar=np.array([1.5 + 0j, 0.5 + 0j]),
+                                    b_bar=np.ones((2, 1), dtype=complex), delta=1.0)]
+        config, weights = self.layer(ssms)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ArithmeticError):
+                layer_forward(config, weights, ssms, SequenceBatch(np.ones((4096, 1))),
+                              scan=scan)
+
+    @pytest.mark.parametrize("scan", [True, False])
+    def test_zero_length(self, scan):
+        ssms = self.bank(0.05, width=2)
+        config, weights = self.layer(ssms, width=2, out_width=3)
+        out = layer_forward(config, weights, ssms, SequenceBatch(np.zeros((0, 2))), scan=scan)
+        assert out.values.shape == (0, 3)
+
+    def test_channel_shape_mismatch(self):
+        ssms = self.bank(0.05)
+        config, weights = self.layer(ssms)
+        wide = FilterBankConfig(channels=2, block_state=4, input_width=2, delta=0.05)
+        for bad_config in (wide, FilterBankConfig(channels=2, block_state=3, delta=0.05)):
+            with pytest.raises(ValueError, match="channel systems"):
+                layer_forward(bad_config, weights, ssms,
+                              SequenceBatch(np.zeros((4, bad_config.input_width))))
 
 
 class TestSequenceBatch:
