@@ -35,4 +35,4 @@ print(f"update law at alpha=0.5: deviation {report.max_deviation:.2e} -> "
 print("\nfull suite over alpha in {0, 0.5}:")
 for r in run_full_suite([0.0, 0.5], 8, seed=0):
     print(f"  {r.name:38s} {r.max_deviation:12.3e}  "
-          f"{'PASS' if r.passed else 'FAIL'}")
+          f"{'PASS' if r.passed else 'FAIL'}  {r.seconds:6.3f} s")

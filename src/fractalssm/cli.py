@@ -66,14 +66,16 @@ def _cmd_verify(args) -> int:
         "n": args.n,
         "reports": [{
             "name": r.name, "max_deviation": r.max_deviation,
-            "tolerance": r.tolerance, "passed": r.passed, "detail": r.detail,
+            "tolerance": r.tolerance, "passed": r.passed, "seconds": r.seconds,
+            "detail": r.detail,
         } for r in reports],
         "all_passed": all(r.passed for r in reports),
     }
-    lines = [f"{'check':38s} {'max deviation':>14s} {'tolerance':>10s}  status"]
+    lines = [f"{'check':38s} {'max deviation':>14s} {'tolerance':>10s} {'seconds':>8s}  status"]
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
-        lines.append(f"{r.name:38s} {r.max_deviation:14.3e} {r.tolerance:10.0e}  {status}")
+        lines.append(f"{r.name:38s} {r.max_deviation:14.3e} {r.tolerance:10.0e} "
+                     f"{r.seconds:8.3f}  {status}")
     n_fail = sum(not r.passed for r in reports)
     lines.append(f"{len(reports)} checks, {n_fail} failed")
     _emit(args, payload, lines)

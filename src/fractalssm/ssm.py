@@ -175,38 +175,43 @@ def recur_scan(ssm: DiscreteDiagonalSSM, u: SequenceBatch) -> np.ndarray:
     lockstep from a zero state (one vectorized step per in-chunk position),
     the chunk-end states are scanned into per-chunk carries, and each carry
     enters its chunk multiplied by lambda_bar^(s+1), the cumulative powers
-    of the constant coefficient.  Matches recur_sequential to
-    floating-point reassociation tolerance.
+    of the constant coefficient.  Every pass runs in place in the buffer of
+    driven inputs b_bar u_k, which becomes the returned trajectory, so the
+    call holds one trajectory-sized array plus chunk-sized scratch.
+    Matches recur_sequential to floating-point reassociation tolerance.
     """
-    drive = _driven_inputs(ssm, u).astype(complex)
-    length, n = drive.shape
+    length = u.length
     if length == 0:
-        return drive
+        return _driven_inputs(ssm, u).astype(complex)
     lam = ssm.lambda_bar
+    n = lam.shape[0]
     chunk = min(_SCAN_CHUNK, length)
     blocks = -(-length // chunk)
     pad = blocks * chunk - length
     if pad:
-        drive = np.vstack([drive, np.zeros((pad, n), dtype=complex)])
-    drive = drive.reshape(blocks, chunk, n)
+        # pad the input rather than the drive, so the drive is the only big buffer
+        u = SequenceBatch(np.vstack([u.values, np.zeros((pad, u.width))]))
+    drive = np.asarray(_driven_inputs(ssm, u), dtype=complex)
+    local = drive.reshape(blocks, chunk, n)
 
-    local = np.empty_like(drive)
-    state = np.zeros((blocks, n), dtype=complex)
-    for s in range(chunk):
-        state = lam * state + drive[:, s]
-        local[:, s] = state
+    # each chunk starts from a zero state, so its first position is its drive
+    step = np.empty((blocks, n), dtype=complex)
+    for s in range(1, chunk):
+        np.multiply(lam, local[:, s - 1], out=step)
+        np.add(step, local[:, s], out=local[:, s])
+    # the carries must be scanned from the chunk-end states before any is added
+    ends = local[:, -1].copy()
 
     # prefix coefficients lam^(s+1) within a chunk, and the carry scan
     pows = np.cumprod(np.broadcast_to(lam, (chunk, n)), axis=0)
     lam_chunk = pows[-1]
-    carry = np.zeros((blocks, n), dtype=complex)
+    carried = np.empty_like(pows)
     running = np.zeros(n, dtype=complex)
     for c in range(1, blocks):
-        running = lam_chunk * running + local[c - 1, -1]
-        carry[c] = running
-
-    local += pows[None, :, :] * carry[:, None, :]
-    return local.reshape(blocks * chunk, n)[:length]
+        running = lam_chunk * running + ends[c - 1]
+        np.multiply(pows, running, out=carried)
+        local[c] += carried
+    return drive[:length]
 
 
 _EPS = np.finfo(float).eps

@@ -84,6 +84,16 @@ class TestVerifyCommand:
         failed = {name for name, r in by_name.items() if not r["passed"]}
         assert failed == {"condition-growth"}
         assert code == 1
+        assert all(r["seconds"] > 0.0 for r in payload["reports"])
+
+    def test_text_table_times_each_check(self, capsys):
+        assert run_cli("verify", "--alpha-grid", "0", "--n", "4") == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["check", "max", "deviation", "tolerance", "seconds",
+                                    "status"]
+        for line in lines[1:-1]:
+            assert float(line.split()[3]) >= 0.0
+        assert lines[-1].endswith("1 failed")
 
 
 class TestSpectrumCommand:

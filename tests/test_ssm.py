@@ -1,6 +1,7 @@
 """Discretization, recurrence execution, scan equivalence, gated layer."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,34 @@ class TestScanEquivalence:
         scan = recur_scan(ssm, u)
         scale = max(np.max(np.abs(seq)), 1e-300)
         assert np.max(np.abs(scan - seq)) / scale < 1e-10
+
+    @pytest.mark.parametrize("length", [2049, 3072, 3073, 4096, 5000])
+    def test_multi_chunk_matches_sequential(self, length):
+        # three or more chunks, with and without padding; the slowest states
+        # carry across every chunk boundary
+        rng = np.random.default_rng(length)
+        ssm = random_system(rng, 12, width=2)
+        slow = np.array([0.999, 0.9995, 0.9999]) * np.exp(1j * np.array([0.0, 0.3, -2.0]))
+        ssm = DiscreteDiagonalSSM(lambda_bar=np.concatenate([slow, ssm.lambda_bar[3:]]),
+                                  b_bar=ssm.b_bar, delta=1.0)
+        values = rng.standard_normal((length, 2))
+        u = SequenceBatch(values.copy())
+        seq = recur_sequential(ssm, u)
+        scan = recur_scan(ssm, u)
+        assert np.max(np.abs(scan - seq)) / np.max(np.abs(seq)) < 1e-12
+        assert np.array_equal(u.values, values)
+
+    def test_scan_holds_one_trajectory(self):
+        rng = np.random.default_rng(5)
+        ssm = random_system(rng, 64)
+        u = SequenceBatch(rng.standard_normal((65536, 1)))
+        tracemalloc.start()
+        try:
+            recur_scan(ssm, u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 65536 * 64 * 16
 
     def test_zero_length(self):
         ssm = random_system(np.random.default_rng(7), 5, width=2)

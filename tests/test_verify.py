@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from fractalssm import verify
 from fractalssm.specfun import JacobiParam, basis_scale, jacobi_eval_all
+from fractalssm.ssm import SequenceBatch, recur_scan, recur_sequential
 from fractalssm.verify import (OracleReport, ode_consistency, projection_coefficients,
-                               run_full_suite)
+                               random_system, run_full_suite)
 
 
 class TestProjectionCoefficients:
@@ -105,3 +107,66 @@ class TestRunFullSuite:
         for report in uniform_suite:
             assert isinstance(report, OracleReport)
             assert report.passed == (report.max_deviation <= report.tolerance)
+
+    def test_every_report_is_timed(self, uniform_suite):
+        assert all(report.seconds > 0.0 for report in uniform_suite)
+        # only the suite times a check
+        assert ode_consistency(0.0, 4, np.sin, t=3.0).seconds == 0.0
+
+
+class TestScanEquivalenceGroups:
+    def test_deviations_match_per_system_recurrence(self):
+        # the same draws as the oracle makes, checked one system at a time
+        report = verify._check_scan_equivalence(np.random.default_rng(4), systems=7)
+        rng = np.random.default_rng(4)
+        assert len(report.detail) == 7
+        for trial, row in enumerate(report.detail):
+            n = int(rng.integers(1, 65))
+            length = [16, 1024, 65536][trial % 3]
+            ssm = random_system(rng, n)
+            u = SequenceBatch(rng.standard_normal((length, 1)))
+            seq = recur_sequential(ssm, u)
+            dev = float(np.max(np.abs(recur_scan(ssm, u) - seq))) / float(np.max(np.abs(seq)))
+            assert (row["n"], row["length"]) == (n, length)
+            assert row["relative_deviation"] == dev
+        assert report.max_deviation == max(row["relative_deviation"] for row in report.detail)
+
+    def test_groups_share_a_length_and_the_state_cap(self):
+        rng = np.random.default_rng(0)
+        drawn = [(random_system(rng, int(n)), SequenceBatch(np.zeros((length, 1))))
+                 for n, length in zip(rng.integers(1, 65, size=40), [16, 64, 16, 64] * 10)]
+        groups = verify._scan_groups(drawn)
+        assert sorted(i for group in groups for i in group) == list(range(40))
+        for group in groups:
+            assert len({drawn[i][1].length for i in group}) == 1
+            states = sum(drawn[i][0].lambda_bar.size for i in group)
+            assert states <= verify._SCAN_GROUP_STATES or len(group) == 1
+        assert any(len(group) > 1 for group in groups)
+
+    def test_perturbed_system_fails_alone(self, monkeypatch):
+        # a scan error past the first time block of one system in a shared
+        # group must show in that system's row and no other
+        target = {}
+        real_groups = verify._scan_groups
+
+        def spy_groups(drawn, *args):
+            groups = real_groups(drawn, *args)
+            shared = next(g for g in groups
+                          if len(g) > 1 and drawn[g[0]][1].length > verify._SCAN_TIME_BLOCK)
+            target["index"] = shared[1]
+            target["ssm"] = drawn[shared[1]][0]
+            return groups
+
+        def perturbed_scan(ssm, u):
+            out = recur_scan(ssm, u)
+            if ssm is target["ssm"]:
+                out[verify._SCAN_TIME_BLOCK + 123, 0] += 1e-6 * np.max(np.abs(out))
+            return out
+
+        monkeypatch.setattr(verify, "_scan_groups", spy_groups)
+        monkeypatch.setattr(verify, "recur_scan", perturbed_scan)
+        report = verify._check_scan_equivalence(np.random.default_rng(2), systems=9)
+        flagged = [i for i, row in enumerate(report.detail)
+                   if row["relative_deviation"] > 1e-10]
+        assert flagged == [target["index"]]
+        assert not report.passed
