@@ -1,11 +1,14 @@
 """Gauss-Jacobi quadrature via Golub-Welsch with extended-precision refinement.
 
 Rules are built for the weight (1-x)^a (1+x)^b on [-1, 1].  The symmetric
-tridiagonal eigenproblem seeds the nodes in double precision; two or three
-Newton sweeps on the orthonormal recurrence in 80-bit extended precision
-then polish nodes and rebuild weights from the Christoffel formula.  The
-refined copies are kept on the rule so that operator assembly can reach
-the 1e-10 verification tolerances; the public arrays are float64.
+tridiagonal eigenproblem seeds the nodes in double precision; three Newton
+sweeps on the orthonormal recurrence in 80-bit extended precision then
+polish the nodes, and one more pass rebuilds the weights from the
+Christoffel formula.  Each pass runs the three-term recurrence carrying
+only its last two rows, so it holds O(order) memory.  The refined copies
+are kept on the rule so that operator assembly can reach the 1e-10
+verification tolerances; the public arrays are float64.  scipy, which
+seeds the nodes, is loaded only when a rule is built.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .specfun import JacobiParam
 
@@ -68,20 +70,35 @@ def _recurrence_coeffs(param: JacobiParam, m: int):
     return d, np.sqrt(num / den)
 
 
-def _orthonormal_eval(d, e, mu, m, x):
-    """Orthonormal polynomials p_0..p_m at x, plus d/dx p_m."""
-    p = np.zeros((m + 1, x.size), dtype=_LD)
-    dp_prev = np.zeros(x.size, dtype=_LD)
-    dp_cur = np.zeros(x.size, dtype=_LD)
-    p[0] = 1 / np.sqrt(_LD(mu))
-    if m >= 1:
-        p[1] = (x - d[0]) * p[0] / e[0]
-        dp_cur = p[0] / e[0]
+def _newton_step(d, e, p0, m, x):
+    """x - p_m(x) / p_m'(x) for the orthonormal polynomials with p_0 = p0.
+
+    The recurrence carries only p_{j-1}, p_j and their derivatives, so a
+    step holds O(x.size) memory.
+    """
+    p_prev = np.full_like(x, p0)
+    p = (x - d[0]) * p_prev / e[0]
+    dp_prev = np.zeros_like(x)
+    dp = p_prev / e[0]
     for j in range(1, m):
-        p[j + 1] = ((x - d[j]) * p[j] - e[j - 1] * p[j - 1]) / e[j]
-        dp_new = ((x - d[j]) * dp_cur + p[j] - e[j - 1] * dp_prev) / e[j]
-        dp_prev, dp_cur = dp_cur, dp_new
-    return p, dp_cur
+        t = x - d[j]
+        p_prev, p, dp_prev, dp = (p, (t * p - e[j - 1] * p_prev) / e[j],
+                                  dp, (t * dp + p - e[j - 1] * dp_prev) / e[j])
+    return x - p / dp
+
+
+def _christoffel_weights(d, e, p0, m, x):
+    """Christoffel weights 1 / sum_{j<m} p_j(x)^2, accumulated row by row."""
+    p_prev = np.full_like(x, p0)
+    total = p_prev ** 2
+    if m == 1:
+        return 1.0 / total
+    p = (x - d[0]) * p_prev / e[0]
+    total += p ** 2
+    for j in range(1, m - 1):
+        p_prev, p = p, ((x - d[j]) * p - e[j - 1] * p_prev) / e[j]
+        total += p ** 2
+    return 1.0 / total
 
 
 def gauss_jacobi(param: JacobiParam, order: int) -> QuadratureRule:
@@ -91,19 +108,20 @@ def gauss_jacobi(param: JacobiParam, order: int) -> QuadratureRule:
     """
     if order < 1:
         raise ValueError(f"quadrature order must be >= 1, got {order}")
+    # imported here: scipy would otherwise be most of `import fractalssm`
+    from scipy.linalg import eigh_tridiagonal
+
     d, e = _recurrence_coeffs(param, order)
     try:
         seed, _ = eigh_tridiagonal(d[:order].astype(float),
                                    e[:order - 1].astype(float))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise QuadratureError(f"tridiagonal eigen-solve failed at order {order}") from exc
-    mu = weight_mass(param)
+    p0 = 1 / np.sqrt(_LD(weight_mass(param)))
     x = seed.astype(_LD)
     for _ in range(_NEWTON_SWEEPS):
-        p, dpm = _orthonormal_eval(d, e, mu, order, x)
-        x = x - p[order] / dpm
-    p, _ = _orthonormal_eval(d, e, mu, order, x)
-    w = 1.0 / np.sum(p[:order] ** 2, axis=0)
+        x = _newton_step(d, e, p0, order, x)
+    w = _christoffel_weights(d, e, p0, order, x)
     nodes = x.astype(float)
     weights = w.astype(float)
     if (not np.all(np.isfinite(nodes)) or not np.all(np.isfinite(weights))

@@ -37,10 +37,13 @@ class SpectralInit:
 def eig_triangular(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact eigendecomposition of a lower-triangular matrix.
 
-    Eigenvalues are the diagonal entries.  Eigenvector k is built by
-    forward substitution with a unit pivot at row k, then columns are
-    rescaled to unit Euclidean norm (and the inverse consistently).
-    Requires the diagonal entries to be pairwise distinct.
+    Eigenvalues are the diagonal entries.  Eigenvector k has a unit pivot
+    at row k and follows by forward substitution; one vectorized step per
+    row i fills row i of every eigenvector at once,
+    v[i, :i] = -(a[i, :i] @ v[:i, :i]) / (a[i, i] - diag[:i]), and the
+    inverse of the unit-lower-triangular V is built row by row the same
+    way.  Columns are then rescaled to unit Euclidean norm (and the inverse
+    consistently).  Requires the diagonal entries to be pairwise distinct.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
@@ -50,18 +53,11 @@ def eig_triangular(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if np.min(np.abs(np.subtract.outer(diag, diag) + np.eye(n))) < _DISTINCT_TOL:
         raise ValueError("diagonal entries coincide; eigendecomposition is not unique")
 
-    v = np.zeros((n, n))
-    for k in range(n):
-        v[k, k] = 1.0
-        for i in range(k + 1, n):
-            v[i, k] = -np.dot(a[i, k:i], v[k:i, k]) / (a[i, i] - diag[k])
-
-    # inverse of the unit-lower-triangular V by forward substitution
-    v_inv = np.zeros((n, n))
-    for k in range(n):
-        v_inv[k, k] = 1.0
-        for i in range(k + 1, n):
-            v_inv[i, k] = -np.dot(v[i, k:i], v_inv[k:i, k])
+    v = np.eye(n)
+    v_inv = np.eye(n)
+    for i in range(1, n):
+        v[i, :i] = -(a[i, :i] @ v[:i, :i]) / (a[i, i] - diag[:i])
+        v_inv[i, :i] = -(v[i, :i] @ v_inv[:i, :i])
 
     scale = np.linalg.norm(v, axis=0)
     v = v / scale

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .operators import check_alpha
 from .spectral import SpectralInit, spectral_init
@@ -124,7 +123,9 @@ class SequenceBatch:
 def silu(x):
     """SiLU activation x * sigmoid(x)."""
     x = np.asarray(x, dtype=float)
-    return x * expit(x)
+    # exp(-x) overflows to inf below x = -709, where the sigmoid is exactly 0
+    with np.errstate(over="ignore"):
+        return x * (1.0 / (1.0 + np.exp(-x)))
 
 
 def _check_step(delta: float) -> None:

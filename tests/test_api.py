@@ -1,8 +1,11 @@
 """Public surface: every exported name resolves and every demo runs."""
 
 import importlib
+import os
 import pkgutil
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +22,20 @@ def test_exported_names_resolve():
     missing = [f"{module.__name__}.{name}" for module in modules
                for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is loaded only when a quadrature rule is built
+    src = str(Path(fractalssm.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys, fractalssm, fractalssm.cli\n"
+            "assert fractalssm.__file__.startswith(sys.argv[1]), fractalssm.__file__\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code, src], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)

@@ -1,12 +1,16 @@
 """Gauss-Jacobi rule tests against exact moment oracles."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
-from fractalssm.quadrature import QuadratureRule, default_order, gauss_jacobi, weight_mass
+from fractalssm.quadrature import (QuadratureRule, _christoffel_weights, _newton_step,
+                                   _recurrence_coeffs, default_order, gauss_jacobi,
+                                   weight_mass)
 from fractalssm.specfun import JacobiParam
 
 
@@ -81,3 +85,65 @@ def test_rule_is_immutable_record():
     assert isinstance(rule, QuadratureRule)
     with pytest.raises(AttributeError):
         rule.order = 8
+
+
+def table_rule(param: JacobiParam, order: int):
+    """The rule as first written: every pass evaluates the full p_0..p_order table.
+
+    Three Newton sweeps on p_order, then weights 1 / sum_{j<order} p_j^2,
+    all in long double from the same double-precision tridiagonal seed.
+    """
+    ld = np.longdouble
+    d, e = _recurrence_coeffs(param, order)
+    seed, _ = eigh_tridiagonal(d[:order].astype(float), e[:order - 1].astype(float))
+    mu = weight_mass(param)
+
+    def table(x):
+        p = np.zeros((order + 1, x.size), dtype=ld)
+        dp_prev = np.zeros(x.size, dtype=ld)
+        p[0] = 1 / np.sqrt(ld(mu))
+        p[1] = (x - d[0]) * p[0] / e[0]
+        dp_cur = p[0] / e[0]
+        for j in range(1, order):
+            p[j + 1] = ((x - d[j]) * p[j] - e[j - 1] * p[j - 1]) / e[j]
+            dp_new = ((x - d[j]) * dp_cur + p[j] - e[j - 1] * dp_prev) / e[j]
+            dp_prev, dp_cur = dp_cur, dp_new
+        return p, dp_cur
+
+    x = seed.astype(ld)
+    for _ in range(3):
+        p, dpm = table(x)
+        x = x - p[order] / dpm
+    p, _ = table(x)
+    return x, 1.0 / np.sum(p[:order] ** 2, axis=0)
+
+
+class TestRulesPinned:
+    @pytest.mark.parametrize("order", [1, 2, 3, 16, 257, 1024])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 0.81, 0.9, 0.95])
+    def test_bit_identical_to_full_table(self, alpha, order):
+        param = JacobiParam(-alpha, 0.0)
+        rule = gauss_jacobi(param, order)
+        x, w = table_rule(param, order)
+        assert rule.nodes_hi.dtype == rule.weights_hi.dtype == np.longdouble
+        assert np.array_equal(rule.nodes_hi, x)
+        assert np.array_equal(rule.weights_hi, w)
+        assert np.array_equal(rule.nodes, x.astype(float))
+        assert np.array_equal(rule.weights, w.astype(float))
+
+    def test_passes_hold_order_memory(self):
+        # the full table held (order + 1) * order long doubles, 16.8 MB here
+        order = 1024
+        param = JacobiParam(-0.9, 0.0)
+        d, e = _recurrence_coeffs(param, order)
+        p0 = 1 / np.sqrt(np.longdouble(weight_mass(param)))
+        x = gauss_jacobi(param, order).nodes_hi
+        row = order * np.dtype(np.longdouble).itemsize
+        for one_pass in (_newton_step, _christoffel_weights):
+            tracemalloc.start()
+            try:
+                one_pass(d, e, p0, order, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 * row, (one_pass.__name__, peak)

@@ -52,6 +52,27 @@ class TestEigTriangular:
             numeric = np.sort(np.linalg.eigvals(a).real)
             assert np.max(np.abs(numeric - np.arange(1.0, 65.0))) < 1e-10
 
+    @pytest.mark.parametrize("n", [8, 16, 24])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9])
+    def test_matches_extended_precision_substitution(self, alpha, n):
+        # entry-by-entry forward substitution of the same A in long double
+        a = build_A(alpha, n)
+        ld = a.astype(np.longdouble)
+        ref = np.eye(n, dtype=np.longdouble)
+        ref_inv = np.eye(n, dtype=np.longdouble)
+        for k in range(n):
+            for i in range(k + 1, n):
+                ref[i, k] = -np.dot(ld[i, k:i], ref[k:i, k]) / (ld[i, i] - ld[k, k])
+        for k in range(n):
+            for i in range(k + 1, n):
+                ref_inv[i, k] = -np.dot(ref[i, k:i], ref_inv[k:i, k])
+        scale = np.sqrt(np.sum(ref * ref, axis=0))
+        ref = (ref / scale).astype(float)
+        ref_inv = (ref_inv * scale[:, None]).astype(float)
+        _, v, v_inv = eig_triangular(a)
+        assert np.max(np.abs(v - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.max(np.abs(v_inv - ref_inv)) <= 1e-10 * np.max(np.abs(ref_inv))
+
     def test_coincident_diagonal_rejected(self):
         a = np.array([[1.0, 0.0], [0.5, 1.0 + 1e-12]])
         with pytest.raises(ValueError):

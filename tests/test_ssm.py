@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -404,3 +405,12 @@ def test_silu_values():
     assert silu(0.0) == pytest.approx(0.0)
     assert silu(1.0) == pytest.approx(1.0 / (1.0 + math.exp(-1.0)))
     assert silu(np.array([-50.0]))[0] == pytest.approx(0.0, abs=1e-20)
+
+
+def test_silu_saturates_without_warning():
+    # exp(-x) overflows below x = -709; the sigmoid there is exactly 0
+    x = np.array([-1e308, -1000.0, -710.0, 710.0, 1000.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = silu(x)
+    assert np.array_equal(y, [0.0, 0.0, 0.0, 710.0, 1000.0])
