@@ -5,7 +5,11 @@ tridiagonal eigenproblem seeds the nodes in double precision; three Newton
 sweeps on the orthonormal recurrence in 80-bit extended precision then
 polish the nodes, and one more pass rebuilds the weights from the
 Christoffel formula.  Each pass runs the three-term recurrence carrying
-only its last two rows, so it holds O(order) memory.  The refined copies
+only its last two rows, so it holds O(order) memory.  A Newton step acts
+on each node alone and always rounds the same way, so a node that one
+sweep leaves unchanged would come out of every later sweep unchanged too:
+each sweep runs only on the nodes the previous one moved, and the nodes
+are the same as if every sweep ran on all of them.  The refined copies
 are kept on the rule so that operator assembly can reach the 1e-10
 verification tolerances; the public arrays are float64.  scipy, which
 seeds the nodes, is loaded only when a rule is built.
@@ -119,8 +123,15 @@ def gauss_jacobi(param: JacobiParam, order: int) -> QuadratureRule:
         raise QuadratureError(f"tridiagonal eigen-solve failed at order {order}") from exc
     p0 = 1 / np.sqrt(_LD(weight_mass(param)))
     x = seed.astype(_LD)
+    # a step is elementwise and deterministic, so a node the last sweep left
+    # unchanged is a fixed point of the later sweeps: sweep only the rest
+    # (a NaN never compares equal, so it keeps being swept as before)
+    moving = np.arange(order)
     for _ in range(_NEWTON_SWEEPS):
-        x = _newton_step(d, e, p0, order, x)
+        before = x[moving]
+        stepped = _newton_step(d, e, p0, order, before)
+        x[moving] = stepped
+        moving = moving[stepped != before]
     w = _christoffel_weights(d, e, p0, order, x)
     nodes = x.astype(float)
     weights = w.astype(float)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import measure as measure_mod
-from .operators import build_A, build_B, check_alpha, legs_closed_form
+from .operators import build_A, build_B, check_alpha, check_state_dim, legs_closed_form
 from .quadrature import default_order, gauss_jacobi
 from .specfun import JacobiParam, basis_scale, jacobi_eval_all
 from .spectral import condition_number, eig_triangular, spectral_init
@@ -414,13 +414,15 @@ def _check_zoh_limit(grid) -> OracleReport:
 def run_full_suite(alpha_grid, n_max: int, seed: int = 0) -> list[OracleReport]:
     """Execute every oracle over the given singularity-index grid.
 
-    An empty grid yields an empty report list.  Checks never raise on
-    failed claims; inspect the `passed` flags.  Each report's `seconds` is
-    the wall time of its check.
+    An alpha outside [0, ALPHA_MAX] or an n_max outside [1, N_MAX] raises
+    ValueError before any check runs.  An empty grid yields an empty report
+    list.  Checks never raise on failed claims; inspect the `passed` flags.
+    Each report's `seconds` is the wall time of its check.
     """
     grid = [float(a) for a in alpha_grid]
     for alpha in grid:
         check_alpha(alpha)
+    check_state_dim(n_max)
     if not grid:
         return []
     rng = np.random.default_rng(seed)

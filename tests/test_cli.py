@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from fractalssm import fileio
+from fractalssm import fileio, verify
 from fractalssm.cli import main
 from fractalssm.ssm import FilterBankConfig, LayerWeights, SequenceBatch, build_filter_bank
 
@@ -71,6 +71,18 @@ class TestVerifyCommand:
 
     def test_out_of_range_grid(self, capsys):
         assert run_cli("verify", "--alpha-grid", "0.99", "--n", "4") == 2
+
+    @pytest.mark.parametrize("n", ["0", "-3", "257"])
+    def test_out_of_range_n_rejected_before_any_check(self, n, monkeypatch, capsys):
+        def no_check(*args, **kwargs):
+            pytest.fail("a check ran before --n was validated")
+
+        for name in dir(verify):
+            if name.startswith("_check_"):
+                monkeypatch.setattr(verify, name, no_check)
+        monkeypatch.setattr(verify, "ode_consistency", no_check)
+        assert run_cli("verify", "--alpha-grid", "0,0.5", "--n", n) == 2
+        assert f"state dimension must lie in [1, 256], got {n}" in capsys.readouterr().err
 
     def test_uniform_grid_reports(self, capsys):
         # the condition-number check fails against the reference grid

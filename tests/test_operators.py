@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from fractalssm.cli import main as cli_main
-from fractalssm.operators import ALPHA_MAX, build_A, build_B, build_operators, legs_closed_form
-from fractalssm.specfun import basis_scale, generalized_binomial
+from fractalssm.operators import (ALPHA_MAX, _basis_tables, build_A, build_B, build_operators,
+                                  legs_closed_form)
+from fractalssm.quadrature import default_order, gauss_jacobi
+from fractalssm.specfun import JacobiParam, basis_scale, generalized_binomial
 from fractalssm.ssm import FilterBankConfig
 from fractalssm.verify import TABLE_ALPHA0, TABLE_ALPHA05, run_full_suite
 
@@ -97,6 +99,26 @@ class TestBuildA:
         assert ops.a.shape == (6, 6)
         assert ops.b.shape == (6,)
         assert ops.quadrature_order == 12
+
+
+def matmul_assembly(alpha: float, n: int) -> np.ndarray:
+    """A(alpha) as first assembled: one long-double `@` product per row."""
+    ld = np.longdouble
+    rule = gauss_jacobi(JacobiParam(-alpha, 0.0), default_order(alpha, n))
+    p, img = _basis_tables(alpha, rule.nodes_hi, n - 1)
+    gammas = np.array([basis_scale(alpha, k).gamma_n for k in range(n)], dtype=ld)
+    hs = np.array([basis_scale(alpha, k).h_n for k in range(n)], dtype=ld)
+    a = np.diag(np.arange(1.0, n + 1))
+    for row in range(1, n):
+        ips = p[:row] @ (rule.weights_hi * img[row])
+        a[row, :row] = (gammas[row] / gammas[:row] * ips / hs[:row]).astype(float)
+    return a
+
+
+@pytest.mark.parametrize("alpha,n", [(0.0, 1), (0.0, 2), (0.3, 5), (0.5, 16), (0.81, 64),
+                                     (0.95, 64), (0.9, 256)])
+def test_assembly_pinned_bit_for_bit(alpha, n):
+    assert np.array_equal(build_A(alpha, n), matmul_assembly(alpha, n))
 
 
 class TestPublishedHalfIndexTable:

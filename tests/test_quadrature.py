@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+from fractalssm import quadrature
 from fractalssm.quadrature import (QuadratureRule, _christoffel_weights, _newton_step,
                                    _recurrence_coeffs, default_order, gauss_jacobi,
                                    weight_mass)
@@ -147,3 +148,19 @@ class TestRulesPinned:
             finally:
                 tracemalloc.stop()
             assert peak < 32 * row, (one_pass.__name__, peak)
+
+
+def test_last_sweep_sees_only_unsettled_nodes(monkeypatch):
+    # TestRulesPinned's oracle sweeps every node, so it pins the nodes; this pins the saving
+    order = 1024
+    sizes = []
+
+    def spy(d, e, p0, m, x):
+        sizes.append(x.size)
+        return _newton_step(d, e, p0, m, x)
+
+    monkeypatch.setattr(quadrature, "_newton_step", spy)
+    gauss_jacobi(JacobiParam(-0.9, 0.0), order)
+    assert len(sizes) == 3
+    assert sizes[0] == order
+    assert sizes[2] < order / 8, sizes
