@@ -57,7 +57,8 @@ weights = LayerWeights(
     w_out=np.eye(1), w_gate=np.eye(1))
 z_out = layer_forward(config, weights, ssms, z_in)
 
-# the layer convolves with its truncated output kernel; scan=False is the
+# the layer convolves with its truncated output kernel, W_out and D folded in,
+# in overlap-save FFT blocks of about four kernel lengths; scan=False is the
 # per-step recur_sequential reference
 u_layer = SequenceBatch(rng.standard_normal((16384, 1)))
 t0 = time.perf_counter(); fast = layer_forward(config, weights, ssms, u_layer).values

@@ -62,8 +62,7 @@ def check_state_dim(n: int) -> None:
 def build_B(alpha: float, n: int) -> np.ndarray:
     """Input projection vector B_n = gamma_n * C(n - alpha, n)."""
     check_alpha(alpha)
-    if n < 1:
-        raise ValueError(f"state dimension must be >= 1, got {n}")
+    check_state_dim(n)
     return np.array([basis_scale(alpha, k).gamma_n * generalized_binomial(k - alpha, k)
                      for k in range(n)])
 

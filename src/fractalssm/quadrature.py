@@ -68,10 +68,14 @@ def _recurrence_coeffs(param: JacobiParam, m: int):
     d[0] = (b - a) / (ab + 2)
     j = np.arange(1, m, dtype=_LD)
     d[1:] = (b * b - a * a) / ((2 * j + ab) * (2 * j + ab + 2))
-    i = np.arange(1, m + 1, dtype=_LD)
-    num = 4 * i * (i + a) * (i + b) * (i + ab)
-    den = (2 * i + ab) ** 2 * ((2 * i + ab) ** 2 - 1)
-    return d, np.sqrt(num / den)
+    beta = np.empty(m, dtype=_LD)
+    # beta_1 with the common factor 1 + a + b cancelled: the general form is
+    # 0/0 at a + b = -1 and loses digits near it
+    beta[0] = 4 * (1 + a) * (1 + b) / ((2 + ab) ** 2 * (3 + ab))
+    i = np.arange(2, m + 1, dtype=_LD)
+    beta[1:] = (4 * i * (i + a) * (i + b) * (i + ab)
+                / ((2 * i + ab) ** 2 * ((2 * i + ab) ** 2 - 1)))
+    return d, np.sqrt(beta)
 
 
 def _newton_step(d, e, p0, m, x):

@@ -5,10 +5,11 @@ state trajectory either sequentially or as a chunked two-level scan: the
 chunks step in lockstep, then each chunk's carry is added through powers of
 lambda_bar.  A filter bank stacks channels with distinct singularity
 indices; the layer output is gated by a SiLU-activated branch of the input.
-The layer needs only y = Re(C x), a causal convolution of the input with
-the kernel K_j = Re sum_n c_n b_bar_n lambda_bar_n^j, so it applies that
-kernel, truncated once every state has decayed below eps, with one real FFT
-instead of building the state trajectory.
+The layer needs only W_out (Re(C x) + D u), a causal convolution of the
+input with the kernel K_j = W_out Re sum_n c_n b_bar_n lambda_bar_n^j, plus
+W_out D at j = 0.  It applies that kernel, truncated once every state has
+decayed below eps, by overlap-save in FFT blocks sized to the kernel instead
+of building the state trajectory.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .operators import check_alpha
 from .spectral import SpectralInit, spectral_init
@@ -264,12 +266,33 @@ def _fast_length(n: int) -> int:
 
 
 def _causal_convolve(kernel: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """y[k, out] = sum_j sum_in K[j, out, in] u[k - j, in] for the first len(u) steps."""
-    length = u.shape[0]
-    size = _fast_length(length + kernel.shape[0] - 1)
-    spectrum = np.einsum("foi,fi->fo", np.fft.rfft(kernel, size, axis=0),
-                         np.fft.rfft(u, size, axis=0))
-    return np.fft.irfft(spectrum, size, axis=0)[:length]
+    """y[k, out] = sum_j sum_in K[j, out, in] u[k - j, in] for the first len(u) steps.
+
+    Overlap-save in blocks sized to the kernel: the transform length is the
+    smallest power of two >= 4 * taps, or the 5-smooth length that covers
+    len(u) + taps - 1 at once when that is shorter (one block).  At four
+    kernel lengths the overlap is at most a quarter of each transform, and
+    a power of two there transforms faster than the 5-smooth length.  Every
+    block's window reaches taps - 1 steps back into the zero-padded input
+    and keeps its last hop = size - taps + 1 outputs, which the circular
+    wrap-around does not touch.  All windows go through one batched real
+    FFT, the kernel through one at the block length, and one batched
+    inverse FFT returns every block.
+    """
+    length, width = u.shape
+    taps = kernel.shape[0]
+    if length == 0:
+        return np.zeros((0, kernel.shape[1]))
+    size = min(1 << (4 * taps - 1).bit_length(), _fast_length(length + taps - 1))
+    hop = size - taps + 1
+    blocks = -(-length // hop)
+    padded = np.zeros((width, blocks * hop + taps - 1))
+    padded[:, taps - 1:taps - 1 + length] = u.T
+    windows = sliding_window_view(padded, size, axis=-1)[:, ::hop]  # (in, blocks, size)
+    spectrum = np.einsum("foi,ibf->obf", np.fft.rfft(kernel, size, axis=0),
+                         np.fft.rfft(windows, axis=-1))
+    y = np.fft.irfft(spectrum, size, axis=-1)[..., taps - 1:]       # (out, blocks, hop)
+    return y.reshape(y.shape[0], blocks * hop)[:, :length].T
 
 
 def build_filter_bank(config: FilterBankConfig) -> list[SpectralInit]:
@@ -284,11 +307,14 @@ def layer_forward(config: FilterBankConfig, weights: LayerWeights,
     """Gated layer: filter all channels, project, and gate with SiLU(W_gate z).
 
     z_out = (W_out y) * silu(W_gate z_in) with y = Re(C_tilde x) + D z_in.
-    With scan=True (the default) Re(C_tilde x) is the input convolved with
-    the bank's output kernel, truncated where max|lambda_bar|^j falls below
-    eps (see `_output_kernel`), through one real FFT; no state trajectory
-    is built.  scan=False runs `recur_sequential` on every channel, the
-    per-step reference.
+    With scan=True (the default) W_out y is the input convolved with the
+    bank's output kernel, truncated where max|lambda_bar|^j falls below eps
+    (see `_output_kernel`), with W_out and D folded in: K'[j] = W_out K[j]
+    and K'[0] += W_out D, a scalar D standing for D I.  The convolution runs
+    by overlap-save in FFT blocks of about four kernel lengths (see
+    `_causal_convolve`); no state trajectory is built.  scan=False runs
+    `recur_sequential` on every channel and applies D and W_out after it,
+    the per-step reference.
     """
     if len(ssms) != config.channels:
         raise ValueError(f"expected {config.channels} channel systems, got {len(ssms)}")
@@ -300,21 +326,27 @@ def layer_forward(config: FilterBankConfig, weights: LayerWeights,
         raise ValueError(f"channel systems must have {shape[0]} states of width {shape[1]}")
     if weights.c_tilde.shape != (config.output_width, config.total_state):
         raise ValueError("output map shape does not match the filter bank")
+    d = weights.d
+    if np.isscalar(d):
+        if d != 0.0 and config.input_width != config.output_width:
+            raise ValueError("scalar feedthrough requires matching widths")
+    elif np.shape(d) != (config.output_width, config.input_width):
+        raise ValueError("feedthrough shape does not match the layer widths")
     if scan:
-        y = _causal_convolve(_output_kernel(ssms, weights.c_tilde, z_in.length), z_in.values)
+        kernel = weights.w_out @ _output_kernel(ssms, weights.c_tilde, z_in.length)
+        if np.isscalar(d):
+            d = d * np.eye(config.output_width, config.input_width)
+        kernel[:1] += weights.w_out @ d  # a slice: zero-length input has no taps
+        mixed = _causal_convolve(kernel, z_in.values)
     else:
         states = np.concatenate([recur_sequential(ssm, z_in) for ssm in ssms], axis=1)
         y = (states @ weights.c_tilde.T).real
-    d = weights.d
-    if np.isscalar(d):
-        if d != 0.0:
-            if config.input_width != config.output_width:
-                raise ValueError("scalar feedthrough requires matching widths")
+        if not np.isscalar(d):
+            y = y + z_in.values @ np.asarray(d).T
+        elif d != 0.0:
             y = y + d * z_in.values
-    else:
-        y = y + z_in.values @ np.asarray(d).T
-    gate = silu(z_in.values @ weights.w_gate.T)
-    z_out = (y @ weights.w_out.T) * gate
+        mixed = y @ weights.w_out.T
+    z_out = mixed * silu(z_in.values @ weights.w_gate.T)
     if not np.all(np.isfinite(z_out)):
         raise ArithmeticError("layer produced non-finite activations")
     return SequenceBatch(values=z_out)

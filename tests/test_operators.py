@@ -199,3 +199,11 @@ class TestAlphaBound:
     @pytest.mark.parametrize("entry", CHEAP_ENTRY_POINTS)
     def test_bound_itself_accepted(self, entry, tmp_path, capsys):
         ALPHA_ENTRY_POINTS[entry](ALPHA_MAX, tmp_path, capsys)
+
+
+class TestStateBound:
+    @pytest.mark.parametrize("n", [0, 257])
+    @pytest.mark.parametrize("entry", [build_A, build_B], ids=lambda f: f.__name__)
+    def test_both_halves_reject(self, entry, n):
+        with pytest.raises(ValueError, match=rf"must lie in \[1, 256\], got {n}"):
+            entry(0.5, n)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -79,6 +80,18 @@ class TestRuleConstruction:
     def test_default_order_policy(self):
         assert default_order(0.5, 16) == 32
         assert default_order(0.85, 16) == 64
+
+
+@pytest.mark.parametrize("order", [1, 2, 16])
+def test_chebyshev_rule_closed_form(order):
+    # a + b = -1, where the uncancelled beta_1 is 0/0; Gauss-Chebyshev has
+    # nodes cos((2k - 1) pi / 2m) and equal weights pi / m
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rule = gauss_jacobi(JacobiParam(-0.5, -0.5), order)
+    k = np.arange(order, 0, -1)
+    assert np.max(np.abs(rule.nodes - np.cos((2 * k - 1) * np.pi / (2 * order)))) < 4e-16
+    assert np.max(np.abs(rule.weights / (np.pi / order) - 1.0)) < 1e-14
 
 
 def test_rule_is_immutable_record():

@@ -362,6 +362,70 @@ class TestConvolutionPath:
         self.assert_paths_agree(config, weights, ssms,
                                 SequenceBatch(rng.standard_normal((20000, 1))))
 
+    @pytest.fixture
+    def inverse_batches(self, monkeypatch):
+        """Shapes (out, blocks, frequencies) of the batched inverse FFTs that run."""
+        shapes = []
+        irfft = np.fft.irfft
+
+        def spy(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return irfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", spy)
+        return shapes
+
+    def block_hop(self, ssms, taps, inverse_batches):
+        # a long run fixes the block length, which depends on the kernel alone
+        config, weights = self.layer(ssms, width=ssms[0].b_bar.shape[1])
+        layer_forward(config, weights, ssms,
+                      SequenceBatch(np.zeros((64 * taps, config.input_width))))
+        size = 2 * (inverse_batches.pop()[-1] - 1)
+        return size - taps + 1
+
+    def test_many_blocks_multi_width(self, inverse_batches):
+        ssms = self.bank(0.2, width=2)
+        taps = self.taps(ssms, 10 ** 6)
+        hop = self.block_hop(ssms, taps, inverse_batches)
+        length = 5 * hop + hop // 3
+        assert length > 20 * taps
+        rng = np.random.default_rng(12)
+        config, weights = self.layer(ssms, width=2, out_width=3, seed=4,
+                                     d=rng.standard_normal((3, 2)))
+        self.assert_paths_agree(config, weights, ssms,
+                                SequenceBatch(rng.standard_normal((length, 2))))
+        assert [shape[:2] for shape in inverse_batches] == [(3, 6)]
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_many_blocks_scalar_feedthrough(self, extra, inverse_batches):
+        ssms = self.bank(0.2)
+        taps = self.taps(ssms, 10 ** 6)
+        hop = self.block_hop(ssms, taps, inverse_batches)
+        length = 4 * hop + extra
+        config, weights = self.layer(ssms, seed=5 + extra, d=-0.7)
+        rng = np.random.default_rng(13 + extra)
+        self.assert_paths_agree(config, weights, ssms,
+                                SequenceBatch(rng.standard_normal((length, 1))))
+        assert [shape[1] for shape in inverse_batches] == [4 + extra]
+
+    @pytest.mark.parametrize("scan", [True, False])
+    def test_scalar_feedthrough_widths(self, scan):
+        ssms = self.bank(0.05, width=2)
+        config, weights = self.layer(ssms, width=2, out_width=3, d=0.5)
+        z_in = SequenceBatch(np.ones((16, 2)))
+        with pytest.raises(ValueError, match="scalar feedthrough requires matching widths"):
+            layer_forward(config, weights, ssms, z_in, scan=scan)
+        config, weights = self.layer(ssms, width=2, out_width=3, d=0.0)
+        assert layer_forward(config, weights, ssms, z_in, scan=scan).values.shape == (16, 3)
+
+    @pytest.mark.parametrize("scan", [True, False])
+    def test_feedthrough_shape_checked(self, scan):
+        # a (3, 1) matrix would broadcast silently over the folded kernel's two inputs
+        ssms = self.bank(0.05, width=2)
+        config, weights = self.layer(ssms, width=2, out_width=3, d=np.ones((3, 1)))
+        with pytest.raises(ValueError, match="feedthrough shape"):
+            layer_forward(config, weights, ssms, SequenceBatch(np.ones((16, 2))), scan=scan)
+
     @pytest.mark.parametrize("scan", [True, False])
     def test_growing_system_raises(self, scan):
         ssms = [DiscreteDiagonalSSM(lambda_bar=np.array([1.5 + 0j, 0.5 + 0j]),
