@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .operators import HippoOperators
+from .operators import HippoOperators, check_alpha, check_quadrature_order, check_state_dim
 from .spectral import SpectralInit
-from .ssm import DiscreteDiagonalSSM, FilterBankConfig, LayerWeights, SequenceBatch
+from .ssm import (DiscreteDiagonalSSM, FilterBankConfig, LayerWeights, SequenceBatch,
+                  _check_step)
 
 __all__ = [
     "SchemaError",
@@ -73,6 +75,17 @@ def _load(path, expected_schema: str) -> dict:
     return doc
 
 
+@contextmanager
+def _malformed(path, what: str):
+    """Report a missing field, a wrong type or an out-of-range value as SchemaError."""
+    try:
+        yield
+    except SchemaError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: malformed {what} ({exc})") from exc
+
+
 def _dump(path, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
@@ -92,17 +105,14 @@ def write_operator_file(path, ops: HippoOperators) -> None:
 
 def read_operator_file(path) -> HippoOperators:
     doc = _load(path, OPERATOR_SCHEMA)
-    try:
-        n = int(doc["n"])
-        ops = HippoOperators(
-            alpha=float(doc["alpha"]), n=n,
-            a=_real_in(doc["a"], (n, n)),
-            b=_real_in(doc["b"], (n,)),
-            quadrature_order=int(doc["quadrature_order"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"{path}: malformed operator file ({exc})") from exc
-    return ops
+    with _malformed(path, "operator file"):
+        alpha, n = float(doc["alpha"]), int(doc["n"])
+        order = int(doc["quadrature_order"])
+        check_alpha(alpha)
+        check_state_dim(n)
+        check_quadrature_order(n, order)
+        return HippoOperators(alpha=alpha, n=n, a=_real_in(doc["a"], (n, n)),
+                              b=_real_in(doc["b"], (n,)), quadrature_order=order)
 
 
 def _init_out(init: SpectralInit) -> dict:
@@ -157,7 +167,7 @@ def write_model_file(path, config: FilterBankConfig, inits: list[SpectralInit],
 
 def read_model_file(path):
     doc = _load(path, MODEL_SCHEMA)
-    try:
+    with _malformed(path, "model file"):
         cfg = doc["config"]
         config = FilterBankConfig(
             channels=int(cfg["channels"]), block_state=int(cfg["block_state"]),
@@ -182,10 +192,6 @@ def read_model_file(path):
             d=float(d_raw) if np.isscalar(d_raw) else _real_in(
                 d_raw, (m, config.input_width)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        raise SchemaError(f"{path}: malformed model file ({exc})") from exc
     return config, inits, weights
 
 
@@ -202,16 +208,15 @@ def write_dssm_file(path, ssm: DiscreteDiagonalSSM) -> None:
 
 def read_dssm_file(path) -> DiscreteDiagonalSSM:
     doc = _load(path, DSSM_SCHEMA)
-    try:
-        n = int(doc["n"])
-        width = int(doc["input_width"])
+    with _malformed(path, "discrete-system file"):
+        n, width = int(doc["n"]), int(doc["input_width"])
+        delta = float(doc["delta"])
+        _check_step(delta)
         return DiscreteDiagonalSSM(
             lambda_bar=_complex_in(doc["lambda_bar"], (n,)),
             b_bar=_complex_in(doc["b_bar"], (n, width)),
-            delta=float(doc["delta"]),
+            delta=delta,
         )
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"{path}: malformed discrete-system file ({exc})") from exc
 
 
 def write_sequence_csv(path, batch: SequenceBatch, prefix: str = "u") -> None:

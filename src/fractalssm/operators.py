@@ -23,6 +23,7 @@ __all__ = [
     "N_MAX",
     "check_alpha",
     "check_state_dim",
+    "check_quadrature_order",
     "build_B",
     "build_A",
     "build_operators",
@@ -57,6 +58,12 @@ def check_state_dim(n: int) -> None:
     """Raise ValueError unless the state dimension n lies in [1, N_MAX]."""
     if not (1 <= n <= N_MAX):
         raise ValueError(f"state dimension must lie in [1, {N_MAX}], got {n}")
+
+
+def check_quadrature_order(n: int, order: int) -> None:
+    """Raise ValueError unless the quadrature order is at least 2n, enough for A(alpha)."""
+    if order < 2 * n:
+        raise ValueError(f"quadrature order must be >= 2n = {2 * n}, got {order}")
 
 
 def build_B(alpha: float, n: int) -> np.ndarray:
@@ -96,8 +103,7 @@ def build_A(alpha: float, n: int, order: int | None = None) -> np.ndarray:
     check_state_dim(n)
     if order is None:
         order = default_order(alpha, n)
-    if order < 2 * n:
-        raise ValueError(f"quadrature order must be >= 2n = {2 * n}, got {order}")
+    check_quadrature_order(n, order)
 
     rule = gauss_jacobi(JacobiParam(-alpha, 0.0), order)
     p, img = _basis_tables(alpha, rule.nodes_hi, n - 1)

@@ -9,7 +9,11 @@ The layer needs only W_out (Re(C x) + D u), a causal convolution of the
 input with the kernel K_j = W_out Re sum_n c_n b_bar_n lambda_bar_n^j, plus
 W_out D at j = 0.  It applies that kernel, truncated once every state has
 decayed below eps, by overlap-save in FFT blocks sized to the kernel instead
-of building the state trajectory.
+of building the state trajectory.  Each channel's kernel is one matmul of
+its powers with the products c_n b_bar_n; the spectral product and the gate
+W_gate u are sums of broadcast products over input columns; the FFTs run in
+batches of a few hundred kB, so a long input makes no whole-length
+temporaries besides the output, the gate and SiLU's one buffer.
 """
 
 from __future__ import annotations
@@ -123,11 +127,20 @@ class SequenceBatch:
 
 
 def silu(x):
-    """SiLU activation x * sigmoid(x)."""
+    """SiLU activation x * sigmoid(x), computed as x * (1 / (1 + exp(-x))).
+
+    Every step after the negation runs in place in one temporary, so the
+    call allocates a single array of x's size and leaves x unmodified.
+    """
     x = np.asarray(x, dtype=float)
+    t = np.negative(x, out=np.empty_like(x))
     # exp(-x) overflows to inf below x = -709, where the sigmoid is exactly 0
     with np.errstate(over="ignore"):
-        return x * (1.0 / (1.0 + np.exp(-x)))
+        np.exp(t, out=t)
+    t += 1.0
+    np.divide(1.0, t, out=t)
+    np.multiply(x, t, out=t)
+    return t[()]  # a scalar for a scalar x, else the array t itself
 
 
 def _check_step(delta: float) -> None:
@@ -230,7 +243,8 @@ def _output_kernel(ssms: list[DiscreteDiagonalSSM], c_tilde: np.ndarray,
     rounding error the recurrence itself makes.  A bank with
     max|lambda_bar| >= 1 does not decay and keeps all `length` taps.
     Channels are added one at a time, so at most taps x block_state powers
-    are held at once.
+    are held at once; each channel's part is one complex matmul of those
+    powers with the (block_state, out * in) products c_n b_bar_n.
     """
     radius = max(float(np.max(np.abs(ssm.lambda_bar))) for ssm in ssms)
     taps = length
@@ -238,17 +252,19 @@ def _output_kernel(ssms: list[DiscreteDiagonalSSM], c_tilde: np.ndarray,
         taps = min(length, 1)
     elif radius < 1.0:
         taps = min(length, math.ceil(math.log(_EPS) / math.log(radius)))
-    kernel = np.zeros((taps, c_tilde.shape[0], ssms[0].b_bar.shape[1]))
+    out_width, in_width = c_tilde.shape[0], ssms[0].b_bar.shape[1]
+    kernel = np.zeros((taps, out_width * in_width))
     start = 0
     for ssm in ssms:
         n = ssm.lambda_bar.shape[0]
         powers = np.ones((taps, n), dtype=complex)
         rest = powers[1:]
         np.cumprod(np.broadcast_to(ssm.lambda_bar, rest.shape), axis=0, out=rest)
-        kernel += np.einsum("jn,on,ni->joi", powers, c_tilde[:, start:start + n],
-                            ssm.b_bar).real
+        # cb[n, out * in] = c_n b_bar_n, so one matmul sums the channel's states
+        cb = c_tilde[:, start:start + n].T[:, :, None] * ssm.b_bar[:, None, :]
+        kernel += (powers @ cb.reshape(n, -1)).real
         start += n
-    return kernel
+    return kernel.reshape(taps, out_width, in_width)
 
 
 def _fast_length(n: int) -> int:
@@ -265,6 +281,12 @@ def _fast_length(n: int) -> int:
     return best
 
 
+# transform points per batched FFT call: a batch's windows, spectra and
+# inverse transforms then stay a few hundred kB, so each call works in cache
+# and reuses freed memory where whole-length temporaries would be fresh pages
+_BATCH_POINTS = 1 << 16
+
+
 def _causal_convolve(kernel: np.ndarray, u: np.ndarray) -> np.ndarray:
     """y[k, out] = sum_j sum_in K[j, out, in] u[k - j, in] for the first len(u) steps.
 
@@ -275,24 +297,36 @@ def _causal_convolve(kernel: np.ndarray, u: np.ndarray) -> np.ndarray:
     a power of two there transforms faster than the 5-smooth length.  Every
     block's window reaches taps - 1 steps back into the zero-padded input
     and keeps its last hop = size - taps + 1 outputs, which the circular
-    wrap-around does not touch.  All windows go through one batched real
-    FFT, the kernel through one at the block length, and one batched
-    inverse FFT returns every block.
+    wrap-around does not touch.  The kernel is transformed once at the block
+    length; the windows go through batched real FFTs of about _BATCH_POINTS
+    points each, whose spectra are multiplied by the kernel's one input
+    column at a time and inverted into their slots of the output.
     """
     length, width = u.shape
-    taps = kernel.shape[0]
+    taps, out_width = kernel.shape[:2]
     if length == 0:
-        return np.zeros((0, kernel.shape[1]))
+        return np.zeros((0, out_width))
     size = min(1 << (4 * taps - 1).bit_length(), _fast_length(length + taps - 1))
     hop = size - taps + 1
     blocks = -(-length // hop)
-    padded = np.zeros((width, blocks * hop + taps - 1))
-    padded[:, taps - 1:taps - 1 + length] = u.T
-    windows = sliding_window_view(padded, size, axis=-1)[:, ::hop]  # (in, blocks, size)
-    spectrum = np.einsum("foi,ibf->obf", np.fft.rfft(kernel, size, axis=0),
-                         np.fft.rfft(windows, axis=-1))
-    y = np.fft.irfft(spectrum, size, axis=-1)[..., taps - 1:]       # (out, blocks, hop)
-    return y.reshape(y.shape[0], blocks * hop)[:, :length].T
+    batch = max(1, _BATCH_POINTS // size)
+    kernel_f = np.fft.rfft(kernel, size, axis=0).transpose(1, 2, 0)  # (out, in, freq)
+    y = np.empty((out_width, blocks, hop))
+    for first in range(0, blocks, batch):
+        count = min(batch, blocks - first)
+        # the batch's windows read u[begin : begin + count * hop + taps - 1], zero outside u
+        begin = first * hop - (taps - 1)
+        segment = np.zeros((width, count * hop + taps - 1))
+        lo, hi = max(begin, 0), min(begin + segment.shape[1], length)
+        segment[:, lo - begin:hi - begin] = u[lo:hi].T
+        windows = sliding_window_view(segment, size, axis=-1)[:, ::hop]  # (in, count, size)
+        windows_f = np.fft.rfft(windows, axis=-1)
+        # spectrum[o, b, f] = sum_i K[f, o, i] U[i, b, f], one broadcast product per input
+        spectrum = kernel_f[:, 0, None, :] * windows_f[0]
+        for i in range(1, width):
+            spectrum += kernel_f[:, i, None, :] * windows_f[i]
+        y[:, first:first + count] = np.fft.irfft(spectrum, size, axis=-1)[..., taps - 1:]
+    return y.reshape(out_width, blocks * hop)[:, :length].T
 
 
 def build_filter_bank(config: FilterBankConfig) -> list[SpectralInit]:
@@ -314,7 +348,9 @@ def layer_forward(config: FilterBankConfig, weights: LayerWeights,
     by overlap-save in FFT blocks of about four kernel lengths (see
     `_causal_convolve`); no state trajectory is built.  scan=False runs
     `recur_sequential` on every channel and applies D and W_out after it,
-    the per-step reference.
+    the per-step reference.  On both paths W_gate z is a sum of broadcast
+    products z[:, i] w_gate[:, i], and the gate multiplies W_out y in place.
+    Every weight's shape is checked before any channel runs.
     """
     if len(ssms) != config.channels:
         raise ValueError(f"expected {config.channels} channel systems, got {len(ssms)}")
@@ -326,6 +362,10 @@ def layer_forward(config: FilterBankConfig, weights: LayerWeights,
         raise ValueError(f"channel systems must have {shape[0]} states of width {shape[1]}")
     if weights.c_tilde.shape != (config.output_width, config.total_state):
         raise ValueError("output map shape does not match the filter bank")
+    if np.shape(weights.w_out) != (config.output_width, config.output_width):
+        raise ValueError("output mix shape does not match the output width")
+    if np.shape(weights.w_gate) != (config.output_width, config.input_width):
+        raise ValueError("gate shape does not match the layer widths")
     d = weights.d
     if np.isscalar(d):
         if d != 0.0 and config.input_width != config.output_width:
@@ -337,7 +377,7 @@ def layer_forward(config: FilterBankConfig, weights: LayerWeights,
         if np.isscalar(d):
             d = d * np.eye(config.output_width, config.input_width)
         kernel[:1] += weights.w_out @ d  # a slice: zero-length input has no taps
-        mixed = _causal_convolve(kernel, z_in.values)
+        z_out = _causal_convolve(kernel, z_in.values)
     else:
         states = np.concatenate([recur_sequential(ssm, z_in) for ssm in ssms], axis=1)
         y = (states @ weights.c_tilde.T).real
@@ -345,8 +385,13 @@ def layer_forward(config: FilterBankConfig, weights: LayerWeights,
             y = y + z_in.values @ np.asarray(d).T
         elif d != 0.0:
             y = y + d * z_in.values
-        mixed = y @ weights.w_out.T
-    z_out = mixed * silu(z_in.values @ weights.w_gate.T)
+        z_out = y @ weights.w_out.T
+    # W_gate z as one broadcast product per input column: no (L, in) @ (in, out) matmul
+    z, w_gate = z_in.values, np.asarray(weights.w_gate)
+    gate = z[:, :1] * w_gate[:, 0]
+    for i in range(1, config.input_width):
+        gate += z[:, i:i + 1] * w_gate[:, i]
+    z_out *= silu(gate)  # W_out y is a fresh array on both paths
     if not np.all(np.isfinite(z_out)):
         raise ArithmeticError("layer produced non-finite activations")
     return SequenceBatch(values=z_out)

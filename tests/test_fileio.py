@@ -44,6 +44,24 @@ class TestOperatorFile:
         with pytest.raises(fileio.SchemaError):
             fileio.read_operator_file(path)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("alpha", 2.0, "singularity index"),
+        ("alpha", float("nan"), "singularity index"),
+        ("n", 0, "state dimension"),
+        ("n", "three", "invalid literal"),
+        ("quadrature_order", -5, "quadrature order"),
+        ("quadrature_order", 9, "quadrature order"),
+    ])
+    def test_out_of_range_field_rejected(self, tmp_path, field, value, message):
+        # the bounds build_A enforces: alpha in [0, 0.95], n in [1, 256], order >= 2n
+        path = tmp_path / "op.json"
+        fileio.write_operator_file(path, build_operators(0.5, 5))
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(fileio.SchemaError, match=message):
+            fileio.read_operator_file(path)
+
 
 class TestModelFile:
     @staticmethod
@@ -111,6 +129,22 @@ class TestDiscreteSystemFile:
         assert back.delta == ssm.delta
         assert np.array_equal(back.lambda_bar, ssm.lambda_bar)
         assert np.array_equal(back.b_bar, ssm.b_bar)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("delta", -1.0, "timestep"),
+        ("delta", 0.0, "timestep"),
+        ("delta", float("nan"), "timestep"),
+        ("delta", "fast", "could not convert"),
+        ("n", "five", "invalid literal"),
+    ])
+    def test_out_of_range_field_rejected(self, tmp_path, field, value, message):
+        path = tmp_path / "dssm.json"
+        fileio.write_dssm_file(path, zoh_discretize(spectral_init(0.4, 5), 0.01))
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(fileio.SchemaError, match=message):
+            fileio.read_dssm_file(path)
 
 
 class TestSequenceCsv:

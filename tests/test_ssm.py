@@ -272,6 +272,16 @@ class TestLayerForward:
         for scan in (True, False):
             with pytest.raises(ValueError, match="output map"):
                 layer_forward(config, narrow, ssms, SequenceBatch(np.zeros((4, 1))), scan=scan)
+        # a (2, 1) gate would broadcast to two output columns without an error
+        bad_mixes = [("output mix", np.ones((1, 3)), weights.w_gate),
+                     ("output mix", np.ones((3, 3)), weights.w_gate),
+                     ("gate", weights.w_out, np.ones((2, 1))),
+                     ("gate", weights.w_out, np.ones((1, 2)))]
+        for message, w_out, w_gate in bad_mixes:
+            bad = LayerWeights(c_tilde=weights.c_tilde, w_out=w_out, w_gate=w_gate)
+            for scan in (True, False):
+                with pytest.raises(ValueError, match=message):
+                    layer_forward(config, bad, ssms, SequenceBatch(np.zeros((4, 1))), scan=scan)
 
     def test_feedthrough_matrix(self):
         config, weights, ssms = self.small_layer()
@@ -281,6 +291,47 @@ class TestLayerForward:
         z_in = SequenceBatch(np.ones((4, 1)))
         out = layer_forward(config, weights, ssms, z_in)
         assert out.values == pytest.approx(2.0 / (1.0 + math.exp(-1.0)) * np.ones((4, 1)))
+
+
+class TestOutputKernel:
+    """_output_kernel against Re sum_n c_n b_n lambda_n^j written out state by state."""
+
+    @staticmethod
+    def oracle(ssms, c_tilde, taps):
+        expected = np.zeros((taps, c_tilde.shape[0], ssms[0].b_bar.shape[1]))
+        column = 0
+        for ssm in ssms:
+            for lam, b in zip(ssm.lambda_bar, ssm.b_bar):
+                powers = lam ** np.arange(taps)
+                expected += (powers[:, None, None] * c_tilde[None, :, column, None]
+                             * b[None, None, :]).real
+                column += 1
+        return expected
+
+    @staticmethod
+    def assert_matches(ssms, c_tilde, length, taps):
+        kernel = _output_kernel(ssms, c_tilde, length)
+        expected = TestOutputKernel.oracle(ssms, c_tilde, taps)
+        assert kernel.shape == expected.shape
+        assert np.max(np.abs(kernel - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_three_channels_two_inputs_three_outputs(self):
+        rng = np.random.default_rng(21)
+        ssms = [random_system(rng, 4, width=2) for _ in range(3)]
+        c_tilde = rng.standard_normal((3, 12)) + 1j * rng.standard_normal((3, 12))
+        radius = max(np.max(np.abs(s.lambda_bar)) for s in ssms)
+        taps = math.ceil(math.log(np.finfo(float).eps) / math.log(radius))
+        assert taps < 5000
+        self.assert_matches(ssms, c_tilde, 5000, taps)
+
+    def test_non_decaying_bank_keeps_every_tap(self):
+        rng = np.random.default_rng(22)
+        ssms = [DiscreteDiagonalSSM(
+            lambda_bar=np.exp(1j * rng.uniform(-np.pi, np.pi, size=3)),
+            b_bar=rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)), delta=1.0)
+            for _ in range(2)]
+        c_tilde = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
+        self.assert_matches(ssms, c_tilde, 257, 257)
 
 
 class TestConvolutionPath:
@@ -408,6 +459,38 @@ class TestConvolutionPath:
                                 SequenceBatch(rng.standard_normal((length, 1))))
         assert [shape[1] for shape in inverse_batches] == [4 + extra]
 
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_blocks_split_across_batches(self, batch, inverse_batches, monkeypatch):
+        # 8 blocks through batched transforms of `batch` blocks, the last one short
+        ssms = self.bank(0.2, width=2)
+        taps = self.taps(ssms, 10 ** 6)
+        hop = self.block_hop(ssms, taps, inverse_batches)
+        size = hop + taps - 1
+        monkeypatch.setattr("fractalssm.ssm._BATCH_POINTS", batch * size)
+        inverse_batches.clear()
+        rng = np.random.default_rng(14)
+        config, weights = self.layer(ssms, width=2, out_width=3, seed=6,
+                                     d=rng.standard_normal((3, 2)))
+        self.assert_paths_agree(config, weights, ssms,
+                                SequenceBatch(rng.standard_normal((7 * hop + hop // 2, 2))))
+        counts = [batch] * (8 // batch) + [8 % batch] * (8 % batch > 0)
+        assert [shape[:2] for shape in inverse_batches] == [(3, c) for c in counts]
+
+    @pytest.mark.parametrize("scan", [True, False])
+    def test_gate_mixes_every_input(self, scan):
+        # with C = 0 the layer is (W_out D z) * silu(W_gate z), written out here
+        ssms = self.bank(0.05, width=2)
+        rng = np.random.default_rng(15)
+        config, weights = self.layer(ssms, width=2, out_width=3, seed=7,
+                                     d=rng.standard_normal((3, 2)))
+        weights = LayerWeights(c_tilde=np.zeros_like(weights.c_tilde), w_out=weights.w_out,
+                               w_gate=weights.w_gate, d=weights.d)
+        z = rng.standard_normal((40, 2))
+        gate = z @ weights.w_gate.T
+        expected = (z @ weights.d.T @ weights.w_out.T) * gate / (1.0 + np.exp(-gate))
+        out = layer_forward(config, weights, ssms, SequenceBatch(z), scan=scan).values
+        assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+
     @pytest.mark.parametrize("scan", [True, False])
     def test_scalar_feedthrough_widths(self, scan):
         ssms = self.bank(0.05, width=2)
@@ -469,6 +552,23 @@ def test_silu_values():
     assert silu(0.0) == pytest.approx(0.0)
     assert silu(1.0) == pytest.approx(1.0 / (1.0 + math.exp(-1.0)))
     assert silu(np.array([-50.0]))[0] == pytest.approx(0.0, abs=1e-20)
+
+
+def test_silu_bit_for_bit_in_one_buffer():
+    rng = np.random.default_rng(0)
+    x = np.concatenate([[0.0, -0.0, 1e-300, -1e-300, 700.0, -700.0, -745.0, -800.0, 710.0],
+                        rng.standard_normal(1000), 30.0 * rng.standard_normal(1000)])
+    kept = x.copy()
+    with np.errstate(over="ignore"):
+        expected = x * (1.0 / (1.0 + np.exp(-x)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = silu(x)
+        column = silu(x[1:].reshape(-1, 2)[:, 1])
+    assert np.array_equal(y, expected)
+    assert np.array_equal(np.signbit(y), np.signbit(expected))
+    assert np.array_equal(column, expected[1:].reshape(-1, 2)[:, 1])
+    assert np.array_equal(x, kept) and np.array_equal(np.signbit(x), np.signbit(kept))
 
 
 def test_silu_saturates_without_warning():
