@@ -19,7 +19,7 @@ from .measure import measure_profile
 from .operators import build_operators, check_alpha
 from .quadrature import QuadratureError
 from .spectral import condition_number, eig_triangular, spectral_init
-from .ssm import (SequenceBatch, _check_step, layer_forward, recur_scan, recur_sequential,
+from .ssm import (SequenceBatch, check_step, layer_forward, recur_scan, recur_sequential,
                   zoh_discretize)
 from .verify import ode_consistency, random_system, run_full_suite
 
@@ -112,9 +112,6 @@ def _cmd_measure(args) -> int:
 def _cmd_run(args) -> int:
     config, inits, weights = fileio.read_model_file(args.model)
     z_in = fileio.read_sequence_csv(args.input)
-    if z_in.width != config.input_width:
-        raise fileio.SchemaError(
-            f"input width {z_in.width} does not match model width {config.input_width}")
     ssms = [zoh_discretize(init, delta)
             for init, delta in zip(inits, config.delta)]
     z_out = layer_forward(config, weights, ssms, z_in)
@@ -158,7 +155,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_discretize(args) -> int:
-    _check_step(args.delta)
+    check_step(args.delta)
     init = spectral_init(args.alpha, args.n, args.input_width, args.quad_order)
     ssm = zoh_discretize(init, args.delta)
     fileio.ensure_parent(args.out)

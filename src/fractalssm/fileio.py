@@ -18,7 +18,7 @@ import numpy as np
 from .operators import HippoOperators, check_alpha, check_quadrature_order, check_state_dim
 from .spectral import SpectralInit
 from .ssm import (DiscreteDiagonalSSM, FilterBankConfig, LayerWeights, SequenceBatch,
-                  _check_step)
+                  check_step)
 
 __all__ = [
     "SchemaError",
@@ -179,9 +179,12 @@ def read_model_file(path):
         if len(inits) != config.channels:
             raise SchemaError(f"{path}: expected {config.channels} channels, "
                               f"got {len(inits)}")
-        for init in inits:
+        for init, alpha in zip(inits, config.alphas):
             if init.n != config.block_state or init.b_tilde.shape[1] != config.input_width:
                 raise SchemaError(f"{path}: channel shapes do not match the config")
+            if init.alpha != alpha:
+                raise SchemaError(f"{path}: channel alpha {init.alpha} does not match "
+                                  f"the config's {alpha}")
         w = doc["weights"]
         m, total = config.output_width, config.total_state
         d_raw = w["d"]
@@ -211,7 +214,7 @@ def read_dssm_file(path) -> DiscreteDiagonalSSM:
     with _malformed(path, "discrete-system file"):
         n, width = int(doc["n"]), int(doc["input_width"])
         delta = float(doc["delta"])
-        _check_step(delta)
+        check_step(delta)
         return DiscreteDiagonalSSM(
             lambda_bar=_complex_in(doc["lambda_bar"], (n,)),
             b_bar=_complex_in(doc["b_bar"], (n, width)),

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import build_A, build_B
-from .quadrature import default_order
 
 __all__ = ["SpectralInit", "eig_triangular", "condition_number", "spectral_init"]
 
@@ -83,8 +82,6 @@ def spectral_init(alpha: float, n: int, input_width: int = 1,
     """
     if input_width < 1:
         raise ValueError(f"input width must be >= 1, got {input_width}")
-    if order is None:
-        order = default_order(alpha, n)
     a = build_A(alpha, n, order)
     b = build_B(alpha, n)
     diag, v, v_inv = eig_triangular(a)

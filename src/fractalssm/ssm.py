@@ -8,12 +8,13 @@ indices; the layer output is gated by a SiLU-activated branch of the input.
 The layer needs only W_out (Re(C x) + D u), a causal convolution of the
 input with the kernel K_j = W_out Re sum_n c_n b_bar_n lambda_bar_n^j, plus
 W_out D at j = 0.  It applies that kernel, truncated once every state has
-decayed below eps, by overlap-save in FFT blocks sized to the kernel instead
-of building the state trajectory.  Each channel's kernel is one matmul of
-its powers with the products c_n b_bar_n; the spectral product and the gate
-W_gate u are sums of broadcast products over input columns; the FFTs run in
-batches of a few hundred kB, so a long input makes no whole-length
-temporaries besides the output, the gate and SiLU's one buffer.
+decayed below eps, by overlap-save in power-of-two FFT blocks of about four
+kernel lengths, or in one block for a shorter input, instead of building the
+state trajectory.  Each channel's kernel is one matmul of its powers with
+the products c_n b_bar_n; the spectral product and the gate W_gate u are
+sums of broadcast products over input columns; the FFTs run in batches of a
+few hundred kB, so a long input makes no whole-length temporaries besides
+the output, the gate and SiLU's one buffer.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .operators import check_alpha
+from .operators import check_alpha, check_state_dim
 from .spectral import SpectralInit, spectral_init
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
     "LayerWeights",
     "SequenceBatch",
     "silu",
+    "check_step",
     "zoh_discretize",
     "recur_sequential",
     "recur_scan",
@@ -62,8 +64,9 @@ class FilterBankConfig:
     output_width: int = 1
 
     def __post_init__(self):
-        if self.channels < 1 or self.block_state < 1:
-            raise ValueError("channels and block_state must be >= 1")
+        if self.channels < 1:
+            raise ValueError(f"channels must be >= 1, got {self.channels}")
+        check_state_dim(self.block_state)
         if self.input_width < 1 or self.output_width < 1:
             raise ValueError("input and output widths must be >= 1")
         alphas = self.alphas
@@ -82,8 +85,10 @@ class FilterBankConfig:
             delta = (float(delta),) * self.channels
         else:
             delta = tuple(float(d) for d in delta)
-        if len(delta) != self.channels or not all(math.isfinite(d) and d > 0 for d in delta):
-            raise ValueError("need one finite positive timestep per channel")
+        if len(delta) != self.channels:
+            raise ValueError(f"expected {self.channels} timesteps, got {len(delta)}")
+        for d in delta:
+            check_step(d)
         object.__setattr__(self, "delta", delta)
 
     @property
@@ -143,7 +148,8 @@ def silu(x):
     return t[()]  # a scalar for a scalar x, else the array t itself
 
 
-def _check_step(delta: float) -> None:
+def check_step(delta: float) -> None:
+    """Raise ValueError unless the timestep delta is finite and positive."""
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError(f"timestep must be finite and positive, got {delta}")
 
@@ -153,7 +159,7 @@ def zoh_discretize(init: SpectralInit, delta: float) -> DiscreteDiagonalSSM:
 
     lambda_bar = exp(delta * lambda); b_bar = (lambda_bar - 1)/lambda * b_tilde.
     """
-    _check_step(delta)
+    check_step(delta)
     lam = init.eigenvalues
     lambda_bar = np.exp(delta * lam)
     b_bar = ((lambda_bar - 1.0) / lam)[:, None] * init.b_tilde
@@ -267,20 +273,6 @@ def _output_kernel(ssms: list[DiscreteDiagonalSSM], c_tilde: np.ndarray,
     return kernel.reshape(taps, out_width, in_width)
 
 
-def _fast_length(n: int) -> int:
-    """Smallest 5-smooth integer >= n, a length numpy's FFT transforms quickly."""
-    best = 1 << max(n - 1, 0).bit_length()
-    odd5 = 1
-    while odd5 < best:
-        odd = odd5
-        while odd < best:
-            # odd * 2^k for the least k that reaches n
-            best = min(best, odd << max(-(-n // odd) - 1, 0).bit_length())
-            odd *= 3
-        odd5 *= 5
-    return best
-
-
 # transform points per batched FFT call: a batch's windows, spectra and
 # inverse transforms then stay a few hundred kB, so each call works in cache
 # and reuses freed memory where whole-length temporaries would be fresh pages
@@ -291,22 +283,21 @@ def _causal_convolve(kernel: np.ndarray, u: np.ndarray) -> np.ndarray:
     """y[k, out] = sum_j sum_in K[j, out, in] u[k - j, in] for the first len(u) steps.
 
     Overlap-save in blocks sized to the kernel: the transform length is the
-    smallest power of two >= 4 * taps, or the 5-smooth length that covers
-    len(u) + taps - 1 at once when that is shorter (one block).  At four
-    kernel lengths the overlap is at most a quarter of each transform, and
-    a power of two there transforms faster than the 5-smooth length.  Every
-    block's window reaches taps - 1 steps back into the zero-padded input
-    and keeps its last hop = size - taps + 1 outputs, which the circular
-    wrap-around does not touch.  The kernel is transformed once at the block
-    length; the windows go through batched real FFTs of about _BATCH_POINTS
-    points each, whose spectra are multiplied by the kernel's one input
-    column at a time and inverted into their slots of the output.
+    smallest power of two >= min(4 * taps, len(u) + taps - 1), so the
+    overlap is at most a quarter of each transform, and an input shorter
+    than that goes through as one block.  Every block's window reaches
+    taps - 1 steps back into the zero-padded input and keeps its last
+    hop = size - taps + 1 outputs, which the circular wrap-around does not
+    touch.  The kernel is transformed once at the block length; the windows
+    go through batched real FFTs of about _BATCH_POINTS points each, whose
+    spectra are multiplied by the kernel's one input column at a time and
+    inverted into their slots of the output.
     """
     length, width = u.shape
     taps, out_width = kernel.shape[:2]
     if length == 0:
         return np.zeros((0, out_width))
-    size = min(1 << (4 * taps - 1).bit_length(), _fast_length(length + taps - 1))
+    size = 1 << (min(4 * taps, length + taps - 1) - 1).bit_length()
     hop = size - taps + 1
     blocks = -(-length // hop)
     batch = max(1, _BATCH_POINTS // size)
@@ -344,13 +335,14 @@ def layer_forward(config: FilterBankConfig, weights: LayerWeights,
     With scan=True (the default) W_out y is the input convolved with the
     bank's output kernel, truncated where max|lambda_bar|^j falls below eps
     (see `_output_kernel`), with W_out and D folded in: K'[j] = W_out K[j]
-    and K'[0] += W_out D, a scalar D standing for D I.  The convolution runs
-    by overlap-save in FFT blocks of about four kernel lengths (see
-    `_causal_convolve`); no state trajectory is built.  scan=False runs
-    `recur_sequential` on every channel and applies D and W_out after it,
-    the per-step reference.  On both paths W_gate z is a sum of broadcast
-    products z[:, i] w_gate[:, i], and the gate multiplies W_out y in place.
-    Every weight's shape is checked before any channel runs.
+    and K'[0] += W_out D.  The convolution runs by overlap-save in FFT
+    blocks of about four kernel lengths (see `_causal_convolve`); no state
+    trajectory is built.  scan=False runs `recur_sequential` on every
+    channel and applies D and W_out after it, the per-step reference.  A
+    scalar D becomes D I once, before either path.  On both paths W_gate z
+    is a sum of broadcast products z[:, i] w_gate[:, i], and the gate
+    multiplies W_out y in place.  Every weight's shape is checked before
+    any channel runs; a non-finite output raises ArithmeticError.
     """
     if len(ssms) != config.channels:
         raise ValueError(f"expected {config.channels} channel systems, got {len(ssms)}")
@@ -370,21 +362,16 @@ def layer_forward(config: FilterBankConfig, weights: LayerWeights,
     if np.isscalar(d):
         if d != 0.0 and config.input_width != config.output_width:
             raise ValueError("scalar feedthrough requires matching widths")
+        d = d * np.eye(config.output_width, config.input_width)
     elif np.shape(d) != (config.output_width, config.input_width):
         raise ValueError("feedthrough shape does not match the layer widths")
     if scan:
         kernel = weights.w_out @ _output_kernel(ssms, weights.c_tilde, z_in.length)
-        if np.isscalar(d):
-            d = d * np.eye(config.output_width, config.input_width)
         kernel[:1] += weights.w_out @ d  # a slice: zero-length input has no taps
         z_out = _causal_convolve(kernel, z_in.values)
     else:
         states = np.concatenate([recur_sequential(ssm, z_in) for ssm in ssms], axis=1)
-        y = (states @ weights.c_tilde.T).real
-        if not np.isscalar(d):
-            y = y + z_in.values @ np.asarray(d).T
-        elif d != 0.0:
-            y = y + d * z_in.values
+        y = (states @ weights.c_tilde.T).real + z_in.values @ np.asarray(d).T
         z_out = y @ weights.w_out.T
     # W_gate z as one broadcast product per input column: no (L, in) @ (in, out) matmul
     z, w_gate = z_in.values, np.asarray(weights.w_gate)
@@ -392,6 +379,7 @@ def layer_forward(config: FilterBankConfig, weights: LayerWeights,
     for i in range(1, config.input_width):
         gate += z[:, i:i + 1] * w_gate[:, i]
     z_out *= silu(gate)  # W_out y is a fresh array on both paths
-    if not np.all(np.isfinite(z_out)):
-        raise ArithmeticError("layer produced non-finite activations")
-    return SequenceBatch(values=z_out)
+    try:
+        return SequenceBatch(values=z_out)  # its finiteness check is the layer's
+    except ValueError as exc:
+        raise ArithmeticError("layer produced non-finite activations") from exc

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import measure as measure_mod
-from .operators import build_A, build_B, check_alpha, check_state_dim, legs_closed_form
+from .operators import (build_A, build_B, check_alpha, check_quadrature_order, check_state_dim,
+                        legs_closed_form)
 from .quadrature import default_order, gauss_jacobi
 from .specfun import JacobiParam, basis_scale, jacobi_eval_all
 from .spectral import condition_number, eig_triangular, spectral_init
@@ -85,8 +86,7 @@ def projection_coefficients(u, alpha: float, n: int, t: float, order: int) -> np
     (1-xi)^(-alpha) d xi by Gauss-Jacobi quadrature in the dimensionless
     variable; u must be callable on [0, t].
     """
-    if order < 2 * n:
-        raise ValueError(f"order must be >= 2n = {2 * n}, got {order}")
+    check_quadrature_order(n, order)
     rule = gauss_jacobi(JacobiParam(-alpha, 0.0), order)
     xi = (1.0 + rule.nodes) / 2.0
     signal = np.asarray(u(t * xi), dtype=float)

@@ -1,5 +1,6 @@
 """Public surface: every exported name resolves and every demo runs."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -22,6 +23,17 @@ def test_exported_names_resolve():
     missing = [f"{module.__name__}.{name}" for module in modules
                for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+def test_no_private_names_imported_across_modules():
+    # a name another module needs is public: it goes in its owner's __all__
+    private = [f"{path.name}:{node.lineno} {alias.name}"
+               for path in sorted(Path(fractalssm.__file__).resolve().parent.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").split(".")[0] == "fractalssm")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_import_leaves_scipy_unloaded():

@@ -178,8 +178,25 @@ class TestRunCommand:
     def test_width_mismatch(self, model_path, tmp_path, capsys):
         seq = tmp_path / "in.csv"
         fileio.write_sequence_csv(seq, SequenceBatch(np.zeros((8, 2))))
+        out = tmp_path / "out.csv"
         assert run_cli("run", "--model", str(model_path), "--input", str(seq),
-                       "--out", str(tmp_path / "out.csv")) == 2
+                       "--out", str(out)) == 2
+        assert "input width 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_output(self, model_path, tmp_path, capsys):
+        # a growing mode overflows the layer: a computation failure, exit 1
+        doc = json.loads(model_path.read_text())
+        doc["channels"][0]["lambda"][0] = [400.0, 0.0]
+        model_path.write_text(json.dumps(doc))
+        seq = tmp_path / "in.csv"
+        fileio.write_sequence_csv(seq, SequenceBatch(np.ones((64, 1))))
+        out = tmp_path / "out.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run_cli("run", "--model", str(model_path), "--input", str(seq),
+                           "--out", str(out)) == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_byte_determinism(self, model_path, tmp_path):
         seq = tmp_path / "in.csv"

@@ -65,9 +65,9 @@ class TestOperatorFile:
 
 class TestModelFile:
     @staticmethod
-    def build_model(seed=0):
+    def build_model(seed=0, alphas=None):
         rng = np.random.default_rng(seed)
-        config = FilterBankConfig(channels=2, block_state=3, input_width=2,
+        config = FilterBankConfig(channels=2, block_state=3, alphas=alphas, input_width=2,
                                   output_width=2, delta=(0.02, 0.05))
         inits = build_filter_bank(config)
         total = config.total_state
@@ -111,6 +111,32 @@ class TestModelFile:
         fileio.write_model_file(path, config, inits[:1], weights)
         with pytest.raises(fileio.SchemaError):
             fileio.read_model_file(path)
+
+    @staticmethod
+    def edited(tmp_path, edit, alphas=None):
+        """A model file written by write_model_file, then edited as JSON."""
+        path = tmp_path / "model.json"
+        fileio.write_model_file(path, *TestModelFile.build_model(alphas=alphas))
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("alpha", [0.9, 7.5])
+    def test_channel_alpha_must_match_config(self, tmp_path, alpha):
+        def edit(doc):
+            doc["channels"][1]["alpha"] = alpha
+
+        path = self.edited(tmp_path, edit, alphas=(0.1, 0.3))
+        with pytest.raises(fileio.SchemaError, match="channel alpha"):
+            fileio.read_model_file(path)
+
+    def test_block_state_bound(self, tmp_path):
+        def edit(doc):
+            doc["config"]["block_state"] = 257
+
+        with pytest.raises(fileio.SchemaError, match=r"\[1, 256\]"):
+            fileio.read_model_file(self.edited(tmp_path, edit))
 
     def test_unknown_schema(self, tmp_path):
         path = tmp_path / "model.json"

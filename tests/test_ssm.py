@@ -200,8 +200,12 @@ class TestFilterBank:
         with pytest.raises(ValueError):
             FilterBankConfig(channels=1, block_state=4, alphas=(0.99,))
         for delta in (-0.1, math.nan, math.inf):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="timestep"):
                 FilterBankConfig(channels=1, block_state=4, delta=delta)
+        # the state-dimension bound is the operators' own
+        for block in (0, 257):
+            with pytest.raises(ValueError, match=r"\[1, 256\]"):
+                FilterBankConfig(channels=1, block_state=block)
 
 
 class TestLayerForward:
@@ -434,6 +438,18 @@ class TestConvolutionPath:
         size = 2 * (inverse_batches.pop()[-1] - 1)
         return size - taps + 1
 
+    @pytest.mark.parametrize("length, size", [(3000, 4096), (1000, 2048)])
+    def test_single_block_power_of_two(self, length, size, inverse_batches):
+        # min(4 * taps, length + taps - 1) rounded up to a power of two: one block
+        ssms = self.bank(0.05, width=2)
+        assert self.taps(ssms, length) == 721
+        rng = np.random.default_rng(16)
+        config, weights = self.layer(ssms, width=2, out_width=3, seed=8,
+                                     d=rng.standard_normal((3, 2)))
+        self.assert_paths_agree(config, weights, ssms,
+                                SequenceBatch(rng.standard_normal((length, 2))))
+        assert inverse_batches == [(3, 1, size // 2 + 1)]
+
     def test_many_blocks_multi_width(self, inverse_batches):
         ssms = self.bank(0.2, width=2)
         taps = self.taps(ssms, 10 ** 6)
@@ -500,6 +516,34 @@ class TestConvolutionPath:
             layer_forward(config, weights, ssms, z_in, scan=scan)
         config, weights = self.layer(ssms, width=2, out_width=3, d=0.0)
         assert layer_forward(config, weights, ssms, z_in, scan=scan).values.shape == (16, 3)
+
+    def test_scalar_feedthrough_two_by_two(self):
+        # a nonzero scalar D stands for D I on both paths
+        ssms = self.bank(0.05, width=2)
+        rng = np.random.default_rng(17)
+        z_in = SequenceBatch(rng.standard_normal((300, 2)))
+        config, weights = self.layer(ssms, width=2, out_width=2, seed=9, d=-0.8)
+        self.assert_paths_agree(config, weights, ssms, z_in)
+        identity = LayerWeights(c_tilde=weights.c_tilde, w_out=weights.w_out,
+                                w_gate=weights.w_gate, d=-0.8 * np.eye(2))
+        assert np.array_equal(layer_forward(config, weights, ssms, z_in).values,
+                              layer_forward(config, identity, ssms, z_in).values)
+
+    @pytest.mark.parametrize("scan", [True, False])
+    def test_one_finiteness_pass(self, scan, monkeypatch):
+        ssms = self.bank(0.05, width=2)
+        config, weights = self.layer(ssms, width=2, out_width=3, seed=10)
+        z_in = SequenceBatch(np.ones((64, 2)))
+        passes = []
+        isfinite = np.isfinite
+
+        def spy(x, *args, **kwargs):
+            passes.append(np.shape(x))
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", spy)
+        layer_forward(config, weights, ssms, z_in, scan=scan)
+        assert passes == [(64, 3)]
 
     @pytest.mark.parametrize("scan", [True, False])
     def test_feedthrough_shape_checked(self, scan):
