@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 import numpy as np
 
@@ -19,9 +18,8 @@ from .measure import measure_profile
 from .operators import build_operators, check_alpha
 from .quadrature import QuadratureError
 from .spectral import condition_number, eig_triangular, spectral_init
-from .ssm import (SequenceBatch, check_step, layer_forward, recur_scan, recur_sequential,
-                  zoh_discretize)
-from .verify import ode_consistency, random_system, run_full_suite
+from .ssm import check_step, layer_forward, zoh_discretize
+from .verify import ode_consistency, run_full_suite
 
 __all__ = ["main"]
 
@@ -121,39 +119,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    if args.repeat < 1:
-        raise ValueError(f"repeat must be >= 1, got {args.repeat}")
-    if args.len < 1 or args.n < 1 or args.channels < 1:
-        raise ValueError("n, len and channels must all be >= 1")
-    rng = np.random.default_rng(args.seed)
-    systems = [random_system(rng, args.n) for _ in range(args.channels)]
-    u = SequenceBatch(rng.standard_normal((args.len, 1)))
-
-    best_seq = best_scan = float("inf")
-    deviation = 0.0
-    for _ in range(args.repeat):
-        t0 = time.perf_counter()
-        seq = [recur_sequential(s, u) for s in systems]
-        best_seq = min(best_seq, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        scan = [recur_scan(s, u) for s in systems]
-        best_scan = min(best_scan, time.perf_counter() - t0)
-        for a, b_ in zip(seq, scan):
-            scale = max(float(np.max(np.abs(a))), 1e-300)
-            deviation = max(deviation, float(np.max(np.abs(a - b_))) / scale)
-    payload = {"n": args.n, "len": args.len, "channels": args.channels,
-               "repeat": args.repeat, "sequential_s": best_seq, "scan_s": best_scan,
-               "speedup": best_seq / best_scan if best_scan > 0 else float("inf"),
-               "max_relative_deviation": deviation}
-    lines = [f"sequential: {best_seq:.6f} s",
-             f"scan:       {best_scan:.6f} s",
-             f"speedup:    {payload['speedup']:.2f}x",
-             f"max relative deviation: {deviation:.3e}"]
-    _emit(args, payload, lines)
-    return 0
-
-
 def _cmd_discretize(args) -> int:
     check_step(args.delta)
     init = spectral_init(args.alpha, args.n, args.input_width, args.quad_order)
@@ -229,15 +194,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("bench", help="time sequential vs scan recurrence execution")
-    p.add_argument("--n", type=int, default=64)
-    p.add_argument("--len", type=int, required=True)
-    p.add_argument("--channels", type=int, default=1)
-    p.add_argument("--repeat", type=int, default=3)
-    seed(p)
-    json_flag(p)
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("discretize",
                        help="spectral initialization + ZOH step to a discrete system file")

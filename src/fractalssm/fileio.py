@@ -214,6 +214,9 @@ def read_dssm_file(path) -> DiscreteDiagonalSSM:
     with _malformed(path, "discrete-system file"):
         n, width = int(doc["n"]), int(doc["input_width"])
         delta = float(doc["delta"])
+        check_state_dim(n)
+        if width < 1:
+            raise ValueError(f"input_width must be >= 1, got {width}")
         check_step(delta)
         return DiscreteDiagonalSSM(
             lambda_bar=_complex_in(doc["lambda_bar"], (n,)),

@@ -1,13 +1,12 @@
 """Discrete execution: ZOH discretization, linear recurrence, gated layer.
 
 The diagonal recurrence x_k = lambda_bar * x_{k-1} + b_bar u_k yields its
-state trajectory either sequentially or as a chunked two-level scan: the
-chunks step in lockstep, then each chunk's carry is added through powers of
-lambda_bar.  A filter bank stacks channels with distinct singularity
-indices; the layer output is gated by a SiLU-activated branch of the input.
-The layer needs only W_out (Re(C x) + D u), a causal convolution of the
-input with the kernel K_j = W_out Re sum_n c_n b_bar_n lambda_bar_n^j, plus
-W_out D at j = 0.  It applies that kernel, truncated once every state has
+state trajectory one step at a time; that is the per-step reference.  A
+filter bank stacks channels with distinct singularity indices; the layer
+output is gated by a SiLU-activated branch of the input.  The layer needs
+only W_out (Re(C x) + D u), a causal convolution of the input with the
+kernel K_j = W_out Re sum_n c_n b_bar_n lambda_bar_n^j, plus W_out D at
+j = 0.  It applies that kernel, truncated once every state has
 decayed below eps, by overlap-save in power-of-two FFT blocks of about four
 kernel lengths, or in one block for a shorter input, instead of building the
 state trajectory.  Each channel's kernel is one matmul of its powers with
@@ -37,7 +36,6 @@ __all__ = [
     "check_step",
     "zoh_discretize",
     "recur_sequential",
-    "recur_scan",
     "build_filter_bank",
     "layer_forward",
 ]
@@ -166,74 +164,21 @@ def zoh_discretize(init: SpectralInit, delta: float) -> DiscreteDiagonalSSM:
     return DiscreteDiagonalSSM(lambda_bar=lambda_bar, b_bar=b_bar, delta=float(delta))
 
 
-def _driven_inputs(ssm: DiscreteDiagonalSSM, u: SequenceBatch) -> np.ndarray:
-    if u.width != ssm.b_bar.shape[1]:
-        raise ValueError(
-            f"input width {u.width} does not match system width {ssm.b_bar.shape[1]}")
-    return u.values @ ssm.b_bar.T  # (L, n)
-
-
 def recur_sequential(ssm: DiscreteDiagonalSSM, u: SequenceBatch) -> np.ndarray:
     """State trajectory of the diagonal recurrence, one step at a time.
 
     x_0 = b_bar u_0 (zero initial state); returns shape (length, n) complex.
     """
-    drive = _driven_inputs(ssm, u)
+    if u.width != ssm.b_bar.shape[1]:
+        raise ValueError(
+            f"input width {u.width} does not match system width {ssm.b_bar.shape[1]}")
+    drive = u.values @ ssm.b_bar.T  # (L, n)
     out = np.empty_like(drive)
     state = np.zeros(ssm.lambda_bar.shape, dtype=complex)
     for k in range(drive.shape[0]):
         state = ssm.lambda_bar * state + drive[k]
         out[k] = state
     return out
-
-
-_SCAN_CHUNK = 1024
-
-
-def recur_scan(ssm: DiscreteDiagonalSSM, u: SequenceBatch) -> np.ndarray:
-    """State trajectory via a chunked two-level scan.
-
-    Two-level block decomposition: all chunks run the recurrence in
-    lockstep from a zero state (one vectorized step per in-chunk position),
-    the chunk-end states are scanned into per-chunk carries, and each carry
-    enters its chunk multiplied by lambda_bar^(s+1), the cumulative powers
-    of the constant coefficient.  Every pass runs in place in the buffer of
-    driven inputs b_bar u_k, which becomes the returned trajectory, so the
-    call holds one trajectory-sized array plus chunk-sized scratch.
-    Matches recur_sequential to floating-point reassociation tolerance.
-    """
-    length = u.length
-    if length == 0:
-        return _driven_inputs(ssm, u).astype(complex)
-    lam = ssm.lambda_bar
-    n = lam.shape[0]
-    chunk = min(_SCAN_CHUNK, length)
-    blocks = -(-length // chunk)
-    pad = blocks * chunk - length
-    if pad:
-        # pad the input rather than the drive, so the drive is the only big buffer
-        u = SequenceBatch(np.vstack([u.values, np.zeros((pad, u.width))]))
-    drive = np.asarray(_driven_inputs(ssm, u), dtype=complex)
-    local = drive.reshape(blocks, chunk, n)
-
-    # each chunk starts from a zero state, so its first position is its drive
-    step = np.empty((blocks, n), dtype=complex)
-    for s in range(1, chunk):
-        np.multiply(lam, local[:, s - 1], out=step)
-        np.add(step, local[:, s], out=local[:, s])
-    # the carries must be scanned from the chunk-end states before any is added
-    ends = local[:, -1].copy()
-
-    # prefix coefficients lam^(s+1) within a chunk, and the carry scan
-    pows = np.cumprod(np.broadcast_to(lam, (chunk, n)), axis=0)
-    lam_chunk = pows[-1]
-    carried = np.empty_like(pows)
-    running = np.zeros(n, dtype=complex)
-    for c in range(1, blocks):
-        running = lam_chunk * running + ends[c - 1]
-        np.multiply(pows, running, out=carried)
-        local[c] += carried
-    return drive[:length]
 
 
 _EPS = np.finfo(float).eps
@@ -342,7 +287,9 @@ def layer_forward(config: FilterBankConfig, weights: LayerWeights,
     scalar D becomes D I once, before either path.  On both paths W_gate z
     is a sum of broadcast products z[:, i] w_gate[:, i], and the gate
     multiplies W_out y in place.  Every weight's shape is checked before
-    any channel runs; a non-finite output raises ArithmeticError.
+    any channel runs; a non-finite output raises ArithmeticError.  The
+    convolution is the package's one fast path; `verify`'s
+    layer-equivalence oracle checks it against a recurrence of its own.
     """
     if len(ssms) != config.channels:
         raise ValueError(f"expected {config.channels} channel systems, got {len(ssms)}")

@@ -20,14 +20,14 @@ from .operators import (build_A, build_B, check_alpha, check_quadrature_order, c
 from .quadrature import default_order, gauss_jacobi
 from .specfun import JacobiParam, basis_scale, jacobi_eval_all
 from .spectral import condition_number, eig_triangular, spectral_init
-from .ssm import DiscreteDiagonalSSM, SequenceBatch, recur_scan, zoh_discretize
+from .ssm import (DiscreteDiagonalSSM, FilterBankConfig, LayerWeights, SequenceBatch,
+                  layer_forward, zoh_discretize)
 
 __all__ = [
     "OracleReport",
     "projection_coefficients",
     "ode_consistency",
     "run_full_suite",
-    "random_system",
     "TABLE_ALPHA0",
     "TABLE_ALPHA05",
     "CONDITION_TABLE",
@@ -305,7 +305,7 @@ def _check_monotonicity(grid, n_max: int = 16) -> OracleReport:
         "offdiag-monotonicity", float(violations + (not gap_ok)), 0.0, detail)
 
 
-def random_system(rng, n: int) -> DiscreteDiagonalSSM:
+def _random_system(rng, n: int) -> DiscreteDiagonalSSM:
     """A stable single-input diagonal system with pole radii drawn from [0.05, 0.995]."""
     radius = rng.uniform(0.05, 0.995, size=n)
     phase = rng.uniform(-np.pi, np.pi, size=n)
@@ -314,22 +314,21 @@ def random_system(rng, n: int) -> DiscreteDiagonalSSM:
     return DiscreteDiagonalSSM(lambda_bar=lambda_bar, b_bar=b_bar, delta=1.0)
 
 
-# scan-equivalence runs its reference over same-length systems stacked up to
-# this many states (the bytes of one 64-state recur_sequential drive and
-# trajectory), in time blocks of this many steps
-_SCAN_GROUP_STATES = 128
-_SCAN_TIME_BLOCK = 4096
+# layer-equivalence runs its reference over same-length systems stacked up to
+# this many states, in time blocks of this many steps: an 8 MB state block
+_LAYER_GROUP_STATES = 128
+_LAYER_TIME_BLOCK = 4096
 
 
-def _scan_groups(drawn) -> list[list[int]]:
-    """Indices into `drawn` ((system, input) pairs), grouped by input length so
-    that no group holds more than _SCAN_GROUP_STATES states unless one system does."""
+def _layer_groups(drawn) -> list[list[int]]:
+    """Indices into `drawn` ((system, input, ...) tuples), grouped by input length so
+    that no group holds more than _LAYER_GROUP_STATES states unless one system does."""
     groups = []
     states = last_length = 0
     for i in sorted(range(len(drawn)), key=lambda i: drawn[i][1].length):
         n = drawn[i][0].lambda_bar.shape[0]
         length = drawn[i][1].length
-        if groups and length == last_length and states + n <= _SCAN_GROUP_STATES:
+        if groups and length == last_length and states + n <= _LAYER_GROUP_STATES:
             groups[-1].append(i)
             states += n
         else:
@@ -338,58 +337,74 @@ def _scan_groups(drawn) -> list[list[int]]:
     return groups
 
 
-def _scan_group_deviations(group) -> list[tuple[float, float]]:
-    """(max |recur_scan - reference|, max |reference|) of each (system, input)
-    pair in `group`, whose inputs share one length.
+def _layer_group_deviations(group) -> list[tuple[float, float]]:
+    """(max |layer_forward - reference|, max |reference|) of each (system,
+    input, weights) triple in `group`, whose inputs share one length.
 
-    The reference is the plain recurrence x_k = lambda_bar x_{k-1} + b_bar u_k,
-    stepped one k at a time over the stacked states of the group, one time
-    block at a time.  It is written out here rather than shared with the scan
-    under test, and its per-state multiply-add is the one recur_sequential
-    makes, so its states are bit-identical to recur_sequential's.
+    The layer under test is the one-channel `layer_forward` on its default
+    convolution path.  The reference steps the plain recurrence
+    x_k = lambda_bar x_{k-1} + b_bar u_k one k at a time over the stacked
+    states of the group, one time block at a time, with the per-state
+    multiply-add recur_sequential makes, and forms
+    w_out (Re(c x) + d u) g / (1 + exp(-g)), g = w_gate u, from those states.
+    The recurrence, the output map and the SiLU are written out here rather
+    than shared with the layer code, so a defect there cannot cancel out.
     """
-    ssms, inputs = zip(*group)
-    scans = [recur_scan(ssm, u) for ssm, u in zip(ssms, inputs)]
+    ssms, inputs, weights = zip(*group)
+    layers = [layer_forward(FilterBankConfig(channels=1, block_state=ssm.lambda_bar.shape[0]),
+                            w, [ssm], u).values[:, 0]
+              for ssm, u, w in group]
     edges = np.cumsum([0] + [ssm.lambda_bar.shape[0] for ssm in ssms])
     columns = [slice(a, b) for a, b in zip(edges, edges[1:])]
     lam = np.concatenate([ssm.lambda_bar for ssm in ssms])
     length = inputs[0].length
-    states = np.empty((min(_SCAN_TIME_BLOCK, length), lam.size), dtype=complex)
+    states = np.empty((min(_LAYER_TIME_BLOCK, length), lam.size), dtype=complex)
     step = np.empty(lam.size, dtype=complex)
     prev = np.zeros(lam.size, dtype=complex)
     worst = np.zeros((len(group), 2))
     for start in range(0, length, states.shape[0]):
         block = states[:min(states.shape[0], length - start)]
+        stop = start + len(block)
         for ssm, u, cols in zip(ssms, inputs, columns):
-            block[:, cols] = u.values[start:start + len(block)] @ ssm.b_bar.T
+            block[:, cols] = u.values[start:stop] @ ssm.b_bar.T
         for row in block:
             np.multiply(lam, prev, step)
             np.add(step, row, row)
             prev = row
         prev = prev.copy()   # the next block overwrites this row
-        for j, (scan, cols) in enumerate(zip(scans, columns)):
-            seq = block[:, cols]
+        for j, (layer, u, w, cols) in enumerate(zip(layers, inputs, weights, columns)):
+            x = u.values[start:stop, 0]
+            g = w.w_gate[0, 0] * x
+            ref = w.w_out[0, 0] * ((block[:, cols] @ w.c_tilde[0]).real + w.d * x)
+            ref *= g / (1.0 + np.exp(-g))
             # np.maximum, unlike max(), carries a NaN through
-            np.maximum(worst[j], [np.max(np.abs(scan[start:start + len(block)] - seq)),
-                                  np.max(np.abs(seq))], out=worst[j])
+            np.maximum(worst[j], [np.max(np.abs(layer[start:stop] - ref)),
+                                  np.max(np.abs(ref))], out=worst[j])
     return [(float(dev), float(scale)) for dev, scale in worst]
 
 
-def _check_scan_equivalence(rng, systems: int = 50) -> OracleReport:
+def _check_layer_equivalence(rng, systems: int = 50) -> OracleReport:
     lengths = [16, 1024, 65536]
     drawn = []
     for trial in range(systems):
         n = int(rng.integers(1, 65))
         length = lengths[trial % 3] if trial < 45 else 65536
-        ssm = random_system(rng, n)
+        ssm = _random_system(rng, n)
         drawn.append((ssm, SequenceBatch(rng.standard_normal((length, 1)))))
+    # each layer's weights are drawn after all the (system, input) pairs
+    for i, (ssm, u) in enumerate(drawn):
+        n = ssm.lambda_bar.shape[0]
+        c = rng.standard_normal((1, n)) + 1j * rng.standard_normal((1, n))
+        w_out, w_gate = rng.standard_normal((1, 1)), rng.standard_normal((1, 1))
+        drawn[i] = (ssm, u, LayerWeights(c_tilde=c, w_out=w_out, w_gate=w_gate,
+                                         d=float(rng.standard_normal())))
     deviations = [0.0] * systems
-    for group in _scan_groups(drawn):
-        for i, (dev, scale) in zip(group, _scan_group_deviations([drawn[i] for i in group])):
+    for group in _layer_groups(drawn):
+        for i, (dev, scale) in zip(group, _layer_group_deviations([drawn[i] for i in group])):
             deviations[i] = dev / max(scale, 1e-300)
     detail = [{"n": ssm.lambda_bar.shape[0], "length": u.length, "relative_deviation": dev}
-              for (ssm, u), dev in zip(drawn, deviations)]
-    return OracleReport.from_deviation("scan-equivalence", max([0.0, *deviations]),
+              for (ssm, u, _), dev in zip(drawn, deviations)]
+    return OracleReport.from_deviation("layer-equivalence", max([0.0, *deviations]),
                                        1e-10, detail)
 
 
@@ -442,7 +457,7 @@ def run_full_suite(alpha_grid, n_max: int, seed: int = 0) -> list[OracleReport]:
         _check_condition_growth,
         lambda: _check_b_closed_form(grid, n_max),
         lambda: _check_monotonicity(grid, min(n_max, 16)),
-        lambda: _check_scan_equivalence(rng),
+        lambda: _check_layer_equivalence(rng),
         lambda: _check_zoh_limit(grid),
     ]
     checks += [functools.partial(ode_consistency, alpha, 8, np.sin, t=3.0) for alpha in grid]

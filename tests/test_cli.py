@@ -232,22 +232,12 @@ class TestRunCommand:
 
 
 class TestBenchCommand:
-    def test_single_step_trivial(self, capsys):
-        assert run_cli("bench", "--n", "4", "--len", "1", "--repeat", "1",
-                       "--json") == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["max_relative_deviation"] == pytest.approx(0.0, abs=1e-14)
-
-    def test_reports_timings_and_deviation(self, capsys):
-        assert run_cli("bench", "--n", "16", "--len", "2048", "--repeat", "2",
-                       "--json") == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["sequential_s"] > 0
-        assert payload["scan_s"] > 0
-        assert payload["max_relative_deviation"] < 1e-10
-
-    def test_zero_repeat(self, capsys):
-        assert run_cli("bench", "--len", "8", "--repeat", "0") == 2
+    def test_bench_is_a_usage_error(self, capsys):
+        # perfbench is the one timing harness; the CLI has no bench command
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bench", "--len", "8")
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 class TestDiscretizeCommand:

@@ -162,6 +162,10 @@ class TestDiscreteSystemFile:
         ("delta", float("nan"), "timestep"),
         ("delta", "fast", "could not convert"),
         ("n", "five", "invalid literal"),
+        # the bounds fire before the arrays are parsed, not the shape check
+        ("n", 0, r"\[1, 256\]"),
+        ("n", 257, r"\[1, 256\]"),
+        ("input_width", 0, "input_width must be >= 1"),
     ])
     def test_out_of_range_field_rejected(self, tmp_path, field, value, message):
         path = tmp_path / "dssm.json"

@@ -1,4 +1,4 @@
-"""Discretization, recurrence execution, scan equivalence, gated layer."""
+"""Discretization, recurrence execution, the layer's two paths, gated layer."""
 
 import math
 import tracemalloc
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from fractalssm.spectral import SpectralInit, spectral_init
 from fractalssm.ssm import (DiscreteDiagonalSSM, FilterBankConfig, LayerWeights,
                             SequenceBatch, _output_kernel, build_filter_bank, layer_forward,
-                            recur_scan, recur_sequential, silu, zoh_discretize)
+                            recur_sequential, silu, zoh_discretize)
 
 
 def toy_init(lam: complex) -> SpectralInit:
@@ -106,69 +106,71 @@ class TestSequentialRecurrence:
 
 
 class TestScanEquivalence:
+    """layer_forward's convolution (scan=True) against its per-step reference (scan=False)
+    on random one-channel layers, through TestConvolutionPath's helpers."""
+
+    @staticmethod
+    def assert_paths_agree(ssm, u, seed):
+        width = ssm.b_bar.shape[1]
+        config, weights = TestConvolutionPath.layer(
+            [ssm], width=width, out_width=2, seed=seed,
+            d=np.random.default_rng(seed).standard_normal((2, width)))
+        TestConvolutionPath.assert_paths_agree(config, weights, [ssm], u)
+
     @pytest.mark.parametrize("length", [1, 2, 3, 17, 256, 1000, 1024])
     def test_matches_sequential(self, length):
         rng = np.random.default_rng(length)
         ssm = random_system(rng, 8)
-        u = SequenceBatch(rng.standard_normal((length, 1)))
-        seq = recur_sequential(ssm, u)
-        scan = recur_scan(ssm, u)
-        scale = max(np.max(np.abs(seq)), 1e-300)
-        assert np.max(np.abs(scan - seq)) / scale < 1e-10
+        self.assert_paths_agree(ssm, SequenceBatch(rng.standard_normal((length, 1))), length)
 
     @pytest.mark.parametrize("length", [2049, 3072, 3073, 4096, 5000])
     def test_multi_chunk_matches_sequential(self, length):
-        # three or more chunks, with and without padding; the slowest states
-        # carry across every chunk boundary
+        # the slowest state, at modulus 0.8, sets 162 taps: FFT blocks of 1024
+        # points advance 863 steps, so the input runs in three to six blocks,
+        # the last one short, and the kernel reaches back across each boundary
         rng = np.random.default_rng(length)
         ssm = random_system(rng, 12, width=2)
-        slow = np.array([0.999, 0.9995, 0.9999]) * np.exp(1j * np.array([0.0, 0.3, -2.0]))
-        ssm = DiscreteDiagonalSSM(lambda_bar=np.concatenate([slow, ssm.lambda_bar[3:]]),
+        slow = np.array([0.8, 0.75, 0.7]) * np.exp(1j * np.array([0.0, 0.3, -2.0]))
+        ssm = DiscreteDiagonalSSM(lambda_bar=np.concatenate([slow, 0.7 * ssm.lambda_bar[3:]]),
                                   b_bar=ssm.b_bar, delta=1.0)
+        assert 8 * TestConvolutionPath.taps([ssm], length) < length
         values = rng.standard_normal((length, 2))
         u = SequenceBatch(values.copy())
-        seq = recur_sequential(ssm, u)
-        scan = recur_scan(ssm, u)
-        assert np.max(np.abs(scan - seq)) / np.max(np.abs(seq)) < 1e-12
+        self.assert_paths_agree(ssm, u, length)
         assert np.array_equal(u.values, values)
 
     def test_scan_holds_one_trajectory(self):
+        # the convolution builds no state trajectory: its peak stays far
+        # below the 64 MB a 64-state, 65536-step trajectory would take
         rng = np.random.default_rng(5)
         ssm = random_system(rng, 64)
+        config, weights = TestConvolutionPath.layer([ssm], seed=5)
         u = SequenceBatch(rng.standard_normal((65536, 1)))
         tracemalloc.start()
         try:
-            recur_scan(ssm, u)
+            layer_forward(config, weights, [ssm], u)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 65536 * 64 * 16
+        assert peak < 0.25 * 65536 * 64 * 16
 
     def test_zero_length(self):
         ssm = random_system(np.random.default_rng(7), 5, width=2)
         u = SequenceBatch(np.zeros((0, 2)))
+        # the layer's zero-length case is TestConvolutionPath.test_zero_length
         assert recur_sequential(ssm, u).shape == (0, 5)
-        assert recur_scan(ssm, u).shape == (0, 5)
 
     def test_long_sequence(self):
         rng = np.random.default_rng(99)
         ssm = random_system(rng, 64)
-        u = SequenceBatch(rng.standard_normal((65536, 1)))
-        seq = recur_sequential(ssm, u)
-        scan = recur_scan(ssm, u)
-        scale = np.max(np.abs(seq))
-        assert np.max(np.abs(scan - seq)) / scale < 1e-10
+        self.assert_paths_agree(ssm, SequenceBatch(rng.standard_normal((65536, 1))), 99)
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(1, 12), length=st.integers(1, 200), seed=st.integers(0, 10))
     def test_random_shapes(self, n, length, seed):
         rng = np.random.default_rng(seed)
         ssm = random_system(rng, n, width=2)
-        u = SequenceBatch(rng.standard_normal((length, 2)))
-        seq = recur_sequential(ssm, u)
-        scan = recur_scan(ssm, u)
-        scale = max(np.max(np.abs(seq)), 1e-300)
-        assert np.max(np.abs(scan - seq)) / scale < 1e-10
+        self.assert_paths_agree(ssm, SequenceBatch(rng.standard_normal((length, 2))), seed)
 
 
 class TestFilterBank:
@@ -248,7 +250,7 @@ class TestLayerForward:
                                w_gate=np.eye(1))
         z_in = SequenceBatch(np.ones((8, 1)))
         out = layer_forward(config, weights, ssms, z_in)
-        states = np.concatenate([recur_scan(s, z_in) for s in ssms], axis=1)
+        states = np.concatenate([recur_sequential(s, z_in) for s in ssms], axis=1)
         y = (states @ weights.c_tilde.T).real
         expected = y * (1.0 / (1.0 + math.exp(-1.0)))
         assert out.values == pytest.approx(expected, rel=1e-12)

@@ -7,9 +7,9 @@ import pytest
 
 from fractalssm import verify
 from fractalssm.specfun import JacobiParam, basis_scale, jacobi_eval_all
-from fractalssm.ssm import SequenceBatch, recur_scan, recur_sequential
+from fractalssm.ssm import FilterBankConfig, LayerWeights, SequenceBatch, layer_forward
 from fractalssm.verify import (OracleReport, ode_consistency, projection_coefficients,
-                               random_system, run_full_suite)
+                               run_full_suite)
 
 
 class TestProjectionCoefficients:
@@ -94,7 +94,7 @@ class TestRunFullSuite:
                      "basis-orthonormality", "diagonal-invariance", "legs-recovery",
                      "table-alpha0", "eigenvalue-invariance",
                      "input-vector-closed-form", "offdiag-monotonicity",
-                     "scan-equivalence", "zoh-limit", "ode-consistency[alpha=0]"):
+                     "layer-equivalence", "zoh-limit", "ode-consistency[alpha=0]"):
             assert name in reports
             assert reports[name].passed, f"{name}: {reports[name].max_deviation}"
 
@@ -115,57 +115,74 @@ class TestRunFullSuite:
 
 
 class TestScanEquivalenceGroups:
+    """The layer-equivalence oracle, which checks layer_forward's scan=True path."""
+
+    @staticmethod
+    def draws(rng, systems):
+        # the oracle's draws: every (system, input) pair, then every layer's weights
+        pairs = []
+        for trial in range(systems):
+            ssm = verify._random_system(rng, int(rng.integers(1, 65)))
+            length = [16, 1024, 65536][trial % 3]
+            pairs.append((ssm, SequenceBatch(rng.standard_normal((length, 1)))))
+        weights = []
+        for ssm, _ in pairs:
+            n = ssm.lambda_bar.size
+            c = rng.standard_normal((1, n)) + 1j * rng.standard_normal((1, n))
+            w_out, w_gate = rng.standard_normal((1, 1)), rng.standard_normal((1, 1))
+            weights.append(LayerWeights(c_tilde=c, w_out=w_out, w_gate=w_gate,
+                                        d=float(rng.standard_normal())))
+        return pairs, weights
+
     def test_deviations_match_per_system_recurrence(self):
         # the same draws as the oracle makes, checked one system at a time
-        report = verify._check_scan_equivalence(np.random.default_rng(4), systems=7)
-        rng = np.random.default_rng(4)
+        report = verify._check_layer_equivalence(np.random.default_rng(4), systems=7)
+        pairs, weights = self.draws(np.random.default_rng(4), 7)
         assert len(report.detail) == 7
-        for trial, row in enumerate(report.detail):
-            n = int(rng.integers(1, 65))
-            length = [16, 1024, 65536][trial % 3]
-            ssm = random_system(rng, n)
-            u = SequenceBatch(rng.standard_normal((length, 1)))
-            seq = recur_sequential(ssm, u)
-            dev = float(np.max(np.abs(recur_scan(ssm, u) - seq))) / float(np.max(np.abs(seq)))
-            assert (row["n"], row["length"]) == (n, length)
-            assert row["relative_deviation"] == dev
+        for row, (ssm, u), w in zip(report.detail, pairs, weights):
+            config = FilterBankConfig(channels=1, block_state=ssm.lambda_bar.size)
+            conv = layer_forward(config, w, [ssm], u, scan=True).values
+            seq = layer_forward(config, w, [ssm], u, scan=False).values
+            dev = float(np.max(np.abs(conv - seq))) / float(np.max(np.abs(seq)))
+            assert (row["n"], row["length"]) == (ssm.lambda_bar.size, u.length)
+            assert abs(row["relative_deviation"] - dev) <= 1e-14
         assert report.max_deviation == max(row["relative_deviation"] for row in report.detail)
 
     def test_groups_share_a_length_and_the_state_cap(self):
         rng = np.random.default_rng(0)
-        drawn = [(random_system(rng, int(n)), SequenceBatch(np.zeros((length, 1))))
+        drawn = [(verify._random_system(rng, int(n)), SequenceBatch(np.zeros((length, 1))))
                  for n, length in zip(rng.integers(1, 65, size=40), [16, 64, 16, 64] * 10)]
-        groups = verify._scan_groups(drawn)
+        groups = verify._layer_groups(drawn)
         assert sorted(i for group in groups for i in group) == list(range(40))
         for group in groups:
             assert len({drawn[i][1].length for i in group}) == 1
             states = sum(drawn[i][0].lambda_bar.size for i in group)
-            assert states <= verify._SCAN_GROUP_STATES or len(group) == 1
+            assert states <= verify._LAYER_GROUP_STATES or len(group) == 1
         assert any(len(group) > 1 for group in groups)
 
     def test_perturbed_system_fails_alone(self, monkeypatch):
-        # a scan error past the first time block of one system in a shared
+        # a layer error past the first time block of one system in a shared
         # group must show in that system's row and no other
         target = {}
-        real_groups = verify._scan_groups
+        real_groups = verify._layer_groups
 
         def spy_groups(drawn, *args):
             groups = real_groups(drawn, *args)
             shared = next(g for g in groups
-                          if len(g) > 1 and drawn[g[0]][1].length > verify._SCAN_TIME_BLOCK)
+                          if len(g) > 1 and drawn[g[0]][1].length > verify._LAYER_TIME_BLOCK)
             target["index"] = shared[1]
             target["ssm"] = drawn[shared[1]][0]
             return groups
 
-        def perturbed_scan(ssm, u):
-            out = recur_scan(ssm, u)
-            if ssm is target["ssm"]:
-                out[verify._SCAN_TIME_BLOCK + 123, 0] += 1e-6 * np.max(np.abs(out))
+        def perturbed_layer(config, weights, ssms, z_in):
+            out = layer_forward(config, weights, ssms, z_in)
+            if ssms[0] is target["ssm"]:
+                out.values[verify._LAYER_TIME_BLOCK + 123, 0] += 1e-6 * np.max(np.abs(out.values))
             return out
 
-        monkeypatch.setattr(verify, "_scan_groups", spy_groups)
-        monkeypatch.setattr(verify, "recur_scan", perturbed_scan)
-        report = verify._check_scan_equivalence(np.random.default_rng(2), systems=9)
+        monkeypatch.setattr(verify, "_layer_groups", spy_groups)
+        monkeypatch.setattr(verify, "layer_forward", perturbed_layer)
+        report = verify._check_layer_equivalence(np.random.default_rng(2), systems=9)
         flagged = [i for i, row in enumerate(report.detail)
                    if row["relative_deviation"] > 1e-10]
         assert flagged == [target["index"]]
