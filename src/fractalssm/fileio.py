@@ -225,16 +225,39 @@ def read_dssm_file(path) -> DiscreteDiagonalSSM:
         )
 
 
+# write_sequence_csv formats this many rows per write: a block's strings take
+# about 0.15 MB at width 1, where a 65536-step body formatted at once takes 9 MB
+_CSV_BLOCK_ROWS = 1024
+
+
 def write_sequence_csv(path, batch: SequenceBatch, prefix: str = "u") -> None:
-    """Time series CSV with header t,<prefix>_0,...,<prefix>_{width-1}."""
+    """Time series CSV with header t,<prefix>_0,...,<prefix>_{width-1}.
+
+    The header goes through csv.writer, which quotes a prefix holding a
+    comma or a quote.  A body field never needs quoting (an integer step or
+    a float repr), so the body is formatted column-wise, _CSV_BLOCK_ROWS
+    rows per write: each column of a block becomes its reprs, zipped
+    row-wise with the step index, joined with commas, and every row ends in
+    \\r\\n as csv.writer ends it.  The file is byte-identical to one written
+    row by row with csv.writer.  A zero-row batch writes only the header.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"{prefix}_{j}" for j in range(batch.width)])
-        for k in range(batch.length):
-            writer.writerow([k] + [repr(float(v)) for v in batch.values[k]])
+        csv.writer(fh).writerow(["t"] + [f"{prefix}_{j}" for j in range(batch.width)])
+        for start in range(0, batch.length, _CSV_BLOCK_ROWS):
+            block = batch.values[start:start + _CSV_BLOCK_ROWS]
+            columns = [map(repr, column) for column in block.T.tolist()]
+            rows = zip(map(str, range(start, start + len(block))), *columns)
+            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 
 def read_sequence_csv(path) -> SequenceBatch:
+    """Read a sequence CSV written by write_sequence_csv, or any CSV of that shape.
+
+    csv.reader tokenizes, so quoted fields, CRLF line endings and blank
+    lines read as they always have; the 't' column is not parsed.  The value
+    fields are converted with float() in one pass, and a field that is not
+    a finite number raises SchemaError naming the file.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -243,16 +266,20 @@ def read_sequence_csv(path) -> SequenceBatch:
         width = len(header) - 1
         if width < 1:
             raise SchemaError(f"{path}: no value columns")
-        rows = []
+        fields = []
         for line in reader:
             if not line:
                 continue
             if len(line) != width + 1:
                 raise SchemaError(f"{path}: ragged row of length {len(line)}")
-            rows.append([float(v) for v in line[1:]])
-    if not rows:
+            del line[0]
+            fields += line
+    if not fields:
         raise SchemaError(f"{path}: empty sequence")
-    return SequenceBatch(values=np.asarray(rows))
+    try:
+        return SequenceBatch(values=np.array(list(map(float, fields))).reshape(-1, width))
+    except ValueError as exc:   # a field float() rejects, or nan or inf
+        raise SchemaError(f"{path}: a value field is not a finite number ({exc})") from exc
 
 
 def ensure_parent(path) -> None:

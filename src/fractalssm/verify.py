@@ -315,9 +315,13 @@ def _random_system(rng, n: int) -> DiscreteDiagonalSSM:
 
 
 # layer-equivalence runs its reference over same-length systems stacked up to
-# this many states, in time blocks of this many steps: an 8 MB state block
+# this many states, in time blocks of this many steps (an 8 MB state block),
+# each split into chunks of _LAYER_CHUNK steps: a chunk-local step then
+# touches a (chunks, states) row that stays in cache, and a block takes
+# _LAYER_CHUNK of those steps plus one carry step per chunk
 _LAYER_GROUP_STATES = 128
 _LAYER_TIME_BLOCK = 4096
+_LAYER_CHUNK = 64
 
 
 def _layer_groups(drawn) -> list[list[int]]:
@@ -342,11 +346,17 @@ def _layer_group_deviations(group) -> list[tuple[float, float]]:
     input, weights) triple in `group`, whose inputs share one length.
 
     The layer under test is the one-channel `layer_forward` on its default
-    convolution path.  The reference steps the plain recurrence
-    x_k = lambda_bar x_{k-1} + b_bar u_k one k at a time over the stacked
-    states of the group, one time block at a time, with the per-state
-    multiply-add recur_sequential makes, and forms
-    w_out (Re(c x) + d u) g / (1 + exp(-g)), g = w_gate u, from those states.
+    convolution path.  The reference runs the plain recurrence
+    x_k = lambda_bar x_{k-1} + b_bar u_k over the stacked states of the group
+    in the chunked form of the linear-recurrence scan (S5, arXiv:2208.04933),
+    with T = _LAYER_CHUNK steps per chunk.  Each time block is laid out
+    (T, chunks, states), so step i of every chunk is one multiply-add
+    z_i = lambda_bar z_{i-1} + b_bar u_k from a zero start.  A carry loop over
+    the chunks then gives the state h_j carried into chunk j, with
+    h_j = lambda_bar^T h_{j-1} + z_{T-1} of chunk j-1.  The state at step i
+    of chunk j is z_i + lambda_bar^(i+1) h_j, so Re(c x) is Re(c z_i) plus
+    one (T, n) by (n, chunks) matmul of c_n lambda_n^(i+1) with the carries.
+    The output is w_out (Re(c x) + d u) g / (1 + exp(-g)), g = w_gate u.
     The recurrence, the output map and the SiLU are written out here rather
     than shared with the layer code, so a defect there cannot cancel out.
     """
@@ -354,32 +364,52 @@ def _layer_group_deviations(group) -> list[tuple[float, float]]:
     layers = [layer_forward(FilterBankConfig(channels=1, block_state=ssm.lambda_bar.shape[0]),
                             w, [ssm], u).values[:, 0]
               for ssm, u, w in group]
-    edges = np.cumsum([0] + [ssm.lambda_bar.shape[0] for ssm in ssms])
+    sizes = [ssm.lambda_bar.shape[0] for ssm in ssms]
+    edges = np.cumsum([0] + sizes)
     columns = [slice(a, b) for a, b in zip(edges, edges[1:])]
+    owner = np.repeat(np.arange(len(group)), sizes)   # the system of each state
     lam = np.concatenate([ssm.lambda_bar for ssm in ssms])
+    b_bar = np.concatenate([ssm.b_bar[:, 0] for ssm in ssms])
+    t = _LAYER_CHUNK
+    powers = lam ** np.arange(1, t + 1)[:, None]   # powers[i] = lambda_bar^(i+1)
+    carry_maps = [powers[:, cols] * w.c_tilde[0] for w, cols in zip(weights, columns)]
     length = inputs[0].length
-    states = np.empty((min(_LAYER_TIME_BLOCK, length), lam.size), dtype=complex)
-    step = np.empty(lam.size, dtype=complex)
-    prev = np.zeros(lam.size, dtype=complex)
+    chunks = -(-min(_LAYER_TIME_BLOCK, length) // t)
+    z = np.empty((t, chunks, lam.size), dtype=complex)
+    drive = np.empty((chunks, lam.size), dtype=complex)
+    carries = np.empty((chunks, lam.size), dtype=complex)
+    carries[0] = 0.0
+    u_block = np.empty((chunks * t, len(group)))
     worst = np.zeros((len(group), 2))
-    for start in range(0, length, states.shape[0]):
-        block = states[:min(states.shape[0], length - start)]
-        stop = start + len(block)
-        for ssm, u, cols in zip(ssms, inputs, columns):
-            block[:, cols] = u.values[start:stop] @ ssm.b_bar.T
-        for row in block:
-            np.multiply(lam, prev, step)
-            np.add(step, row, row)
-            prev = row
-        prev = prev.copy()   # the next block overwrites this row
-        for j, (layer, u, w, cols) in enumerate(zip(layers, inputs, weights, columns)):
+    # only the last block can end in a partial chunk; its zero-padded steps
+    # are dropped, and no carry leaves it
+    for start in range(0, length, chunks * t):
+        stop = min(start + chunks * t, length)
+        used = -(-(stop - start) // t)
+        u_block[stop - start:] = 0.0
+        for j, u in enumerate(inputs):
+            u_block[:stop - start, j] = u.values[start:stop, 0]
+        u_steps = u_block[:used * t].reshape(used, t, len(group)).transpose(1, 0, 2)
+        block, drive_now, carry = z[:, :used], drive[:used], carries[:used]
+        np.multiply(u_steps[0][:, owner], b_bar, out=block[0])
+        for i in range(1, t):
+            np.multiply(u_steps[i][:, owner], b_bar, out=drive_now)
+            np.multiply(block[i - 1], lam, out=block[i])
+            block[i] += drive_now
+        for j in range(1, used):
+            np.multiply(carry[j - 1], powers[-1], out=carry[j])
+            carry[j] += block[-1, j - 1]
+        for j, (layer, u, w, cols, carry_map) in enumerate(
+                zip(layers, inputs, weights, columns, carry_maps)):
             x = u.values[start:stop, 0]
+            lin = block[:, :, cols] @ w.c_tilde[0] + carry_map @ carry[:, cols].T
             g = w.w_gate[0, 0] * x
-            ref = w.w_out[0, 0] * ((block[:, cols] @ w.c_tilde[0]).real + w.d * x)
+            ref = w.w_out[0, 0] * (lin.real.T.ravel()[:stop - start] + w.d * x)
             ref *= g / (1.0 + np.exp(-g))
             # np.maximum, unlike max(), carries a NaN through
             np.maximum(worst[j], [np.max(np.abs(layer[start:stop] - ref)),
                                   np.max(np.abs(ref))], out=worst[j])
+        carries[0] = powers[-1] * carry[-1] + block[-1, -1]   # into the next block
     return [(float(dev), float(scale)) for dev, scale in worst]
 
 
@@ -404,7 +434,8 @@ def _check_layer_equivalence(rng, systems: int = 50) -> OracleReport:
             deviations[i] = dev / max(scale, 1e-300)
     detail = [{"n": ssm.lambda_bar.shape[0], "length": u.length, "relative_deviation": dev}
               for (ssm, u, _), dev in zip(drawn, deviations)]
-    return OracleReport.from_deviation("layer-equivalence", max([0.0, *deviations]),
+    # np.max, unlike max(), lets a NaN row fail the report
+    return OracleReport.from_deviation("layer-equivalence", np.max([0.0, *deviations]),
                                        1e-10, detail)
 
 
@@ -432,7 +463,11 @@ def run_full_suite(alpha_grid, n_max: int, seed: int = 0) -> list[OracleReport]:
     An alpha outside [0, ALPHA_MAX] or an n_max outside [1, N_MAX] raises
     ValueError before any check runs.  An empty grid yields an empty report
     list.  Checks never raise on failed claims; inspect the `passed` flags.
-    Each report's `seconds` is the wall time of its check.
+    A check that raises, for instance because the code under test does,
+    yields a failed report under its name with an infinite deviation, no
+    tolerance and the detail row {"error": "<Type>: <message>"}, and the
+    suite goes on with the next check.  Each report's `seconds` is the wall
+    time of its check.
     """
     grid = [float(a) for a in alpha_grid]
     for alpha in grid:
@@ -442,28 +477,37 @@ def run_full_suite(alpha_grid, n_max: int, seed: int = 0) -> list[OracleReport]:
         return []
     rng = np.random.default_rng(seed)
     checks = [
-        lambda: _check_measure_normalization(grid),
-        lambda: _check_scale_invariance(rng),
-        lambda: _check_orthonormality(grid, min(n_max, 32)),
-        lambda: _check_diagonal_invariance(grid, n_max),
-        lambda: _check_legs_recovery(n_max),
+        ("measure-normalization", lambda: _check_measure_normalization(grid)),
+        ("scale-invariance", lambda: _check_scale_invariance(rng)),
+        ("basis-orthonormality", lambda: _check_orthonormality(grid, min(n_max, 32))),
+        ("diagonal-invariance", lambda: _check_diagonal_invariance(grid, n_max)),
+        ("legs-recovery", lambda: _check_legs_recovery(n_max)),
     ]
     if any(abs(a) < 1e-12 for a in grid):
-        checks.append(lambda: _check_table(0.0, TABLE_ALPHA0, "table-alpha0"))
+        checks.append(("table-alpha0",
+                       lambda: _check_table(0.0, TABLE_ALPHA0, "table-alpha0")))
     if any(abs(a - 0.5) < 1e-12 for a in grid):
-        checks.append(lambda: _check_table(0.5, TABLE_ALPHA05, "table-alpha05"))
+        checks.append(("table-alpha05",
+                       lambda: _check_table(0.5, TABLE_ALPHA05, "table-alpha05")))
     checks += [
-        lambda: _check_eigenvalue_invariance(grid, n_max),
-        _check_condition_growth,
-        lambda: _check_b_closed_form(grid, n_max),
-        lambda: _check_monotonicity(grid, min(n_max, 16)),
-        lambda: _check_layer_equivalence(rng),
-        lambda: _check_zoh_limit(grid),
+        ("eigenvalue-invariance", lambda: _check_eigenvalue_invariance(grid, n_max)),
+        ("condition-growth", _check_condition_growth),
+        ("input-vector-closed-form", lambda: _check_b_closed_form(grid, n_max)),
+        ("offdiag-monotonicity", lambda: _check_monotonicity(grid, min(n_max, 16))),
+        ("layer-equivalence", lambda: _check_layer_equivalence(rng)),
+        ("zoh-limit", lambda: _check_zoh_limit(grid)),
     ]
-    checks += [functools.partial(ode_consistency, alpha, 8, np.sin, t=3.0) for alpha in grid]
+    checks += [(f"ode-consistency[alpha={alpha:g}]",
+                functools.partial(ode_consistency, alpha, 8, np.sin, t=3.0))
+               for alpha in grid]
     reports = []
-    for check in checks:
+    for name, check in checks:
         start = time.perf_counter()
-        report = check()
+        try:
+            report = check()
+        except Exception as exc:   # the suite reports every check, even one that crashes
+            report = OracleReport(name=name, max_deviation=float("inf"),
+                                  tolerance=float("nan"), passed=False,
+                                  detail=[{"error": f"{type(exc).__name__}: {exc}"}])
         reports.append(replace(report, seconds=time.perf_counter() - start))
     return reports

@@ -98,6 +98,20 @@ class TestVerifyCommand:
         assert code == 1
         assert all(r["seconds"] > 0.0 for r in payload["reports"])
 
+    def test_raising_check_fails_the_run_not_the_usage(self, monkeypatch, capsys):
+        # a check whose code under test raises is a failed check: exit 1, not 2
+        def broken_layer(*args, **kwargs):
+            raise ValueError("window shape cannot be larger than input array shape")
+
+        monkeypatch.setattr(verify, "layer_forward", broken_layer)
+        code = run_cli("verify", "--alpha-grid", "0", "--n", "4", "--json")
+        payload = json.loads(capsys.readouterr().out)
+        failed = {r["name"]: r for r in payload["reports"] if not r["passed"]}
+        assert set(failed) == {"condition-growth", "layer-equivalence"}
+        assert failed["layer-equivalence"]["detail"] == [
+            {"error": "ValueError: window shape cannot be larger than input array shape"}]
+        assert code == 1
+
     def test_text_table_times_each_check(self, capsys):
         assert run_cli("verify", "--alpha-grid", "0", "--n", "4") == 1
         lines = capsys.readouterr().out.splitlines()

@@ -1,9 +1,12 @@
 """Round-trip and schema-validation tests for the file formats."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractalssm import fileio
 from fractalssm.operators import build_operators
@@ -209,3 +212,79 @@ class TestSequenceCsv:
         path.write_text("u_0\n1.0\n")
         with pytest.raises(fileio.SchemaError):
             fileio.read_sequence_csv(path)
+
+    @pytest.mark.parametrize("field, message", [
+        ("abc", "could not convert string to float: 'abc'"),
+        ("nan", "non-finite"),
+        ("-inf", "non-finite"),
+    ])
+    def test_non_number_names_the_file(self, tmp_path, field, message):
+        path = tmp_path / "seq.csv"
+        path.write_text(f"t,u_0\n0,1.0\n1,{field}\n")
+        with pytest.raises(fileio.SchemaError, match=rf"seq\.csv: .*{message}"):
+            fileio.read_sequence_csv(path)
+
+    def test_ragged_message_keeps_the_row_length(self, tmp_path):
+        path = tmp_path / "seq.csv"
+        path.write_text("t,u_0\n0,1.0\n1,2.0,3.0\n")
+        with pytest.raises(fileio.SchemaError, match="ragged row of length 3"):
+            fileio.read_sequence_csv(path)
+
+
+class TestSequenceCsvGolden:
+    """write_sequence_csv byte for byte, and what read_sequence_csv accepts."""
+
+    # bytes written by the per-row csv.writer the column-wise writer replaced
+    @pytest.mark.parametrize("values, prefix, golden", [
+        ([-0.0, 5e-324, 1e-310, 1e300, 0.1, -2.5], "u",
+         b"t,u_0\r\n0,-0.0\r\n1,5e-324\r\n2,1e-310\r\n3,1e+300\r\n4,0.1\r\n5,-2.5\r\n"),
+        ([[-0.0, 5e-324, 1e-310], [1e300, -1e300, 1.0 / 3.0],
+          [7.0, 123456789.0, -1.5e-7]], "y",
+         b"t,y_0,y_1,y_2\r\n0,-0.0,5e-324,1e-310\r\n"
+         b"1,1e+300,-1e+300,0.3333333333333333\r\n2,7.0,123456789.0,-1.5e-07\r\n"),
+        (np.zeros((0, 2)), "u", b"t,u_0,u_1\r\n"),
+        ([[0.5, -0.25]], "a,b", b't,"a,b_0","a,b_1"\r\n0,0.5,-0.25\r\n'),
+    ], ids=["width1", "width3", "zero-rows", "comma-prefix"])
+    def test_writer_bytes(self, tmp_path, values, prefix, golden):
+        path = tmp_path / "seq.csv"
+        fileio.write_sequence_csv(path, SequenceBatch(np.array(values, dtype=float)), prefix)
+        assert path.read_bytes() == golden
+
+    def test_writer_matches_row_by_row_csv_writer(self, tmp_path):
+        # a body of several write blocks, against the per-row writer it replaced
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((2 * fileio._CSV_BLOCK_ROWS + 3, 2)) * 10.0 ** rng.integers(
+            -300, 300, size=(2 * fileio._CSV_BLOCK_ROWS + 3, 2))
+        reference = tmp_path / "rows.csv"
+        with open(reference, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "u_0", "u_1"])
+            for k, row in enumerate(values):
+                writer.writerow([k] + [repr(float(v)) for v in row])
+        path = tmp_path / "seq.csv"
+        fileio.write_sequence_csv(path, SequenceBatch(values))
+        assert path.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("text", [
+        't,u_0,u_1\n"0","1.5",-2\n1,"3e-3",4\n',
+        "t,u_0,u_1\n0, 1.5,-2\n1,0.003, 4\n",
+        "t,u_0,u_1\r\n0,1.5,-2\r\n1,0.003,4\r\n",
+        "t,u_0,u_1\n\n0,1.5,-2\n\n\n1,0.003,4\n\n",
+    ], ids=["quoted", "leading-space", "crlf", "blank-lines"])
+    def test_reader_accepts(self, tmp_path, text):
+        path = tmp_path / "seq.csv"
+        path.write_bytes(text.encode())
+        back = fileio.read_sequence_csv(path)
+        assert np.array_equal(back.values, [[1.5, -2.0], [0.003, 4.0]])
+
+    @settings(max_examples=50, deadline=None)
+    @given(rows=st.integers(1, 20).flatmap(lambda width: st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=width,
+                 max_size=width), min_size=1, max_size=30)))
+    def test_round_trip_any_finite_values(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("csv") / "seq.csv"
+        batch = SequenceBatch(np.array(rows, dtype=float))
+        fileio.write_sequence_csv(path, batch)
+        back = fileio.read_sequence_csv(path).values
+        assert np.array_equal(back, batch.values)
+        assert np.array_equal(np.signbit(back), np.signbit(batch.values))

@@ -7,7 +7,8 @@ import pytest
 
 from fractalssm import verify
 from fractalssm.specfun import JacobiParam, basis_scale, jacobi_eval_all
-from fractalssm.ssm import FilterBankConfig, LayerWeights, SequenceBatch, layer_forward
+from fractalssm.ssm import (DiscreteDiagonalSSM, FilterBankConfig, LayerWeights, SequenceBatch,
+                            layer_forward)
 from fractalssm.verify import (OracleReport, ode_consistency, projection_coefficients,
                                run_full_suite)
 
@@ -113,6 +114,36 @@ class TestRunFullSuite:
         # only the suite times a check
         assert ode_consistency(0.0, 4, np.sin, t=3.0).seconds == 0.0
 
+    def test_raising_check_is_a_failed_report(self, uniform_suite, monkeypatch):
+        def broken_layer(*args, **kwargs):
+            raise ValueError("window shape cannot be larger than input array shape")
+
+        monkeypatch.setattr(verify, "layer_forward", broken_layer)
+        reports = run_full_suite([0.0], 8, seed=1)
+        assert [r.name for r in reports] == [r.name for r in uniform_suite]
+        for report, intact in zip(reports, uniform_suite):
+            if report.name != "layer-equivalence":
+                assert report.passed == intact.passed, report.name
+        crashed = next(r for r in reports if r.name == "layer-equivalence")
+        assert not crashed.passed
+        assert crashed.max_deviation == math.inf
+        assert crashed.detail == [
+            {"error": "ValueError: window shape cannot be larger than input array shape"}]
+        assert crashed.seconds > 0.0
+
+    def test_every_check_keeps_its_name_when_it_raises(self, uniform_suite, monkeypatch):
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        for name in dir(verify):
+            if name.startswith("_check_"):
+                monkeypatch.setattr(verify, name, crash)
+        monkeypatch.setattr(verify, "ode_consistency", crash)
+        reports = run_full_suite([0.0], 8, seed=1)
+        assert [r.name for r in reports] == [r.name for r in uniform_suite]
+        assert all(not r.passed and r.detail == [{"error": "RuntimeError: boom"}]
+                   for r in reports)
+
 
 class TestScanEquivalenceGroups:
     """The layer-equivalence oracle, which checks layer_forward's scan=True path."""
@@ -186,4 +217,61 @@ class TestScanEquivalenceGroups:
         flagged = [i for i, row in enumerate(report.detail)
                    if row["relative_deviation"] > 1e-10]
         assert flagged == [target["index"]]
+        assert not report.passed
+
+
+class TestChunkedReference:
+    """The chunked recurrence in _layer_group_deviations against the per-step layer."""
+
+    @staticmethod
+    def triple(rng, n, length):
+        # every pole at radius 0.995, the slowest decay the oracle draws
+        phase = rng.uniform(-np.pi, np.pi, size=n)
+        ssm = DiscreteDiagonalSSM(lambda_bar=0.995 * np.exp(1j * phase),
+                                  b_bar=rng.standard_normal((n, 1))
+                                  + 1j * rng.standard_normal((n, 1)), delta=1.0)
+        weights = LayerWeights(
+            c_tilde=rng.standard_normal((1, n)) + 1j * rng.standard_normal((1, n)),
+            w_out=rng.standard_normal((1, 1)), w_gate=rng.standard_normal((1, 1)),
+            d=float(rng.standard_normal()))
+        return ssm, SequenceBatch(rng.standard_normal((length, 1))), weights
+
+    # 1, 16, 63, 1000 and 4097 end in a partial chunk; 4097 and 65536 span blocks
+    @pytest.mark.parametrize("length", [1, 16, 63, 1000, 4097, 65536])
+    @pytest.mark.parametrize("sizes", [(1,), (64,), (1, 64)])
+    def test_rows_match_sequential_layer(self, length, sizes):
+        rng = np.random.default_rng(length)
+        group = [self.triple(rng, n, length) for n in sizes]
+        for (ssm, u, w), (dev, scale) in zip(group, verify._layer_group_deviations(group)):
+            config = FilterBankConfig(channels=1, block_state=ssm.lambda_bar.size)
+            conv = layer_forward(config, w, [ssm], u).values
+            seq = layer_forward(config, w, [ssm], u, scan=False).values
+            expected = float(np.max(np.abs(conv - seq))) / float(np.max(np.abs(seq)))
+            assert abs(dev / scale - expected) <= 1e-13
+
+    def test_nan_fails_its_row_alone(self, monkeypatch):
+        target = {}
+        real_groups = verify._layer_groups
+
+        def spy_groups(drawn, *args):
+            groups = real_groups(drawn, *args)
+            shared = next(g for g in groups
+                          if len(g) > 1 and drawn[g[0]][1].length > verify._LAYER_TIME_BLOCK)
+            target["index"] = shared[1]
+            target["ssm"] = drawn[shared[1]][0]
+            return groups
+
+        def nan_layer(config, weights, ssms, z_in):
+            out = layer_forward(config, weights, ssms, z_in)
+            if ssms[0] is target["ssm"]:
+                out.values[verify._LAYER_TIME_BLOCK + 7, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(verify, "_layer_groups", spy_groups)
+        monkeypatch.setattr(verify, "layer_forward", nan_layer)
+        report = verify._check_layer_equivalence(np.random.default_rng(3), systems=12)
+        flagged = [i for i, row in enumerate(report.detail)
+                   if not row["relative_deviation"] <= 1e-10]
+        assert flagged == [target["index"]]
+        assert math.isnan(report.detail[target["index"]]["relative_deviation"])
         assert not report.passed
