@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -30,9 +31,22 @@ _SIGNALS = {
 }
 
 
+def _finite_or_null(value):
+    """value with each non-finite float in it made None, which JSON writes as null."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
+    """Print payload as strict JSON under --json (a non-finite float is null,
+    as JSON.stringify writes it), else the text lines."""
     if getattr(args, "json", False):
-        print(json.dumps(payload, indent=1))
+        print(json.dumps(_finite_or_null(payload), indent=1, allow_nan=False))
     else:
         for line in text_lines:
             print(line)

@@ -22,7 +22,6 @@ __all__ = [
     "mass_oldest",
     "mass_recent",
     "measure_profile",
-    "check_scale_invariance",
 ]
 
 
@@ -115,24 +114,3 @@ def measure_profile(alphas, samples: int, t: float = 1.0):
         row.append(1.0 / theta if x >= t - theta else 0.0)
         rows.append(tuple(row))
     return header, rows
-
-
-def check_scale_invariance(alpha: float, n: int, dilation: float,
-                           t: float = 2.7, u=np.sin) -> float:
-    """Max coefficient deviation between a signal at time t and its dilation.
-
-    Projects u over [0, t] and tau -> u(dilation * tau) over [0, t/dilation]
-    through the same quadrature oracle and returns the largest absolute
-    difference; the two are equal in exact arithmetic.
-    """
-    if dilation <= 0.0:
-        raise ValueError(f"dilation must be positive, got {dilation}")
-    if n > 32:
-        raise ValueError(f"scale-invariance check supports n <= 32, got {n}")
-    from .verify import projection_coefficients
-
-    order = max(2 * n, 32)
-    lam = float(dilation)
-    x_direct = projection_coefficients(u, alpha, n, t, order)
-    x_dilated = projection_coefficients(lambda s: u(lam * s), alpha, n, t / lam, order)
-    return float(np.max(np.abs(x_direct - x_dilated)))

@@ -289,7 +289,8 @@ def layer_forward(config: FilterBankConfig, weights: LayerWeights,
     multiplies W_out y in place.  Every weight's shape is checked before
     any channel runs; a non-finite output raises ArithmeticError.  The
     convolution is the package's one fast path; `verify`'s
-    layer-equivalence oracle checks it against a recurrence of its own.
+    layer-equivalence oracle checks it against an exact chunked recurrence
+    of its own, one system at a time.
     """
     if len(ssms) != config.channels:
         raise ValueError(f"expected {config.channels} channel systems, got {len(ssms)}")

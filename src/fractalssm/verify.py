@@ -26,6 +26,7 @@ from .ssm import (DiscreteDiagonalSSM, FilterBankConfig, LayerWeights, SequenceB
 __all__ = [
     "OracleReport",
     "projection_coefficients",
+    "check_scale_invariance",
     "ode_consistency",
     "run_full_suite",
     "TABLE_ALPHA0",
@@ -98,6 +99,25 @@ def projection_coefficients(u, alpha: float, n: int, t: float, order: int) -> np
     return pref * gammas * (p @ (rule.weights * signal))
 
 
+def check_scale_invariance(alpha: float, n: int, dilation: float,
+                           t: float = 2.7, u=np.sin) -> float:
+    """Max coefficient deviation between a signal at time t and its dilation.
+
+    Projects u over [0, t] and tau -> u(dilation * tau) over [0, t/dilation]
+    through the same quadrature oracle and returns the largest absolute
+    difference; the two are equal in exact arithmetic.
+    """
+    if dilation <= 0.0:
+        raise ValueError(f"dilation must be positive, got {dilation}")
+    if n > 32:
+        raise ValueError(f"scale-invariance check supports n <= 32, got {n}")
+    order = max(2 * n, 32)
+    lam = float(dilation)
+    x_direct = projection_coefficients(u, alpha, n, t, order)
+    x_dilated = projection_coefficients(lambda s: u(lam * s), alpha, n, t / lam, order)
+    return float(np.max(np.abs(x_direct - x_dilated)))
+
+
 def ode_consistency(alpha: float, n: int, u, t: float, h: float | None = None) -> OracleReport:
     """Finite-difference check of the memory update law.
 
@@ -149,7 +169,7 @@ def _check_scale_invariance(rng) -> OracleReport:
         alpha = float(rng.uniform(0.0, 0.9))
         lam = float(rng.uniform(0.25, 4.0))
         name, u = signals[trial % 2]
-        dev = measure_mod.check_scale_invariance(alpha, 8, lam, t=2.5, u=u)
+        dev = check_scale_invariance(alpha, 8, lam, t=2.5, u=u)
         detail.append({"alpha": alpha, "dilation": lam, "signal": name, "deviation": dev})
     worst = max(row["deviation"] for row in detail)
     return OracleReport.from_deviation("scale-invariance", worst, 1e-8, detail)
@@ -314,106 +334,49 @@ def _random_system(rng, n: int) -> DiscreteDiagonalSSM:
     return DiscreteDiagonalSSM(lambda_bar=lambda_bar, b_bar=b_bar, delta=1.0)
 
 
-# layer-equivalence runs its reference over same-length systems stacked up to
-# this many states, in time blocks of this many steps (an 8 MB state block),
-# each split into chunks of _LAYER_CHUNK steps: a chunk-local step then
-# touches a (chunks, states) row that stays in cache, and a block takes
-# _LAYER_CHUNK of those steps plus one carry step per chunk
-_LAYER_GROUP_STATES = 128
-_LAYER_TIME_BLOCK = 4096
-_LAYER_CHUNK = 64
+_LAYER_CHUNK = 64   # T, the steps per chunk of the layer-equivalence reference
 
 
-def _layer_groups(drawn) -> list[list[int]]:
-    """Indices into `drawn` ((system, input, ...) tuples), grouped by input length so
-    that no group holds more than _LAYER_GROUP_STATES states unless one system does."""
-    groups = []
-    states = last_length = 0
-    for i in sorted(range(len(drawn)), key=lambda i: drawn[i][1].length):
-        n = drawn[i][0].lambda_bar.shape[0]
-        length = drawn[i][1].length
-        if groups and length == last_length and states + n <= _LAYER_GROUP_STATES:
-            groups[-1].append(i)
-            states += n
-        else:
-            groups.append([i])
-            states, last_length = n, length
-    return groups
+def _layer_reference(ssm: DiscreteDiagonalSSM, u: SequenceBatch,
+                     weights: LayerWeights) -> np.ndarray:
+    """Output of the one-channel layer (ssm, weights) on u, in the chunked form
+    of the recurrence x_k = lambda_bar x_{k-1} + b_bar u_k (the "state space
+    duality" form of Mamba-2, arXiv:2405.21060).
 
-
-def _layer_group_deviations(group) -> list[tuple[float, float]]:
-    """(max |layer_forward - reference|, max |reference|) of each (system,
-    input, weights) triple in `group`, whose inputs share one length.
-
-    The layer under test is the one-channel `layer_forward` on its default
-    convolution path.  The reference runs the plain recurrence
-    x_k = lambda_bar x_{k-1} + b_bar u_k over the stacked states of the group
-    in the chunked form of the linear-recurrence scan (S5, arXiv:2208.04933),
-    with T = _LAYER_CHUNK steps per chunk.  Each time block is laid out
-    (T, chunks, states), so step i of every chunk is one multiply-add
-    z_i = lambda_bar z_{i-1} + b_bar u_k from a zero start.  A carry loop over
-    the chunks then gives the state h_j carried into chunk j, with
-    h_j = lambda_bar^T h_{j-1} + z_{T-1} of chunk j-1.  The state at step i
-    of chunk j is z_i + lambda_bar^(i+1) h_j, so Re(c x) is Re(c z_i) plus
-    one (T, n) by (n, chunks) matmul of c_n lambda_n^(i+1) with the carries.
-    The output is w_out (Re(c x) + d u) g / (1 + exp(-g)), g = w_gate u.
-    The recurrence, the output map and the SiLU are written out here rather
-    than shared with the layer code, so a defect there cannot cancel out.
+    u is padded to whole chunks of T = _LAYER_CHUNK steps.  Within a chunk
+    the output from a zero start is the Toeplitz product with the taps
+    k_m = Re sum_n c_n b_bar_n lambda_bar_n^m, m < T.  Chunk j ends in the
+    state sum_i u_i lambda_bar^(T-1-i) b_bar, and a loop over the chunks
+    carries h_j = lambda_bar^T h_{j-1} + (end of chunk j-1) into chunk j,
+    where it adds Re(c lambda_bar^(i+1) h_j) at step i.  The output is
+    w_out (Re(c x) + d u) g / (1 + exp(-g)) with g = w_gate u.
     """
-    ssms, inputs, weights = zip(*group)
-    layers = [layer_forward(FilterBankConfig(channels=1, block_state=ssm.lambda_bar.shape[0]),
-                            w, [ssm], u).values[:, 0]
-              for ssm, u, w in group]
-    sizes = [ssm.lambda_bar.shape[0] for ssm in ssms]
-    edges = np.cumsum([0] + sizes)
-    columns = [slice(a, b) for a, b in zip(edges, edges[1:])]
-    owner = np.repeat(np.arange(len(group)), sizes)   # the system of each state
-    lam = np.concatenate([ssm.lambda_bar for ssm in ssms])
-    b_bar = np.concatenate([ssm.b_bar[:, 0] for ssm in ssms])
-    t = _LAYER_CHUNK
-    powers = lam ** np.arange(1, t + 1)[:, None]   # powers[i] = lambda_bar^(i+1)
-    carry_maps = [powers[:, cols] * w.c_tilde[0] for w, cols in zip(weights, columns)]
-    length = inputs[0].length
-    chunks = -(-min(_LAYER_TIME_BLOCK, length) // t)
-    z = np.empty((t, chunks, lam.size), dtype=complex)
-    drive = np.empty((chunks, lam.size), dtype=complex)
-    carries = np.empty((chunks, lam.size), dtype=complex)
-    carries[0] = 0.0
-    u_block = np.empty((chunks * t, len(group)))
-    worst = np.zeros((len(group), 2))
-    # only the last block can end in a partial chunk; its zero-padded steps
-    # are dropped, and no carry leaves it
-    for start in range(0, length, chunks * t):
-        stop = min(start + chunks * t, length)
-        used = -(-(stop - start) // t)
-        u_block[stop - start:] = 0.0
-        for j, u in enumerate(inputs):
-            u_block[:stop - start, j] = u.values[start:stop, 0]
-        u_steps = u_block[:used * t].reshape(used, t, len(group)).transpose(1, 0, 2)
-        block, drive_now, carry = z[:, :used], drive[:used], carries[:used]
-        np.multiply(u_steps[0][:, owner], b_bar, out=block[0])
-        for i in range(1, t):
-            np.multiply(u_steps[i][:, owner], b_bar, out=drive_now)
-            np.multiply(block[i - 1], lam, out=block[i])
-            block[i] += drive_now
-        for j in range(1, used):
-            np.multiply(carry[j - 1], powers[-1], out=carry[j])
-            carry[j] += block[-1, j - 1]
-        for j, (layer, u, w, cols, carry_map) in enumerate(
-                zip(layers, inputs, weights, columns, carry_maps)):
-            x = u.values[start:stop, 0]
-            lin = block[:, :, cols] @ w.c_tilde[0] + carry_map @ carry[:, cols].T
-            g = w.w_gate[0, 0] * x
-            ref = w.w_out[0, 0] * (lin.real.T.ravel()[:stop - start] + w.d * x)
-            ref *= g / (1.0 + np.exp(-g))
-            # np.maximum, unlike max(), carries a NaN through
-            np.maximum(worst[j], [np.max(np.abs(layer[start:stop] - ref)),
-                                  np.max(np.abs(ref))], out=worst[j])
-        carries[0] = powers[-1] * carry[-1] + block[-1, -1]   # into the next block
-    return [(float(dev), float(scale)) for dev, scale in worst]
+    t, lam, b, c = _LAYER_CHUNK, ssm.lambda_bar, ssm.b_bar[:, 0], weights.c_tilde[0]
+    x = u.values[:, 0]
+    steps = np.zeros((-(-x.size // t), t))
+    steps.flat[:x.size] = x
+    powers = lam ** np.arange(t + 1)[:, None]   # powers[m] = lambda_bar^m
+    taps = (powers[:t] @ (c * b)).real
+    lag = np.subtract.outer(np.arange(t), np.arange(t))
+    y = steps @ np.where(lag >= 0, taps[lag], 0.0).T
+    ends = steps @ (powers[t - 1::-1] * b)
+    h = np.zeros_like(ends)
+    for j in range(1, len(h)):
+        h[j] = powers[t] * h[j - 1] + ends[j - 1]
+    y += (h @ (powers[1:] * c).T).real
+    g = weights.w_gate[0, 0] * x
+    return weights.w_out[0, 0] * (y.ravel()[:x.size] + weights.d * x) * g / (1.0 + np.exp(-g))
 
 
 def _check_layer_equivalence(rng, systems: int = 50) -> OracleReport:
+    """layer_forward, on its default convolution path, against _layer_reference.
+
+    Each drawn one-channel layer is compared, in draw order, with a
+    reference that shares no code with `ssm`: it uses no `_output_kernel`,
+    no FFT and no truncated kernel, so it is exact to the last step, and its
+    output map and SiLU are written out, so a defect in the layer cannot
+    cancel out.
+    """
     lengths = [16, 1024, 65536]
     drawn = []
     for trial in range(systems):
@@ -428,15 +391,17 @@ def _check_layer_equivalence(rng, systems: int = 50) -> OracleReport:
         w_out, w_gate = rng.standard_normal((1, 1)), rng.standard_normal((1, 1))
         drawn[i] = (ssm, u, LayerWeights(c_tilde=c, w_out=w_out, w_gate=w_gate,
                                          d=float(rng.standard_normal())))
-    deviations = [0.0] * systems
-    for group in _layer_groups(drawn):
-        for i, (dev, scale) in zip(group, _layer_group_deviations([drawn[i] for i in group])):
-            deviations[i] = dev / max(scale, 1e-300)
-    detail = [{"n": ssm.lambda_bar.shape[0], "length": u.length, "relative_deviation": dev}
-              for (ssm, u, _), dev in zip(drawn, deviations)]
-    # np.max, unlike max(), lets a NaN row fail the report
-    return OracleReport.from_deviation("layer-equivalence", np.max([0.0, *deviations]),
-                                       1e-10, detail)
+    detail = []
+    for ssm, u, w in drawn:
+        n = ssm.lambda_bar.shape[0]
+        layer = layer_forward(FilterBankConfig(channels=1, block_state=n), w, [ssm], u)
+        ref = _layer_reference(ssm, u, w)
+        # np.max, unlike max(), carries a NaN through
+        dev = np.max(np.abs(layer.values[:, 0] - ref)) / max(np.max(np.abs(ref)), 1e-300)
+        detail.append({"n": n, "length": u.length, "relative_deviation": float(dev)})
+    return OracleReport.from_deviation(
+        "layer-equivalence", np.max([0.0, *(row["relative_deviation"] for row in detail)]),
+        1e-10, detail)
 
 
 def _check_zoh_limit(grid) -> OracleReport:

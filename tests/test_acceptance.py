@@ -14,14 +14,14 @@ import pytest
 
 from conftest import record_criterion
 from fractalssm.cli import main as cli_main
-from fractalssm.measure import FractionalMeasure, check_scale_invariance, mass_oldest, total_mass
+from fractalssm.measure import FractionalMeasure, mass_oldest, total_mass
 from fractalssm.operators import build_A, build_B, legs_closed_form
 from fractalssm.spectral import condition_number, eig_triangular, spectral_init
 from fractalssm.ssm import (FilterBankConfig, LayerWeights, SequenceBatch, layer_forward,
                             zoh_discretize)
 from fractalssm.verify import (CONDITION_TABLE, TABLE_ALPHA0, TABLE_ALPHA05,
                                _check_diagonal_invariance, _check_layer_equivalence,
-                               _random_system, ode_consistency)
+                               _random_system, check_scale_invariance, ode_consistency)
 
 ALPHA_GRID = [round(0.1 * k, 10) for k in range(10)]   # 0.0 .. 0.9
 

@@ -112,6 +112,24 @@ class TestVerifyCommand:
             {"error": "ValueError: window shape cannot be larger than input array shape"}]
         assert code == 1
 
+    def test_json_is_strict(self, monkeypatch, capsys):
+        # condition-growth's infinite deviation and a crashed check's NaN
+        # tolerance are written as null, never as Infinity or NaN
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        def no_constant(token):
+            raise AssertionError(f"non-standard JSON constant {token}")
+
+        monkeypatch.setattr(verify, "_check_zoh_limit", crash)
+        assert run_cli("verify", "--alpha-grid", "0", "--n", "4", "--json") == 1
+        payload = json.loads(capsys.readouterr().out, parse_constant=no_constant)
+        by_name = {r["name"]: r for r in payload["reports"]}
+        assert by_name["condition-growth"]["max_deviation"] is None
+        assert by_name["zoh-limit"]["max_deviation"] is None
+        assert by_name["zoh-limit"]["tolerance"] is None
+        assert by_name["legs-recovery"]["max_deviation"] >= 0.0
+
     def test_text_table_times_each_check(self, capsys):
         assert run_cli("verify", "--alpha-grid", "0", "--n", "4") == 1
         lines = capsys.readouterr().out.splitlines()

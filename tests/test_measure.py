@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractalssm.measure import (FractionalMeasure, check_scale_invariance, density,
-                                mass_oldest, mass_recent, measure_profile, total_mass)
+from fractalssm.measure import (FractionalMeasure, density, mass_oldest, mass_recent,
+                                measure_profile, total_mass)
+from fractalssm.verify import check_scale_invariance
 
 
 class TestDensity:

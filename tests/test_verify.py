@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fractalssm import ssm as ssm_mod
 from fractalssm import verify
 from fractalssm.specfun import JacobiParam, basis_scale, jacobi_eval_all
 from fractalssm.ssm import (DiscreteDiagonalSSM, FilterBankConfig, LayerWeights, SequenceBatch,
@@ -179,49 +180,61 @@ class TestScanEquivalenceGroups:
             assert abs(row["relative_deviation"] - dev) <= 1e-14
         assert report.max_deviation == max(row["relative_deviation"] for row in report.detail)
 
-    def test_groups_share_a_length_and_the_state_cap(self):
-        rng = np.random.default_rng(0)
-        drawn = [(verify._random_system(rng, int(n)), SequenceBatch(np.zeros((length, 1))))
-                 for n, length in zip(rng.integers(1, 65, size=40), [16, 64, 16, 64] * 10)]
-        groups = verify._layer_groups(drawn)
-        assert sorted(i for group in groups for i in group) == list(range(40))
-        for group in groups:
-            assert len({drawn[i][1].length for i in group}) == 1
-            states = sum(drawn[i][0].lambda_bar.size for i in group)
-            assert states <= verify._LAYER_GROUP_STATES or len(group) == 1
-        assert any(len(group) > 1 for group in groups)
+    @staticmethod
+    def late_error(monkeypatch, seed, systems, index, error):
+        # applies error(values) to the layer output of drawn system `index` alone,
+        # known by its poles; the oracle then runs with `seed` and `systems`
+        pairs, _ = TestScanEquivalenceGroups.draws(np.random.default_rng(seed), systems)
+        poles = pairs[index][0].lambda_bar
 
-    def test_perturbed_system_fails_alone(self, monkeypatch):
-        # a layer error past the first time block of one system in a shared
-        # group must show in that system's row and no other
-        target = {}
-        real_groups = verify._layer_groups
-
-        def spy_groups(drawn, *args):
-            groups = real_groups(drawn, *args)
-            shared = next(g for g in groups
-                          if len(g) > 1 and drawn[g[0]][1].length > verify._LAYER_TIME_BLOCK)
-            target["index"] = shared[1]
-            target["ssm"] = drawn[shared[1]][0]
-            return groups
-
-        def perturbed_layer(config, weights, ssms, z_in):
+        def layer(config, weights, ssms, z_in):
             out = layer_forward(config, weights, ssms, z_in)
-            if ssms[0] is target["ssm"]:
-                out.values[verify._LAYER_TIME_BLOCK + 123, 0] += 1e-6 * np.max(np.abs(out.values))
+            if np.array_equal(ssms[0].lambda_bar, poles):
+                error(out.values)
             return out
 
-        monkeypatch.setattr(verify, "_layer_groups", spy_groups)
-        monkeypatch.setattr(verify, "layer_forward", perturbed_layer)
-        report = verify._check_layer_equivalence(np.random.default_rng(2), systems=9)
+        monkeypatch.setattr(verify, "layer_forward", layer)
+        return verify._check_layer_equivalence(np.random.default_rng(seed), systems=systems)
+
+    def test_perturbed_system_fails_alone(self, monkeypatch):
+        # a 65536-step system, perturbed far past its first chunks
+        def perturb(values):
+            values[4096 + 123, 0] += 1e-6 * np.max(np.abs(values))
+
+        report = self.late_error(monkeypatch, 2, 9, 5, perturb)
         flagged = [i for i, row in enumerate(report.detail)
                    if row["relative_deviation"] > 1e-10]
-        assert flagged == [target["index"]]
+        assert flagged == [5]
         assert not report.passed
+
+    def test_truncated_kernel_fails(self, monkeypatch):
+        real_kernel = ssm_mod._output_kernel
+
+        def half_kernel(ssms, c_tilde, length):
+            kernel = real_kernel(ssms, c_tilde, length)
+            return kernel[:-(-len(kernel) // 2)]
+
+        monkeypatch.setattr(ssm_mod, "_output_kernel", half_kernel)
+        report = verify._check_layer_equivalence(np.random.default_rng(0))
+        assert not report.passed
+        assert report.max_deviation > 1e-2
+
+    def test_delayed_output_fails(self, monkeypatch):
+        def delayed_layer(config, weights, ssms, z_in):
+            out = layer_forward(config, weights, ssms, z_in)
+            out.values[1:] = out.values[:-1].copy()
+            out.values[0] = 0.0
+            return out
+
+        monkeypatch.setattr(verify, "layer_forward", delayed_layer)
+        report = verify._check_layer_equivalence(np.random.default_rng(0))
+        assert not report.passed
+        assert report.max_deviation > 1e-2
 
 
 class TestChunkedReference:
-    """The chunked recurrence in _layer_group_deviations against the per-step layer."""
+    """_layer_reference, the chunked recurrence of layer-equivalence, against the
+    per-step layer."""
 
     @staticmethod
     def triple(rng, n, length):
@@ -236,42 +249,26 @@ class TestChunkedReference:
             d=float(rng.standard_normal()))
         return ssm, SequenceBatch(rng.standard_normal((length, 1))), weights
 
-    # 1, 16, 63, 1000 and 4097 end in a partial chunk; 4097 and 65536 span blocks
-    @pytest.mark.parametrize("length", [1, 16, 63, 1000, 4097, 65536])
+    # 1, 16, 63, 65, 1000 and 4097 end in a partial chunk, 64 in a whole one;
+    # 65 is one step past a chunk, and 4097 and 65536 carry across many
+    @pytest.mark.parametrize("length", [1, 16, 63, 64, 65, 1000, 4097, 65536])
     @pytest.mark.parametrize("sizes", [(1,), (64,), (1, 64)])
     def test_rows_match_sequential_layer(self, length, sizes):
         rng = np.random.default_rng(length)
-        group = [self.triple(rng, n, length) for n in sizes]
-        for (ssm, u, w), (dev, scale) in zip(group, verify._layer_group_deviations(group)):
+        for ssm, u, w in [self.triple(rng, n, length) for n in sizes]:
             config = FilterBankConfig(channels=1, block_state=ssm.lambda_bar.size)
-            conv = layer_forward(config, w, [ssm], u).values
-            seq = layer_forward(config, w, [ssm], u, scan=False).values
-            expected = float(np.max(np.abs(conv - seq))) / float(np.max(np.abs(seq)))
-            assert abs(dev / scale - expected) <= 1e-13
+            seq = layer_forward(config, w, [ssm], u, scan=False).values[:, 0]
+            ref = verify._layer_reference(ssm, u, w)
+            assert ref.shape == seq.shape
+            assert np.max(np.abs(ref - seq)) <= 1e-13 * np.max(np.abs(seq))
 
     def test_nan_fails_its_row_alone(self, monkeypatch):
-        target = {}
-        real_groups = verify._layer_groups
+        def poison(values):
+            values[4096 + 7, 0] = np.nan
 
-        def spy_groups(drawn, *args):
-            groups = real_groups(drawn, *args)
-            shared = next(g for g in groups
-                          if len(g) > 1 and drawn[g[0]][1].length > verify._LAYER_TIME_BLOCK)
-            target["index"] = shared[1]
-            target["ssm"] = drawn[shared[1]][0]
-            return groups
-
-        def nan_layer(config, weights, ssms, z_in):
-            out = layer_forward(config, weights, ssms, z_in)
-            if ssms[0] is target["ssm"]:
-                out.values[verify._LAYER_TIME_BLOCK + 7, 0] = np.nan
-            return out
-
-        monkeypatch.setattr(verify, "_layer_groups", spy_groups)
-        monkeypatch.setattr(verify, "layer_forward", nan_layer)
-        report = verify._check_layer_equivalence(np.random.default_rng(3), systems=12)
+        report = TestScanEquivalenceGroups.late_error(monkeypatch, 3, 12, 8, poison)
         flagged = [i for i, row in enumerate(report.detail)
                    if not row["relative_deviation"] <= 1e-10]
-        assert flagged == [target["index"]]
-        assert math.isnan(report.detail[target["index"]]["relative_deviation"])
+        assert flagged == [8]
+        assert math.isnan(report.detail[8]["relative_deviation"])
         assert not report.passed
