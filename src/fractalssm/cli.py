@@ -72,6 +72,8 @@ def _cmd_matrix(args) -> int:
 
 def _cmd_verify(args) -> int:
     grid = _parse_grid(args.alpha_grid)
+    if not grid:   # zero checks would otherwise report success
+        raise ValueError(f"empty alpha grid {args.alpha_grid!r}")
     reports = run_full_suite(grid, args.n, seed=args.seed)
     payload = {
         "alpha_grid": grid,

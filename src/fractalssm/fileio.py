@@ -87,9 +87,13 @@ def _malformed(path, what: str):
 
 
 def _dump(path, doc: dict) -> None:
+    """Write doc as strict JSON; a NaN or infinity raises ValueError and writes no file."""
+    try:
+        text = json.dumps(doc, indent=1, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_operator_file(path, ops: HippoOperators) -> None:
@@ -111,7 +115,7 @@ def read_operator_file(path) -> HippoOperators:
         check_alpha(alpha)
         check_state_dim(n)
         check_quadrature_order(n, order)
-        return HippoOperators(alpha=alpha, n=n, a=_real_in(doc["a"], (n, n)),
+        return HippoOperators(alpha=alpha, a=_real_in(doc["a"], (n, n)),
                               b=_real_in(doc["b"], (n,)), quadrature_order=order)
 
 
@@ -132,7 +136,7 @@ def _init_in(doc: dict) -> SpectralInit:
     n = int(doc["n"])
     width = int(doc["input_width"])
     return SpectralInit(
-        alpha=float(doc["alpha"]), n=n,
+        alpha=float(doc["alpha"]),
         eigenvalues=_complex_in(doc["lambda"], (n,)),
         v=_real_in(doc["v"], (n, n)),
         v_inv=_real_in(doc["v_inv"], (n, n)),

@@ -42,10 +42,13 @@ class HippoOperators:
     """State matrix and input vector of the fractional memory update."""
 
     alpha: float
-    n: int
     a: np.ndarray
     b: np.ndarray
     quadrature_order: int
+
+    @property
+    def n(self) -> int:
+        return self.a.shape[0]
 
 
 def check_alpha(alpha: float) -> None:
@@ -70,8 +73,8 @@ def build_B(alpha: float, n: int) -> np.ndarray:
     """Input projection vector B_n = gamma_n * C(n - alpha, n)."""
     check_alpha(alpha)
     check_state_dim(n)
-    return np.array([basis_scale(alpha, k).gamma_n * generalized_binomial(k - alpha, k)
-                     for k in range(n)])
+    gammas, _ = basis_scale(alpha, n)
+    return gammas * np.array([generalized_binomial(k - alpha, k) for k in range(n)])
 
 
 def _basis_tables(alpha: float, x: np.ndarray, n_max: int):
@@ -107,8 +110,7 @@ def build_A(alpha: float, n: int, order: int | None = None) -> np.ndarray:
 
     rule = gauss_jacobi(JacobiParam(-alpha, 0.0), order)
     p, img = _basis_tables(alpha, rule.nodes_hi, n - 1)
-    gammas = np.array([basis_scale(alpha, k).gamma_n for k in range(n)], dtype=_LD)
-    hs = np.array([basis_scale(alpha, k).h_n for k in range(n)], dtype=_LD)
+    gammas, hs = (scale.astype(_LD) for scale in basis_scale(alpha, n))
 
     a = np.zeros((n, n))
     for row in range(n):
@@ -130,7 +132,7 @@ def build_operators(alpha: float, n: int, order: int | None = None) -> HippoOper
         order = default_order(alpha, n)
     a = build_A(alpha, n, order)
     b = build_B(alpha, n)
-    return HippoOperators(alpha=alpha, n=n, a=a, b=b, quadrature_order=order)
+    return HippoOperators(alpha=alpha, a=a, b=b, quadrature_order=order)
 
 
 def legs_closed_form(n: int) -> np.ndarray:

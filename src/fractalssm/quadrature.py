@@ -40,7 +40,6 @@ class QuadratureRule:
     """Nodes and weights for integrating f against the Jacobi weight."""
 
     param: JacobiParam
-    order: int
     nodes: np.ndarray
     weights: np.ndarray
     nodes_hi: np.ndarray = field(repr=False, default=None)
@@ -144,6 +143,6 @@ def gauss_jacobi(param: JacobiParam, order: int) -> QuadratureRule:
             or np.any(np.abs(nodes) >= 1.0)):
         raise QuadratureError(
             f"invalid rule for (a={param.a}, b={param.b}) at order {order}")
-    return QuadratureRule(param=param, order=order, nodes=nodes, weights=weights,
+    return QuadratureRule(param=param, nodes=nodes, weights=weights,
                           nodes_hi=x, weights_hi=w)
 

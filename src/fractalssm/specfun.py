@@ -9,14 +9,12 @@ alpha in [0, 0.95] (operators.ALPHA_MAX).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "JacobiParam",
-    "BasisScale",
     "generalized_binomial",
     "jacobi_eval_all",
     "basis_scale",
@@ -38,19 +36,6 @@ class JacobiParam:
             raise ValueError(
                 f"Jacobi exponents must satisfy a > -1 and b > -1, got ({self.a}, {self.b})"
             )
-
-
-@dataclass(frozen=True)
-class BasisScale:
-    """Normalization pair for degree n of the fractional basis.
-
-    gamma_n rescales P_n^(-alpha,0) to unit norm under the projection
-    measure; h_n is the plain Jacobi norm of P_n under (1-y)^(-alpha).
-    """
-
-    n: int
-    gamma_n: float
-    h_n: float
 
 
 def generalized_binomial(z: float, n: int) -> float:
@@ -100,16 +85,19 @@ def jacobi_eval_all(p: JacobiParam, n_max: int, y, dtype=np.float64) -> np.ndarr
     return out[:, 0] if scalar else out
 
 
-def basis_scale(alpha: float, n: int) -> BasisScale:
-    """Normalization constants gamma_n and h_n of the fractional basis.
+def basis_scale(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Normalization constants (gamma, h) of the fractional basis, degrees 0..n-1.
 
-    The closed forms are exact on all of [0, 1), so this takes the measure's
-    range; ALPHA_MAX bounds only the quadrature of the operator assembly.
+    gamma_k = sqrt((2k+1-alpha) / (1-alpha)) rescales P_k^(-alpha,0) to unit
+    norm under the projection measure; h_k = 2^(1-alpha) / (2k+1-alpha) is
+    the plain Jacobi norm of P_k under (1-y)^(-alpha).  Both are float64
+    arrays of length n (empty at n = 0).  The closed forms are exact on all
+    of [0, 1), so this takes the measure's range; ALPHA_MAX bounds only the
+    quadrature of the operator assembly.
     """
     if not (0.0 <= alpha < 1.0):
         raise ValueError(f"singularity index must lie in [0, 1), got {alpha}")
     if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    gamma_n = math.sqrt((2 * n + 1 - alpha) / (1 - alpha))
-    h_n = 2.0 ** (1 - alpha) / (2 * n + 1 - alpha)
-    return BasisScale(n=n, gamma_n=gamma_n, h_n=h_n)
+        raise ValueError(f"number of degrees must be >= 0, got {n}")
+    k = np.arange(n)
+    return np.sqrt((2 * k + 1 - alpha) / (1 - alpha)), 2.0 ** (1 - alpha) / (2 * k + 1 - alpha)

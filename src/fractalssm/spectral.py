@@ -25,12 +25,15 @@ class SpectralInit:
     """Diagonalized system data: eigenvalues, eigenbasis, transformed input."""
 
     alpha: float
-    n: int
     eigenvalues: np.ndarray   # complex, Re = -(n+1)
     v: np.ndarray             # real eigenvector matrix, unit-norm columns
     v_inv: np.ndarray
     b_tilde: np.ndarray       # complex, shape (n, input_width)
     cond_v: float
+
+    @property
+    def n(self) -> int:
+        return self.eigenvalues.shape[0]
 
 
 def eig_triangular(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -89,5 +92,5 @@ def spectral_init(alpha: float, n: int, input_width: int = 1,
     phys = v_inv @ b
     b_tilde = np.repeat(phys[:, None], input_width, axis=1).astype(complex)
     b_tilde /= np.sqrt(input_width)
-    return SpectralInit(alpha=alpha, n=n, eigenvalues=eigenvalues, v=v, v_inv=v_inv,
+    return SpectralInit(alpha=alpha, eigenvalues=eigenvalues, v=v, v_inv=v_inv,
                         b_tilde=b_tilde, cond_v=condition_number(v))

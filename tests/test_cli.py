@@ -72,6 +72,14 @@ class TestVerifyCommand:
     def test_out_of_range_grid(self, capsys):
         assert run_cli("verify", "--alpha-grid", "0.99", "--n", "4") == 2
 
+    @pytest.mark.parametrize("grid", [",", "", " , "])
+    def test_empty_grid_is_usage_error(self, grid, capsys):
+        # zero checks would otherwise print "0 checks, 0 failed" and exit 0
+        assert run_cli("verify", "--alpha-grid", grid, "--n", "4", "--json") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "empty alpha grid" in captured.err
+
     @pytest.mark.parametrize("n", ["0", "-3", "257"])
     def test_out_of_range_n_rejected_before_any_check(self, n, monkeypatch, capsys):
         def no_check(*args, **kwargs):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -114,6 +115,26 @@ class TestModelFile:
         fileio.write_model_file(path, config, inits[:1], weights)
         with pytest.raises(fileio.SchemaError):
             fileio.read_model_file(path)
+
+    def test_channel_state_must_match_block_state(self, tmp_path):
+        config, inits, weights = self.build_model()
+        small = spectral_init(inits[1].alpha, 2, config.input_width)
+        path = tmp_path / "model.json"
+        fileio.write_model_file(path, config, [inits[0], small], weights)
+        with pytest.raises(fileio.SchemaError,
+                           match=re.escape(f"{path}: channel shapes do not match")):
+            fileio.read_model_file(path)
+
+    def test_non_finite_value_writes_no_file(self, tmp_path):
+        config, inits, weights = self.build_model()
+        c_tilde = weights.c_tilde.copy()
+        c_tilde[1, 2] = complex(np.nan, 0.0)
+        weights = LayerWeights(c_tilde=c_tilde, w_out=weights.w_out,
+                               w_gate=weights.w_gate, d=weights.d)
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            fileio.write_model_file(path, config, inits, weights)
+        assert not path.exists()
 
     @staticmethod
     def edited(tmp_path, edit, alphas=None):

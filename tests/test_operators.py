@@ -22,8 +22,8 @@ def endpoint_form_entry(alpha: float, n: int, k: int) -> float:
     symbolically for n <= 5), which yields
     A_nk = (1-alpha) gamma_n gamma_k P_k(1) / P_n(1).
     """
-    gn = basis_scale(alpha, n).gamma_n
-    gk = basis_scale(alpha, k).gamma_n
+    gammas, _ = basis_scale(alpha, n + 1)
+    gn, gk = gammas[n], gammas[k]
     pn1 = generalized_binomial(n - alpha, n)
     pk1 = generalized_binomial(k - alpha, k)
     return (1.0 - alpha) * gn * gk * pk1 / pn1
@@ -106,8 +106,7 @@ def matmul_assembly(alpha: float, n: int) -> np.ndarray:
     ld = np.longdouble
     rule = gauss_jacobi(JacobiParam(-alpha, 0.0), default_order(alpha, n))
     p, img = _basis_tables(alpha, rule.nodes_hi, n - 1)
-    gammas = np.array([basis_scale(alpha, k).gamma_n for k in range(n)], dtype=ld)
-    hs = np.array([basis_scale(alpha, k).h_n for k in range(n)], dtype=ld)
+    gammas, hs = (scale.astype(ld) for scale in basis_scale(alpha, n))
     a = np.diag(np.arange(1.0, n + 1))
     for row in range(1, n):
         ips = p[:row] @ (rule.weights_hi * img[row])

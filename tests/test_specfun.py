@@ -94,23 +94,34 @@ class TestJacobiEndpoint:
 
 class TestBasisScale:
     def test_uniform_degree_zero(self):
-        s = basis_scale(0.0, 0)
-        assert s.gamma_n == pytest.approx(1.0)
-        assert s.h_n == pytest.approx(2.0)
+        gammas, hs = basis_scale(0.0, 1)
+        assert gammas[0] == pytest.approx(1.0)
+        assert hs[0] == pytest.approx(2.0)
 
     def test_uniform_degree_one(self):
-        assert basis_scale(0.0, 1).gamma_n == pytest.approx(math.sqrt(3.0))
+        assert basis_scale(0.0, 2)[0][1] == pytest.approx(math.sqrt(3.0))
 
     def test_half_degree_one(self):
-        assert basis_scale(0.5, 1).gamma_n == pytest.approx(math.sqrt(5.0), rel=1e-12)
+        assert basis_scale(0.5, 2)[0][1] == pytest.approx(math.sqrt(5.0), rel=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(alpha=st.floats(min_value=0.0, max_value=0.95, exclude_max=False),
            n=st.integers(0, 64))
     def test_normalization_identity(self, alpha, n):
-        s = basis_scale(alpha, n)
-        product = s.gamma_n ** 2 * (1 - alpha) * 2.0 ** (alpha - 1) * s.h_n
+        gammas, hs = basis_scale(alpha, n + 1)
+        product = gammas[n] ** 2 * (1 - alpha) * 2.0 ** (alpha - 1) * hs[n]
         assert product == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 0.81, 0.95, 0.99])
+    def test_closed_forms_bit_for_bit(self, alpha):
+        gammas, hs = basis_scale(alpha, 300)
+        assert gammas.tolist() == [math.sqrt((2 * k + 1 - alpha) / (1 - alpha))
+                                   for k in range(300)]
+        assert hs.tolist() == [2.0 ** (1 - alpha) / (2 * k + 1 - alpha) for k in range(300)]
+
+    def test_zero_degrees_are_empty(self):
+        gammas, hs = basis_scale(0.5, 0)
+        assert gammas.shape == hs.shape == (0,)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):

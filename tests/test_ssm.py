@@ -16,7 +16,7 @@ from fractalssm.ssm import (DiscreteDiagonalSSM, FilterBankConfig, LayerWeights,
 
 
 def toy_init(lam: complex) -> SpectralInit:
-    return SpectralInit(alpha=0.0, n=1, eigenvalues=np.array([lam]),
+    return SpectralInit(alpha=0.0, eigenvalues=np.array([lam]),
                         v=np.eye(1), v_inv=np.eye(1),
                         b_tilde=np.array([[1.0 + 0.0j]]), cond_v=1.0)
 
@@ -377,6 +377,17 @@ class TestConvolutionPath:
     def taps(ssms, length):
         c_tilde = np.ones((1, sum(s.lambda_bar.shape[0] for s in ssms)))
         return _output_kernel(ssms, c_tilde, length).shape[0]
+
+    def test_all_zero_poles_keep_one_tap(self):
+        rng = np.random.default_rng(23)
+        ssms = [DiscreteDiagonalSSM(
+            lambda_bar=np.zeros(3, dtype=complex),
+            b_bar=rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1)), delta=1.0)
+            for _ in range(2)]
+        assert self.taps(ssms, 500) == 1
+        config, weights = self.layer(ssms, d=0.5)
+        self.assert_paths_agree(config, weights, ssms,
+                                SequenceBatch(rng.standard_normal((500, 1))))
 
     def test_truncated_multi_width(self):
         ssms = self.bank(0.05, width=2)

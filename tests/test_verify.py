@@ -1,6 +1,10 @@
 """Oracle-module tests: projection coefficients, ODE check, suite wiring."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,11 +28,11 @@ class TestProjectionCoefficients:
 
     def test_basis_function_projects_to_unit_vector(self):
         alpha, t = 0.4, 1.7
-        scale = basis_scale(alpha, 1)
+        gammas, _ = basis_scale(alpha, 2)
 
         def u(tau):
             vals = jacobi_eval_all(JacobiParam(-alpha, 0.0), 1, 2 * tau / t - 1)
-            return scale.gamma_n * vals[1]
+            return gammas[1] * vals[1]
 
         x = projection_coefficients(u, alpha, 5, t, order=32)
         expected = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
@@ -77,6 +81,40 @@ class TestOdeConsistency:
         assert report.passed == (report.max_deviation <= report.tolerance)
 
 
+class TestOracleReport:
+    @pytest.mark.parametrize("deviation,tolerance,passed", [
+        (1.0, 0.0, False), (0.0, 0.0, True), (np.float64(1e-12), 1e-10, True),
+        (math.nan, 1e-10, False), (math.inf, math.nan, False)])
+    def test_verdict_follows_deviation_and_tolerance(self, deviation, tolerance, passed):
+        # `is`: a Python bool, which json serializes and np.bool_ is not
+        assert OracleReport("check", deviation, tolerance).passed is passed
+
+    def test_verdict_cannot_be_stored(self):
+        with pytest.raises(TypeError):
+            OracleReport("check", 1.0, 0.0, passed=True)
+
+
+class TestMonotonicityCheck:
+    def test_falling_entry_fails_and_is_named(self, monkeypatch):
+        build_A = verify.build_A
+
+        def falling(alpha, n, order=None):
+            a = build_A(alpha, n, order)
+            a[3, 1] = 10.0 - alpha
+            return a
+
+        monkeypatch.setattr(verify, "build_A", falling)
+        report = verify._check_monotonicity([0.0, 0.5, 0.9], 8)
+        assert not report.passed
+        assert report.max_deviation == 2.0
+        rows = [row for row in report.detail if "entry" in row]
+        assert rows == [{"entry": (3, 1), "trace": [10.0, 9.5, 10.0 - 0.9]}]
+        # row 3's relative growth now falls at column 1 and rises at column 2
+        assert [row["gap_violation_row"] for row in report.detail
+                if "gap_violation_row" in row] == [3]
+        assert report.detail[-1] == {"strictly_increasing": False, "gap_amplification": False}
+
+
 @pytest.fixture(scope="module")
 def uniform_suite():
     return run_full_suite([0.0], 8, seed=1)
@@ -114,6 +152,20 @@ class TestRunFullSuite:
         assert all(report.seconds > 0.0 for report in uniform_suite)
         # only the suite times a check
         assert ode_consistency(0.0, 4, np.sin, t=3.0).seconds == 0.0
+
+    def test_scipy_import_is_charged_to_no_check(self):
+        # in a fresh interpreter the first Gauss-Jacobi rule imports scipy,
+        # which takes far longer than measure-normalization's own arithmetic
+        src = str(Path(verify.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        code = ("from fractalssm.verify import run_full_suite\n"
+                "reports = run_full_suite([0.0], 2)\n"
+                "print(next(r.seconds for r in reports if r.name == 'measure-normalization'))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 0.05
 
     def test_raising_check_is_a_failed_report(self, uniform_suite, monkeypatch):
         def broken_layer(*args, **kwargs):
