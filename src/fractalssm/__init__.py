@@ -11,7 +11,7 @@ decayed below double-precision eps.
 from .measure import (FractionalMeasure, density, mass_oldest, mass_recent, measure_profile,
                       total_mass)
 from .operators import HippoOperators, build_A, build_B, build_operators, legs_closed_form
-from .quadrature import QuadratureRule, default_order, gauss_jacobi, weight_mass
+from .quadrature import QuadratureRule, gauss_jacobi, weight_mass
 from .specfun import JacobiParam, basis_scale, generalized_binomial, jacobi_eval_all
 from .spectral import SpectralInit, condition_number, eig_triangular, spectral_init
 from .ssm import (DiscreteDiagonalSSM, FilterBankConfig, LayerWeights, SequenceBatch,
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "JacobiParam", "basis_scale", "generalized_binomial", "jacobi_eval_all",
-    "QuadratureRule", "default_order", "gauss_jacobi", "weight_mass",
+    "QuadratureRule", "gauss_jacobi", "weight_mass",
     "FractionalMeasure", "density", "mass_oldest", "mass_recent", "measure_profile",
     "total_mass",
     "HippoOperators", "build_A", "build_B", "build_operators", "legs_closed_form",

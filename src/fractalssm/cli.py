@@ -57,23 +57,23 @@ def _parse_grid(raw: str) -> list[float]:
         grid = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise ValueError(f"malformed alpha grid {raw!r}") from exc
+    if not grid:   # zero checks would report success, zero columns a bare table
+        raise ValueError(f"empty alpha grid {raw!r}")
     for alpha in grid:
         check_alpha(alpha)
     return grid
 
 
 def _cmd_matrix(args) -> int:
-    ops = build_operators(args.alpha, args.n, args.quad_order)
+    ops = build_operators(args.alpha, args.n)
     fileio.ensure_parent(args.out)
     fileio.write_operator_file(args.out, ops)
-    print(f"wrote {args.out} (alpha={ops.alpha:g}, n={ops.n}, order={ops.quadrature_order})")
+    print(f"wrote {args.out} (alpha={ops.alpha:g}, n={ops.n})")
     return 0
 
 
 def _cmd_verify(args) -> int:
     grid = _parse_grid(args.alpha_grid)
-    if not grid:   # zero checks would otherwise report success
-        raise ValueError(f"empty alpha grid {args.alpha_grid!r}")
     reports = run_full_suite(grid, args.n, seed=args.seed)
     payload = {
         "alpha_grid": grid,
@@ -97,7 +97,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    ops = build_operators(args.alpha, args.n, args.quad_order)
+    ops = build_operators(args.alpha, args.n)
     eigenvalues, v, _ = eig_triangular(ops.a)
     kappa_v = condition_number(v)
     kappa_a = condition_number(ops.a)
@@ -137,7 +137,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_discretize(args) -> int:
     check_step(args.delta)
-    init = spectral_init(args.alpha, args.n, args.input_width, args.quad_order)
+    init = spectral_init(args.alpha, args.n, args.input_width)
     ssm = zoh_discretize(init, args.delta)
     fileio.ensure_parent(args.out)
     fileio.write_dssm_file(args.out, ssm)
@@ -170,10 +170,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def seed(p):
         p.add_argument("--seed", type=int, default=0, help="seed for randomized signals")
 
-    def quad_order(p):
-        p.add_argument("--quad-order", type=int, default=None,
-                       help="override the default quadrature order")
-
     def json_flag(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -181,7 +177,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
-    quad_order(p)
     p.set_defaults(func=_cmd_matrix)
 
     p = sub.add_parser("verify", help="run the analytic verification suite")
@@ -194,7 +189,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="eigenvalues and conditioning of A(alpha)")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
-    quad_order(p)
     json_flag(p)
     p.set_defaults(func=_cmd_spectrum)
 
@@ -218,7 +212,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input-width", type=int, default=1)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--out", required=True)
-    quad_order(p)
     p.set_defaults(func=_cmd_discretize)
 
     p = sub.add_parser("oracle", help="finite-difference check of the update law")

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .operators import HippoOperators, check_alpha, check_quadrature_order, check_state_dim
+from .operators import HippoOperators, check_alpha, check_state_dim
 from .spectral import SpectralInit
 from .ssm import (DiscreteDiagonalSSM, FilterBankConfig, LayerWeights, SequenceBatch,
                   check_step)
@@ -103,20 +103,18 @@ def write_operator_file(path, ops: HippoOperators) -> None:
         "n": ops.n,
         "a": [float(v) for v in ops.a.ravel()],
         "b": [float(v) for v in ops.b],
-        "quadrature_order": ops.quadrature_order,
     })
 
 
 def read_operator_file(path) -> HippoOperators:
+    # older files also carry "quadrature_order"; it describes no part of (A, B)
     doc = _load(path, OPERATOR_SCHEMA)
     with _malformed(path, "operator file"):
         alpha, n = float(doc["alpha"]), int(doc["n"])
-        order = int(doc["quadrature_order"])
         check_alpha(alpha)
         check_state_dim(n)
-        check_quadrature_order(n, order)
         return HippoOperators(alpha=alpha, a=_real_in(doc["a"], (n, n)),
-                              b=_real_in(doc["b"], (n,)), quadrature_order=order)
+                              b=_real_in(doc["b"], (n,)))
 
 
 def _init_out(init: SpectralInit) -> dict:

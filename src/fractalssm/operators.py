@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import default_order, gauss_jacobi
+from .quadrature import gauss_jacobi
 from .specfun import JacobiParam, basis_scale, generalized_binomial, jacobi_eval_all
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "N_MAX",
     "check_alpha",
     "check_state_dim",
-    "check_quadrature_order",
     "build_B",
     "build_A",
     "build_operators",
@@ -44,7 +43,6 @@ class HippoOperators:
     alpha: float
     a: np.ndarray
     b: np.ndarray
-    quadrature_order: int
 
     @property
     def n(self) -> int:
@@ -61,12 +59,6 @@ def check_state_dim(n: int) -> None:
     """Raise ValueError unless the state dimension n lies in [1, N_MAX]."""
     if not (1 <= n <= N_MAX):
         raise ValueError(f"state dimension must lie in [1, {N_MAX}], got {n}")
-
-
-def check_quadrature_order(n: int, order: int) -> None:
-    """Raise ValueError unless the quadrature order is at least 2n, enough for A(alpha)."""
-    if order < 2 * n:
-        raise ValueError(f"quadrature order must be >= 2n = {2 * n}, got {order}")
 
 
 def build_B(alpha: float, n: int) -> np.ndarray:
@@ -94,21 +86,20 @@ def _basis_tables(alpha: float, x: np.ndarray, n_max: int):
     return p, img
 
 
-def build_A(alpha: float, n: int, order: int | None = None) -> np.ndarray:
+def build_A(alpha: float, n: int) -> np.ndarray:
     """State matrix A(alpha) of dimension n, via Gauss-Jacobi quadrature.
 
     Entries below the diagonal are Galerkin projections
     (gamma_n / gamma_k) <L[P_n], P_k>_w / h_k; diagonal entries are
     assigned their exact value n+1; entries above the diagonal are
-    structurally zero and never computed.
+    structurally zero and never computed.  The rule has 2n nodes, 4n
+    above alpha = 0.8; either integrates the degree <= 2n-3 integrands
+    exactly.
     """
     check_alpha(alpha)
     check_state_dim(n)
-    if order is None:
-        order = default_order(alpha, n)
-    check_quadrature_order(n, order)
 
-    rule = gauss_jacobi(JacobiParam(-alpha, 0.0), order)
+    rule = gauss_jacobi(JacobiParam(-alpha, 0.0), 4 * n if alpha > 0.8 else 2 * n)
     p, img = _basis_tables(alpha, rule.nodes_hi, n - 1)
     gammas, hs = (scale.astype(_LD) for scale in basis_scale(alpha, n))
 
@@ -126,13 +117,9 @@ def build_A(alpha: float, n: int, order: int | None = None) -> np.ndarray:
     return a
 
 
-def build_operators(alpha: float, n: int, order: int | None = None) -> HippoOperators:
-    """Construct the (A, B) pair with a shared quadrature order."""
-    if order is None:
-        order = default_order(alpha, n)
-    a = build_A(alpha, n, order)
-    b = build_B(alpha, n)
-    return HippoOperators(alpha=alpha, a=a, b=b, quadrature_order=order)
+def build_operators(alpha: float, n: int) -> HippoOperators:
+    """Construct the (A, B) pair."""
+    return HippoOperators(alpha=alpha, a=build_A(alpha, n), b=build_B(alpha, n))
 
 
 def legs_closed_form(n: int) -> np.ndarray:

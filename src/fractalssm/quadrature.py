@@ -24,8 +24,7 @@ import numpy as np
 
 from .specfun import JacobiParam
 
-__all__ = ["QuadratureRule", "QuadratureError", "gauss_jacobi", "weight_mass",
-           "default_order"]
+__all__ = ["QuadratureRule", "QuadratureError", "gauss_jacobi", "weight_mass"]
 
 _LD = np.longdouble
 _NEWTON_SWEEPS = 3
@@ -51,11 +50,6 @@ def weight_mass(param: JacobiParam) -> float:
     a, b = param.a, param.b
     return math.exp((a + b + 1) * math.log(2.0) + math.lgamma(a + 1.0)
                     + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
-
-
-def default_order(alpha: float, n: int) -> int:
-    """Quadrature order for operator assembly: 4N above alpha = 0.8, else 2N."""
-    return 4 * n if alpha > 0.8 else 2 * n
 
 
 def _recurrence_coeffs(param: JacobiParam, m: int):

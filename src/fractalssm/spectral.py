@@ -75,8 +75,7 @@ def condition_number(v: np.ndarray) -> float:
     return float(s[0] / s[-1])
 
 
-def spectral_init(alpha: float, n: int, input_width: int = 1,
-                  order: int | None = None) -> SpectralInit:
+def spectral_init(alpha: float, n: int, input_width: int = 1) -> SpectralInit:
     """Build the diagonal initialization for one channel.
 
     The imaginary parts are the linear ramp pi * n.  For input_width
@@ -85,7 +84,7 @@ def spectral_init(alpha: float, n: int, input_width: int = 1,
     """
     if input_width < 1:
         raise ValueError(f"input width must be >= 1, got {input_width}")
-    a = build_A(alpha, n, order)
+    a = build_A(alpha, n)
     b = build_B(alpha, n)
     diag, v, v_inv = eig_triangular(a)
     eigenvalues = -diag + 1j * (np.pi * np.arange(n))

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import measure as measure_mod
-from .operators import (build_A, build_B, check_alpha, check_quadrature_order, check_state_dim,
-                        legs_closed_form)
-from .quadrature import default_order, gauss_jacobi
+from .operators import build_A, build_B, check_alpha, check_state_dim, legs_closed_form
+from .quadrature import gauss_jacobi
 from .specfun import JacobiParam, basis_scale, jacobi_eval_all
 from .spectral import condition_number, eig_triangular, spectral_init
 from .ssm import (DiscreteDiagonalSSM, FilterBankConfig, LayerWeights, SequenceBatch,
@@ -84,7 +83,8 @@ def projection_coefficients(u, alpha: float, n: int, t: float, order: int) -> np
     (1-xi)^(-alpha) d xi by Gauss-Jacobi quadrature in the dimensionless
     variable; u must be callable on [0, t].
     """
-    check_quadrature_order(n, order)
+    if order < 2 * n:
+        raise ValueError(f"quadrature order must be >= 2n = {2 * n}, got {order}")
     rule = gauss_jacobi(JacobiParam(-alpha, 0.0), order)
     xi = (1.0 + rule.nodes) / 2.0
     signal = np.asarray(u(t * xi), dtype=float)
@@ -126,9 +126,10 @@ def ode_consistency(alpha: float, n: int, u, t: float, h: float | None = None) -
         h = 1e-4 * t
     if not t > 2 * h > 0:
         raise ValueError("requires t > 2h > 0")
-    order = max(default_order(alpha, n), 64)
-    a = build_A(alpha, n, order)
+    # A is the matrix the models use; the projections take their own, finer rule
+    a = build_A(alpha, n)
     b = build_B(alpha, n)
+    order = max(4 * n, 64)
     u_now = float(np.asarray(u(np.array([t]))).reshape(()))
     x_now = projection_coefficients(u, alpha, n, t, order)
     rhs = (-(a @ x_now) + b * u_now) / t
@@ -197,8 +198,8 @@ def _check_diagonal_invariance(grid, n: int) -> OracleReport:
     detail = []
     worst = 0.0
     for alpha in grid:
-        order = default_order(alpha, n)
-        rule = gauss_jacobi(JacobiParam(-alpha, 0.0), order)
+        # 2n nodes integrate the degree <= 2n-2 integrands exactly
+        rule = gauss_jacobi(JacobiParam(-alpha, 0.0), 2 * n)
         x, w = rule.nodes_hi, rule.weights_hi
         p = jacobi_eval_all(JacobiParam(-alpha, 0.0), n - 1, x, dtype=_LD)
         shifted = (jacobi_eval_all(JacobiParam(1.0 - alpha, 1.0), n - 2, x, dtype=_LD)

@@ -34,16 +34,6 @@ class TestMatrixCommand:
         err = capsys.readouterr().err
         assert "[0, 0.95]" in err
 
-    def test_quad_order_written(self, tmp_path):
-        out = tmp_path / "op.json"
-        assert run_cli("matrix", "--alpha", "0.3", "--n", "5", "--quad-order", "64",
-                       "--out", str(out)) == 0
-        assert json.loads(out.read_text())["quadrature_order"] == 64
-
-    def test_quad_order_below_minimum(self, tmp_path, capsys):
-        assert run_cli("matrix", "--alpha", "0.3", "--n", "5", "--quad-order", "0",
-                       "--out", str(tmp_path / "op.json")) == 2
-
     def test_byte_determinism(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run_cli("matrix", "--alpha", "0.3", "--n", "6", "--out", str(a))
@@ -57,6 +47,11 @@ class TestOptionScope:
         ["verify", "--alpha-grid", "0", "--quad-order", "3"],
         ["run", "--model", "m.json", "--input", "in.csv", "--out", "o.csv", "--seed", "5"],
         ["matrix", "--alpha", "0", "--n", "5", "--out", "op.json", "--order", "8"],
+        # the assembly's quadrature order is fixed inside build_A
+        ["matrix", "--alpha", "0", "--n", "5", "--out", "op.json", "--quad-order", "64"],
+        ["spectrum", "--alpha", "0", "--n", "5", "--quad-order", "64"],
+        ["discretize", "--alpha", "0", "--n", "5", "--delta", "0.1", "--out", "d.json",
+         "--quad-order", "64"],
     ])
     def test_unread_option_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -182,6 +177,17 @@ class TestMeasureCommand:
     def test_bad_arguments(self, capsys):
         assert run_cli("measure", "--alphas", "0.5", "--samples", "1",
                        "--out", "/tmp/x.csv") == 2
+
+    @pytest.mark.parametrize("grid", [",", "", " , "])
+    def test_empty_grid_is_usage_error(self, grid, tmp_path, capsys):
+        # a table of only the reference columns would otherwise be written
+        out = tmp_path / "measure.csv"
+        assert run_cli("measure", "--alphas", grid, "--samples", "4",
+                       "--out", str(out)) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "empty alpha grid" in captured.err
 
     @pytest.mark.parametrize("t", ["nan", "inf"])
     def test_non_finite_time(self, t, tmp_path, capsys):

@@ -24,7 +24,7 @@ class TestOperatorFile:
         back = fileio.read_operator_file(path)
         assert back.alpha == ops.alpha
         assert back.n == ops.n
-        assert back.quadrature_order == ops.quadrature_order
+        assert "quadrature_order" not in json.loads(path.read_text())
         assert np.array_equal(back.a, ops.a)
         assert np.array_equal(back.b, ops.b)
 
@@ -53,11 +53,9 @@ class TestOperatorFile:
         ("alpha", float("nan"), "singularity index"),
         ("n", 0, "state dimension"),
         ("n", "three", "invalid literal"),
-        ("quadrature_order", -5, "quadrature order"),
-        ("quadrature_order", 9, "quadrature order"),
     ])
     def test_out_of_range_field_rejected(self, tmp_path, field, value, message):
-        # the bounds build_A enforces: alpha in [0, 0.95], n in [1, 256], order >= 2n
+        # the bounds build_A enforces: alpha in [0, 0.95], n in [1, 256]
         path = tmp_path / "op.json"
         fileio.write_operator_file(path, build_operators(0.5, 5))
         doc = json.loads(path.read_text())
@@ -65,6 +63,19 @@ class TestOperatorFile:
         path.write_text(json.dumps(doc))
         with pytest.raises(fileio.SchemaError, match=message):
             fileio.read_operator_file(path)
+
+
+    def test_legacy_quadrature_order_ignored(self, tmp_path):
+        # older fractal-op/1 files carry the assembly's quadrature order
+        ops = build_operators(0.5, 5)
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps({
+            "schema_version": "fractal-op/1", "alpha": 0.5, "n": 5,
+            "a": [float(v) for v in ops.a.ravel()], "b": [float(v) for v in ops.b],
+            "quadrature_order": 9}))
+        back = fileio.read_operator_file(path)
+        assert np.array_equal(back.a, ops.a)
+        assert np.array_equal(back.b, ops.b)
 
 
 class TestModelFile:

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from fractalssm.cli import main as cli_main
+from fractalssm import operators
 from fractalssm.operators import (ALPHA_MAX, _basis_tables, build_A, build_B, build_operators,
                                   legs_closed_form)
-from fractalssm.quadrature import default_order, gauss_jacobi
+from fractalssm.quadrature import gauss_jacobi
 from fractalssm.specfun import JacobiParam, basis_scale, generalized_binomial
 from fractalssm.ssm import FilterBankConfig
 from fractalssm.verify import TABLE_ALPHA0, TABLE_ALPHA05, run_full_suite
@@ -76,11 +77,28 @@ class TestBuildA:
                     assert a[n, k] == pytest.approx(
                         endpoint_form_entry(alpha, n, k), rel=1e-11, abs=1e-12)
 
-    def test_order_robustness(self):
-        for alpha in (0.5, 0.8):
-            a1 = build_A(alpha, 64, order=128)
-            a2 = build_A(alpha, 64, order=256)
-            assert np.max(np.abs(a1 - a2)) < 1e-10
+    def test_builtin_order_matches_endpoint_form(self):
+        # the built-in quadrature order suffices on both sides of its 2N / 4N switch
+        for n in (64, 128):
+            for alpha in (0.5, 0.8, 0.81, 0.95):
+                a = build_A(alpha, n)
+                for row in range(1, n):
+                    for col in range(row):
+                        expected = endpoint_form_entry(alpha, row, col)
+                        assert a[row, col] == pytest.approx(expected, rel=1e-11, abs=1e-12), \
+                            (alpha, n, row, col)
+
+    def test_order_policy(self, monkeypatch):
+        asked = []
+
+        def spy(param, order):
+            asked.append(order)
+            return gauss_jacobi(param, order)
+
+        monkeypatch.setattr(operators, "gauss_jacobi", spy)
+        for alpha in (0.5, 0.8, 0.85):
+            build_A(alpha, 16)
+        assert asked == [32, 32, 64]
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -89,8 +107,6 @@ class TestBuildA:
             build_A(-0.05, 8)
         with pytest.raises(ValueError):
             build_A(0.5, 300)
-        with pytest.raises(ValueError):
-            build_A(0.5, 8, order=8)
 
     def test_build_operators_bundle(self):
         ops = build_operators(0.5, 6)
@@ -98,13 +114,12 @@ class TestBuildA:
         assert ops.n == 6
         assert ops.a.shape == (6, 6)
         assert ops.b.shape == (6,)
-        assert ops.quadrature_order == 12
 
 
 def matmul_assembly(alpha: float, n: int) -> np.ndarray:
     """A(alpha) as first assembled: one long-double `@` product per row."""
     ld = np.longdouble
-    rule = gauss_jacobi(JacobiParam(-alpha, 0.0), default_order(alpha, n))
+    rule = gauss_jacobi(JacobiParam(-alpha, 0.0), 4 * n if alpha > 0.8 else 2 * n)
     p, img = _basis_tables(alpha, rule.nodes_hi, n - 1)
     gammas, hs = (scale.astype(ld) for scale in basis_scale(alpha, n))
     a = np.diag(np.arange(1.0, n + 1))

@@ -11,8 +11,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from fractalssm import quadrature
 from fractalssm.quadrature import (QuadratureRule, _christoffel_weights, _newton_step,
-                                   _recurrence_coeffs, default_order, gauss_jacobi,
-                                   weight_mass)
+                                   _recurrence_coeffs, gauss_jacobi, weight_mass)
 from fractalssm.specfun import JacobiParam
 
 
@@ -76,10 +75,6 @@ class TestRuleConstruction:
             quad = float(np.dot(rule.weights, vals))
             exact = float(np.dot(coeffs, moments))
             assert quad == pytest.approx(exact, rel=1e-11, abs=1e-13)
-
-    def test_default_order_policy(self):
-        assert default_order(0.5, 16) == 32
-        assert default_order(0.85, 16) == 64
 
 
 @pytest.mark.parametrize("order", [1, 2, 16])

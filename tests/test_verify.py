@@ -98,8 +98,8 @@ class TestMonotonicityCheck:
     def test_falling_entry_fails_and_is_named(self, monkeypatch):
         build_A = verify.build_A
 
-        def falling(alpha, n, order=None):
-            a = build_A(alpha, n, order)
+        def falling(alpha, n):
+            a = build_A(alpha, n)
             a[3, 1] = 10.0 - alpha
             return a
 
