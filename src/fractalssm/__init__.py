@@ -12,7 +12,7 @@ from .measure import (FractionalMeasure, density, mass_oldest, mass_recent, meas
                       total_mass)
 from .operators import HippoOperators, build_A, build_B, build_operators, legs_closed_form
 from .quadrature import QuadratureRule, gauss_jacobi, weight_mass
-from .specfun import JacobiParam, basis_scale, generalized_binomial, jacobi_eval_all
+from .specfun import JacobiParam, basis_scale, jacobi_eval_all
 from .spectral import SpectralInit, condition_number, eig_triangular, spectral_init
 from .ssm import (DiscreteDiagonalSSM, FilterBankConfig, LayerWeights, SequenceBatch,
                   build_filter_bank, layer_forward, recur_sequential, silu,
@@ -23,7 +23,7 @@ from .verify import (OracleReport, check_scale_invariance, ode_consistency,
 __version__ = "0.1.0"
 
 __all__ = [
-    "JacobiParam", "basis_scale", "generalized_binomial", "jacobi_eval_all",
+    "JacobiParam", "basis_scale", "jacobi_eval_all",
     "QuadratureRule", "gauss_jacobi", "weight_mass",
     "FractionalMeasure", "density", "mass_oldest", "mass_recent", "measure_profile",
     "total_mass",

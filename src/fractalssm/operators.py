@@ -1,11 +1,19 @@
 """Construction of the fractional memory operator pair (A(alpha), B(alpha)).
 
-A(alpha) is lower triangular with diagonal n+1 for every admissible alpha;
-the off-diagonal entries come from projecting the shift-derivative operator
-L[P_n] = P_n + (1+eta) P_n' onto the Jacobi basis under the singular weight
-(1-eta)^(-alpha).  The singular component of the full operator cancels
-against the integration-by-parts boundary term, so only this regular part
-contributes to the matrix; the boundary term itself yields B(alpha).
+The pair is defined by projection: the shift-derivative operator
+L[P_n] = P_n + (1+eta) P_n' is projected onto the Jacobi basis P_k^(-alpha,0)
+under the singular weight (1-eta)^(-alpha).  The singular component of the
+full operator cancels against the integration-by-parts boundary term, so
+only this regular part contributes to the matrix; the boundary term itself
+yields B(alpha).  L[P_n] has coefficient n+1 on P_n and
+(2k+1-alpha) P_k(1) / P_n(1) on each P_k with k < n (see the README), so
+
+    A(alpha) = diag(1, .., N) + (1-alpha) tril(u B^T, -1),
+    u_k = gamma_k / P_k(1),   B_k = gamma_k P_k(1),
+
+with P_k(1) = prod_{m<=k} (m - alpha) / m.  Both are evaluated in long
+double and rounded once to float64; the quadrature that computes the
+projection itself lives in `verify`, as the independent oracle of this form.
 """
 
 from __future__ import annotations
@@ -13,9 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .quadrature import gauss_jacobi
-from .specfun import JacobiParam, basis_scale, generalized_binomial, jacobi_eval_all
 
 __all__ = [
     "HippoOperators",
@@ -31,7 +36,7 @@ __all__ = [
 
 _LD = np.longdouble
 
-# verified stability range of the quadrature construction
+# admissible range of the pair, the filter bank, verify and the CLI
 ALPHA_MAX = 0.95
 N_MAX = 256
 
@@ -61,57 +66,38 @@ def check_state_dim(n: int) -> None:
         raise ValueError(f"state dimension must lie in [1, {N_MAX}], got {n}")
 
 
+def _closed_form(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """gamma_k and P_k(1) = prod_{m<=k} (m - alpha) / m, k < n, in long double."""
+    ld_alpha = _LD(alpha)
+    m = np.arange(1, n, dtype=_LD)
+    endpoints = np.concatenate(([_LD(1)], np.cumprod((m - ld_alpha) / m)))
+    gammas = np.sqrt((2 * np.arange(n, dtype=_LD) + 1 - ld_alpha) / (1 - ld_alpha))
+    return gammas, endpoints
+
+
 def build_B(alpha: float, n: int) -> np.ndarray:
-    """Input projection vector B_n = gamma_n * C(n - alpha, n)."""
+    """Input projection vector B_k = gamma_k P_k(1), rounded once to float64."""
     check_alpha(alpha)
     check_state_dim(n)
-    gammas, _ = basis_scale(alpha, n)
-    return gammas * np.array([generalized_binomial(k - alpha, k) for k in range(n)])
-
-
-def _basis_tables(alpha: float, x: np.ndarray, n_max: int):
-    """P_0..P_{n_max} and the operator image P + (1+eta) P' at the nodes x.
-
-    Evaluated in extended precision on the refined nodes; the derivative
-    uses the parameter-shift identity.
-    """
-    p = jacobi_eval_all(JacobiParam(-alpha, 0.0), n_max, x, dtype=_LD)
-    img = p.copy()
-    if n_max >= 1:
-        shifted = jacobi_eval_all(JacobiParam(1.0 - alpha, 1.0), n_max - 1, x, dtype=_LD)
-        one_plus = 1 + x
-        for n in range(1, n_max + 1):
-            dp = (_LD(n) + 1 - _LD(alpha)) / 2 * shifted[n - 1]
-            img[n] = p[n] + one_plus * dp
-    return p, img
+    gammas, endpoints = _closed_form(alpha, n)
+    return (gammas * endpoints).astype(float)
 
 
 def build_A(alpha: float, n: int) -> np.ndarray:
-    """State matrix A(alpha) of dimension n, via Gauss-Jacobi quadrature.
+    """State matrix A(alpha) of dimension n, from its closed form.
 
-    Entries below the diagonal are Galerkin projections
-    (gamma_n / gamma_k) <L[P_n], P_k>_w / h_k; diagonal entries are
-    assigned their exact value n+1; entries above the diagonal are
-    structurally zero and never computed.  The rule has 2n nodes, 4n
-    above alpha = 0.8; either integrates the degree <= 2n-3 integrands
-    exactly.
+    A = diag(1..n) + (1-alpha) tril(u B^T, -1) with u_k = gamma_k / P_k(1):
+    entries below the diagonal are (1-alpha) gamma_n gamma_k P_k(1) / P_n(1),
+    evaluated in long double and rounded once; diagonal entries are
+    assigned their exact value n+1; entries above the diagonal are zero.
+    No entry depends on n, so A(alpha, m) is the leading block of A(alpha, n).
     """
     check_alpha(alpha)
     check_state_dim(n)
-
-    rule = gauss_jacobi(JacobiParam(-alpha, 0.0), 4 * n if alpha > 0.8 else 2 * n)
-    p, img = _basis_tables(alpha, rule.nodes_hi, n - 1)
-    gammas, hs = (scale.astype(_LD) for scale in basis_scale(alpha, n))
-
-    a = np.zeros((n, n))
-    for row in range(n):
-        a[row, row] = row + 1
-        if row == 0:
-            continue
-        weighted = rule.weights_hi * img[row]
-        # the same sequential sum as `@`, whose generic long-double loop (no BLAS) is 3x slower
-        ips = np.dot(p[:row], weighted)
-        a[row, :row] = (gammas[row] / gammas[:row] * ips / hs[:row]).astype(float)
+    gammas, endpoints = _closed_form(alpha, n)
+    coupling = (1 - _LD(alpha)) * np.outer(gammas / endpoints, gammas * endpoints)
+    a = np.tril(coupling, -1).astype(float)
+    np.fill_diagonal(a, np.arange(1.0, n + 1))
     if not np.all(np.isfinite(a)):
         raise ArithmeticError(f"non-finite entry in A({alpha}) at n={n}")
     return a

@@ -10,8 +10,8 @@ on each node alone and always rounds the same way, so a node that one
 sweep leaves unchanged would come out of every later sweep unchanged too:
 each sweep runs only on the nodes the previous one moved, and the nodes
 are the same as if every sweep ran on all of them.  The refined copies
-are kept on the rule so that operator assembly can reach the 1e-10
-verification tolerances; the public arrays are float64.  scipy, which
+are kept on the rule so that the oracles of `verify` can reach their
+1e-10 tolerances; the public arrays are float64.  scipy, which
 seeds the nodes, is loaded only when a rule is built.
 """
 

@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "JacobiParam",
-    "generalized_binomial",
     "jacobi_eval_all",
     "basis_scale",
 ]
@@ -36,20 +35,6 @@ class JacobiParam:
             raise ValueError(
                 f"Jacobi exponents must satisfy a > -1 and b > -1, got ({self.a}, {self.b})"
             )
-
-
-def generalized_binomial(z: float, n: int) -> float:
-    """Binomial coefficient C(z, n) for real z, evaluated as a product.
-
-    Equals Gamma(z+1) / (Gamma(z-n+1) n!) but stays exact at integer z
-    and avoids gamma-pole cancellation.
-    """
-    if n < 0:
-        raise ValueError(f"generalized_binomial requires n >= 0, got {n}")
-    out = 1.0
-    for k in range(1, n + 1):
-        out *= (z - k + 1) / k
-    return out
 
 
 def _check_domain(y: np.ndarray) -> None:
@@ -92,8 +77,7 @@ def basis_scale(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     norm under the projection measure; h_k = 2^(1-alpha) / (2k+1-alpha) is
     the plain Jacobi norm of P_k under (1-y)^(-alpha).  Both are float64
     arrays of length n (empty at n = 0).  The closed forms are exact on all
-    of [0, 1), so this takes the measure's range; ALPHA_MAX bounds only the
-    quadrature of the operator assembly.
+    of [0, 1), so this takes the measure's range.
     """
     if not (0.0 <= alpha < 1.0):
         raise ValueError(f"singularity index must lie in [0, 1), got {alpha}")

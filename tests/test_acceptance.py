@@ -20,7 +20,7 @@ from fractalssm.spectral import condition_number, eig_triangular, spectral_init
 from fractalssm.ssm import (FilterBankConfig, LayerWeights, SequenceBatch, layer_forward,
                             zoh_discretize)
 from fractalssm.verify import (CONDITION_TABLE, TABLE_ALPHA0, TABLE_ALPHA05,
-                               _check_diagonal_invariance, _check_layer_equivalence,
+                               _check_galerkin_projection, _check_layer_equivalence,
                                _random_system, check_scale_invariance, ode_consistency)
 
 ALPHA_GRID = [round(0.1 * k, 10) for k in range(10)]   # 0.0 .. 0.9
@@ -28,7 +28,7 @@ ALPHA_GRID = [round(0.1 * k, 10) for k in range(10)]   # 0.0 .. 0.9
 
 def test_c01_diagonal_invariance():
     t0 = time.perf_counter()
-    report = _check_diagonal_invariance(ALPHA_GRID, 64)
+    report = _check_galerkin_projection(ALPHA_GRID, 64)
     elapsed = time.perf_counter() - t0
     ok = report.max_deviation < 1e-10 and elapsed < 60.0
     record_criterion(1, "diagonal-invariance", ok,

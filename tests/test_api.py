@@ -36,18 +36,38 @@ def test_no_private_names_imported_across_modules():
     assert private == []
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is loaded only when a quadrature rule is built
+def scipy_modules_after(code: str, *argv) -> str:
+    """The scipy modules loaded after `code` runs in a fresh interpreter."""
     src = str(Path(fractalssm.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    code = ("import sys, fractalssm, fractalssm.cli\n"
+    code = ("import sys, fractalssm\n"
             "assert fractalssm.__file__.startswith(sys.argv[1]), fractalssm.__file__\n"
+            + code +
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code, src], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, src, *argv], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is loaded only when a quadrature rule is built
+    assert scipy_modules_after("import fractalssm.cli\n") == "[]"
+
+
+def test_build_path_leaves_scipy_unloaded(tmp_path):
+    # the operator pair is a closed form: building it, its spectrum, a filter
+    # bank or a discretized system needs no quadrature rule
+    code = ("from fractalssm.cli import main\n"
+            "fractalssm.spectral_init(0.9, 64)\n"
+            "fractalssm.build_filter_bank(fractalssm.FilterBankConfig(4, 8))\n"
+            "out = sys.argv[2]\n"
+            "assert main(['matrix', '--alpha', '0.9', '--n', '64', '--out', out + '/op.json']) == 0\n"
+            "assert main(['spectrum', '--alpha', '0.9', '--n', '64', '--json']) == 0\n"
+            "assert main(['discretize', '--alpha', '0.9', '--n', '8', '--delta', '0.01',\n"
+            "             '--out', out + '/dssm.json']) == 0\n")
+    assert scipy_modules_after(code, str(tmp_path)) == "[]"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)

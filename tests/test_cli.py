@@ -47,7 +47,7 @@ class TestOptionScope:
         ["verify", "--alpha-grid", "0", "--quad-order", "3"],
         ["run", "--model", "m.json", "--input", "in.csv", "--out", "o.csv", "--seed", "5"],
         ["matrix", "--alpha", "0", "--n", "5", "--out", "op.json", "--order", "8"],
-        # the assembly's quadrature order is fixed inside build_A
+        # the operator pair is a closed form, with no quadrature order
         ["matrix", "--alpha", "0", "--n", "5", "--out", "op.json", "--quad-order", "64"],
         ["spectrum", "--alpha", "0", "--n", "5", "--quad-order", "64"],
         ["discretize", "--alpha", "0", "--n", "5", "--delta", "0.1", "--out", "d.json",
@@ -94,7 +94,7 @@ class TestVerifyCommand:
         payload = json.loads(capsys.readouterr().out)
         by_name = {r["name"]: r for r in payload["reports"]}
         assert by_name["legs-recovery"]["passed"]
-        assert by_name["diagonal-invariance"]["passed"]
+        assert by_name["galerkin-projection"]["passed"]
         assert by_name["ode-consistency[alpha=0]"]["passed"]
         failed = {name for name, r in by_name.items() if not r["passed"]}
         assert failed == {"condition-growth"}

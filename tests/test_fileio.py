@@ -66,7 +66,7 @@ class TestOperatorFile:
 
 
     def test_legacy_quadrature_order_ignored(self, tmp_path):
-        # older fractal-op/1 files carry the assembly's quadrature order
+        # older fractal-op/1 files carry the order of a quadrature assembly
         ops = build_operators(0.5, 5)
         path = tmp_path / "op.json"
         path.write_text(json.dumps({

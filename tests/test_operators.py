@@ -1,33 +1,25 @@
 """Operator pair construction: reference values, structure, cross-checks."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fractalssm.cli import main as cli_main
-from fractalssm import operators
-from fractalssm.operators import (ALPHA_MAX, _basis_tables, build_A, build_B, build_operators,
+from fractalssm.operators import (ALPHA_MAX, N_MAX, build_A, build_B, build_operators,
                                   legs_closed_form)
-from fractalssm.quadrature import gauss_jacobi
-from fractalssm.specfun import JacobiParam, basis_scale, generalized_binomial
 from fractalssm.ssm import FilterBankConfig
 from fractalssm.verify import TABLE_ALPHA0, TABLE_ALPHA05, run_full_suite
 
-
-def endpoint_form_entry(alpha: float, n: int, k: int) -> float:
-    """Independent closed form of the sub-diagonal entries.
-
-    The operator image P_n + (1+eta) P_n' expands over the basis with
-    coefficients (2k+1-alpha) P_k(1) / P_n(1) for k < n (checked
-    symbolically for n <= 5), which yields
-    A_nk = (1-alpha) gamma_n gamma_k P_k(1) / P_n(1).
-    """
-    gammas, _ = basis_scale(alpha, n + 1)
-    gn, gk = gammas[n], gammas[k]
-    pn1 = generalized_binomial(n - alpha, n)
-    pk1 = generalized_binomial(k - alpha, k)
-    return (1.0 - alpha) * gn * gk * pk1 / pn1
+# A(alpha) and B(alpha) in 50-digit arithmetic, rounded to float64; written by
+# data/make_operator_reference.py
+REFERENCE = json.loads((Path(__file__).resolve().parent / "data" / "operator_reference.json")
+                       .read_text(encoding="utf-8"))
+REFERENCE_TABLES = {table["alpha"]: table for table in REFERENCE["tables"]}
+# two units in the last place, relative to the reference value
+TWO_ULP = 4.5e-16
 
 
 class TestBuildB:
@@ -68,38 +60,6 @@ class TestBuildA:
         a = build_A(0.0, 64)
         assert np.max(np.abs(a - legs_closed_form(64))) < 1e-10
 
-    def test_half_index_matches_endpoint_form(self):
-        # dual-route check: quadrature projection vs endpoint closed form
-        for alpha in (0.3, 0.5, 0.9):
-            a = build_A(alpha, 12)
-            for n in range(1, 12):
-                for k in range(n):
-                    assert a[n, k] == pytest.approx(
-                        endpoint_form_entry(alpha, n, k), rel=1e-11, abs=1e-12)
-
-    def test_builtin_order_matches_endpoint_form(self):
-        # the built-in quadrature order suffices on both sides of its 2N / 4N switch
-        for n in (64, 128):
-            for alpha in (0.5, 0.8, 0.81, 0.95):
-                a = build_A(alpha, n)
-                for row in range(1, n):
-                    for col in range(row):
-                        expected = endpoint_form_entry(alpha, row, col)
-                        assert a[row, col] == pytest.approx(expected, rel=1e-11, abs=1e-12), \
-                            (alpha, n, row, col)
-
-    def test_order_policy(self, monkeypatch):
-        asked = []
-
-        def spy(param, order):
-            asked.append(order)
-            return gauss_jacobi(param, order)
-
-        monkeypatch.setattr(operators, "gauss_jacobi", spy)
-        for alpha in (0.5, 0.8, 0.85):
-            build_A(alpha, 16)
-        assert asked == [32, 32, 64]
-
     def test_preconditions(self):
         with pytest.raises(ValueError):
             build_A(0.96, 8)
@@ -116,27 +76,50 @@ class TestBuildA:
         assert ops.b.shape == (6,)
 
 
-def matmul_assembly(alpha: float, n: int) -> np.ndarray:
-    """A(alpha) as first assembled: one long-double `@` product per row."""
-    ld = np.longdouble
-    rule = gauss_jacobi(JacobiParam(-alpha, 0.0), 4 * n if alpha > 0.8 else 2 * n)
-    p, img = _basis_tables(alpha, rule.nodes_hi, n - 1)
-    gammas, hs = (scale.astype(ld) for scale in basis_scale(alpha, n))
-    a = np.diag(np.arange(1.0, n + 1))
-    for row in range(1, n):
-        ips = p[:row] @ (rule.weights_hi * img[row])
-        a[row, :row] = (gammas[row] / gammas[:row] * ips / hs[:row]).astype(float)
-    return a
+class TestReference:
+    """build_A and build_B against the 50-digit reference, entry by entry."""
+
+    @pytest.mark.parametrize("alpha", sorted(REFERENCE_TABLES))
+    def test_matrix_within_two_ulp(self, alpha):
+        table = REFERENCE_TABLES[alpha]
+        a = build_A(alpha, REFERENCE["n"])
+        for row, values in zip(REFERENCE["rows"], table["a"]):
+            ref = np.array(values)
+            rel = np.abs(a[row, :row] - ref) / ref
+            assert np.max(rel) <= TWO_ULP, (alpha, row, int(np.argmax(rel)))
+
+    @pytest.mark.parametrize("alpha", sorted(REFERENCE_TABLES))
+    def test_input_vector_within_two_ulp(self, alpha):
+        ref = np.array(REFERENCE_TABLES[alpha]["b"])
+        rel = np.abs(build_B(alpha, REFERENCE["n"]) - ref) / ref
+        assert np.max(rel) <= TWO_ULP, (alpha, int(np.argmax(rel)))
+
+    def test_tables_cover_the_state_bound(self):
+        assert REFERENCE["n"] == N_MAX
+        assert REFERENCE["rows"][-1] == N_MAX - 1
+        assert all(len(table["b"]) == N_MAX for table in REFERENCE["tables"])
+        assert all([len(entries) for entries in table["a"]] == REFERENCE["rows"]
+                   for table in REFERENCE["tables"])
+
+    def test_closed_form_is_the_galerkin_projection(self):
+        # the generator's mp quadrature of the projection at n = 16, every alpha
+        quadrature = REFERENCE["galerkin_quadrature"]
+        assert quadrature["n"] == 16
+        assert sorted(row["alpha"] for row in quadrature["distances"]) == sorted(REFERENCE_TABLES)
+        assert max(row["max_relative_distance"] for row in quadrature["distances"]) < 1e-40
 
 
 @pytest.mark.parametrize("alpha,n", [(0.0, 1), (0.0, 2), (0.3, 5), (0.5, 16), (0.81, 64),
                                      (0.95, 64), (0.9, 256)])
 def test_assembly_pinned_bit_for_bit(alpha, n):
-    assert np.array_equal(build_A(alpha, n), matmul_assembly(alpha, n))
+    # no entry depends on the dimension: every pair is the leading block of
+    # the largest one, which TestReference bounds against the reference
+    assert np.array_equal(build_A(alpha, n), build_A(alpha, N_MAX)[:n, :n])
+    assert np.array_equal(build_B(alpha, n), build_B(alpha, N_MAX)[:n])
 
 
 class TestPublishedHalfIndexTable:
-    # (4, 3) is checked in the acceptance module; the quadrature value
+    # (4, 3) is checked in the acceptance module; the closed-form value
     # 8.4949 sits 1e-4 outside the print window of the reference 8.50
     ENTRIES = {k: v for k, v in TABLE_ALPHA05.items() if k != (4, 3)}
 

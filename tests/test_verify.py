@@ -115,6 +115,32 @@ class TestMonotonicityCheck:
         assert report.detail[-1] == {"strictly_increasing": False, "gap_amplification": False}
 
 
+class TestGalerkinProjectionCheck:
+    def test_every_entry_on_and_below_the_diagonal(self):
+        report = verify._check_galerkin_projection([0.0, 0.95], 32)
+        assert report.passed
+        assert report.max_deviation < 1e-13
+        assert [row["alpha"] for row in report.detail] == [0.0, 0.95]
+
+    def test_scaled_subdiagonal_entry_turns_only_this_check_red(self, monkeypatch):
+        intact = {r.name: r.passed for r in run_full_suite([0.9], 8, seed=1)}
+        build_A = verify.build_A
+
+        def scaled(alpha, n):
+            a = build_A(alpha, n)
+            if alpha == 0.9:   # legs-recovery catches a change at alpha = 0 itself
+                a[5, 4] *= 1 + 1e-9
+            return a
+
+        monkeypatch.setattr(verify, "build_A", scaled)
+        reports = run_full_suite([0.9], 8, seed=1)
+        assert [r.name for r in reports] == list(intact)
+        assert {r.name for r in reports if r.passed != intact[r.name]} == {"galerkin-projection"}
+        report = next(r for r in reports if r.name == "galerkin-projection")
+        assert report.detail[0]["entry"] == (5, 4)
+        assert report.max_deviation == pytest.approx(1e-9, rel=1e-4)
+
+
 @pytest.fixture(scope="module")
 def uniform_suite():
     return run_full_suite([0.0], 8, seed=1)
@@ -131,7 +157,7 @@ class TestRunFullSuite:
     def test_uniform_grid_analytic_checks_pass(self, uniform_suite):
         reports = {r.name: r for r in uniform_suite}
         for name in ("measure-normalization", "scale-invariance",
-                     "basis-orthonormality", "diagonal-invariance", "legs-recovery",
+                     "basis-orthonormality", "galerkin-projection", "legs-recovery",
                      "table-alpha0", "eigenvalue-invariance",
                      "input-vector-closed-form", "offdiag-monotonicity",
                      "layer-equivalence", "zoh-limit", "ode-consistency[alpha=0]"):
