@@ -1,18 +1,19 @@
 """Gauss-Jacobi quadrature via Golub-Welsch with extended-precision refinement.
 
-Rules are built for the weight (1-x)^a (1+x)^b on [-1, 1].  The symmetric
-tridiagonal eigenproblem seeds the nodes in double precision; three Newton
-sweeps on the orthonormal recurrence in 80-bit extended precision then
-polish the nodes, and one more pass rebuilds the weights from the
-Christoffel formula.  Each pass runs the three-term recurrence carrying
-only its last two rows, so it holds O(order) memory.  A Newton step acts
-on each node alone and always rounds the same way, so a node that one
-sweep leaves unchanged would come out of every later sweep unchanged too:
-each sweep runs only on the nodes the previous one moved, and the nodes
-are the same as if every sweep ran on all of them.  The refined copies
-are kept on the rule so that the oracles of `verify` can reach their
-1e-10 tolerances; the public arrays are float64.  scipy, which
-seeds the nodes, is loaded only when a rule is built.
+Rules are built for the weight (1-x)^a (1+x)^b on [-1, 1].  The eigenvalues
+of the symmetric tridiagonal Jacobi matrix (Golub & Welsch, Math. Comp.
+1969), from numpy's dense symmetric solver, seed the nodes in double
+precision; three Newton sweeps on the orthonormal recurrence in 80-bit
+extended precision then polish the nodes, and one more pass rebuilds the
+weights from the Christoffel formula.  Each pass runs the three-term
+recurrence carrying only its last two rows, so it holds O(order) memory.  A
+Newton step acts on each node alone and always rounds the same way, so a
+node that one sweep leaves unchanged would come out of every later sweep
+unchanged too: each sweep runs only on the nodes the previous one moved,
+and the nodes are the same as if every sweep ran on all of them.  The
+refined copies are kept on the rule so that the oracles of `verify` can
+reach their 1e-10 tolerances; the public arrays are float64.  The module
+needs only numpy.
 """
 
 from __future__ import annotations
@@ -71,6 +72,16 @@ def _recurrence_coeffs(param: JacobiParam, m: int):
     return d, np.sqrt(beta)
 
 
+def _seed_nodes(d, e):
+    """Eigenvalues, ascending, of the Jacobi matrix with diagonal d and
+    off-diagonal e[:d.size-1], in double precision."""
+    jacobi = np.diag(d.astype(float))
+    off = e[:d.size - 1].astype(float)
+    np.fill_diagonal(jacobi[1:], off)
+    np.fill_diagonal(jacobi[:, 1:], off)
+    return np.linalg.eigvalsh(jacobi)
+
+
 def _newton_step(d, e, p0, m, x):
     """x - p_m(x) / p_m'(x) for the orthonormal polynomials with p_0 = p0.
 
@@ -109,13 +120,9 @@ def gauss_jacobi(param: JacobiParam, order: int) -> QuadratureRule:
     """
     if order < 1:
         raise ValueError(f"quadrature order must be >= 1, got {order}")
-    # imported here: scipy would otherwise be most of `import fractalssm`
-    from scipy.linalg import eigh_tridiagonal
-
     d, e = _recurrence_coeffs(param, order)
     try:
-        seed, _ = eigh_tridiagonal(d[:order].astype(float),
-                                   e[:order - 1].astype(float))
+        seed = _seed_nodes(d, e)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise QuadratureError(f"tridiagonal eigen-solve failed at order {order}") from exc
     p0 = 1 / np.sqrt(_LD(weight_mass(param)))

@@ -76,6 +76,28 @@ class OracleReport:
         return bool(self.max_deviation <= self.tolerance)
 
 
+def _projector(alpha: float, n: int, order: int):
+    """The map (u, t) -> projection_coefficients(u, alpha, n, t, order).
+
+    The rule, its nodes on [0, 1], the basis table and the scale are built
+    once, so the projections of one check share them.
+    """
+    param = JacobiParam(-alpha, 0.0)
+    rule = gauss_jacobi(param, order)
+    xi = (1.0 + rule.nodes) / 2.0
+    p = jacobi_eval_all(param, n - 1, rule.nodes)
+    gammas, _ = basis_scale(alpha, n)
+    scale = (1.0 - alpha) * 2.0 ** (alpha - 1.0) * gammas
+
+    def project(u, t: float) -> np.ndarray:
+        signal = np.asarray(u(t * xi), dtype=float)
+        if not np.all(np.isfinite(signal)):
+            raise ValueError("signal produced non-finite values at quadrature nodes")
+        return scale * (p @ (rule.weights * signal))
+
+    return project
+
+
 def projection_coefficients(u, alpha: float, n: int, t: float, order: int) -> np.ndarray:
     """Projection of the history of u onto the first n basis functions at time t.
 
@@ -85,15 +107,7 @@ def projection_coefficients(u, alpha: float, n: int, t: float, order: int) -> np
     """
     if order < 2 * n:
         raise ValueError(f"quadrature order must be >= 2n = {2 * n}, got {order}")
-    rule = gauss_jacobi(JacobiParam(-alpha, 0.0), order)
-    xi = (1.0 + rule.nodes) / 2.0
-    signal = np.asarray(u(t * xi), dtype=float)
-    if not np.all(np.isfinite(signal)):
-        raise ValueError("signal produced non-finite values at quadrature nodes")
-    p = jacobi_eval_all(JacobiParam(-alpha, 0.0), n - 1, rule.nodes)
-    gammas, _ = basis_scale(alpha, n)
-    pref = (1.0 - alpha) * 2.0 ** (alpha - 1.0)
-    return pref * gammas * (p @ (rule.weights * signal))
+    return _projector(alpha, n, order)(u, t)
 
 
 def check_scale_invariance(alpha: float, n: int, dilation: float,
@@ -108,10 +122,10 @@ def check_scale_invariance(alpha: float, n: int, dilation: float,
         raise ValueError(f"dilation must be positive, got {dilation}")
     if n > 32:
         raise ValueError(f"scale-invariance check supports n <= 32, got {n}")
-    order = max(2 * n, 32)
+    project = _projector(alpha, n, max(2 * n, 32))
     lam = float(dilation)
-    x_direct = projection_coefficients(u, alpha, n, t, order)
-    x_dilated = projection_coefficients(lambda s: u(lam * s), alpha, n, t / lam, order)
+    x_direct = project(u, t)
+    x_dilated = project(lambda s: u(lam * s), t / lam)
     return float(np.max(np.abs(x_direct - x_dilated)))
 
 
@@ -129,15 +143,15 @@ def ode_consistency(alpha: float, n: int, u, t: float, h: float | None = None) -
     # A is the matrix the models use; the projections take their own, finer rule
     a = build_A(alpha, n)
     b = build_B(alpha, n)
-    order = max(4 * n, 64)
     u_now = float(np.asarray(u(np.array([t]))).reshape(()))
-    x_now = projection_coefficients(u, alpha, n, t, order)
+    project = _projector(alpha, n, max(4 * n, 64))
+    x_now = project(u, t)
     rhs = (-(a @ x_now) + b * u_now) / t
     detail = []
     devs = []
     for step in (h, h / 2.0):
-        x_plus = projection_coefficients(u, alpha, n, t + step, order)
-        x_minus = projection_coefficients(u, alpha, n, t - step, order)
+        x_plus = project(u, t + step)
+        x_minus = project(u, t - step)
         fd = (x_plus - x_minus) / (2.0 * step)
         dev = float(np.max(np.abs(fd - rhs)))
         devs.append(dev)
@@ -437,9 +451,6 @@ def run_full_suite(alpha_grid, n_max: int, seed: int = 0) -> list[OracleReport]:
     check_state_dim(n_max)
     if not grid:
         return []
-    # a first rule imports scipy (see quadrature); build one before any clock
-    # starts, so that import is charged to no check's seconds
-    gauss_jacobi(JacobiParam(0.0, 0.0), 1)
     rng = np.random.default_rng(seed)
     checks = [
         ("measure-normalization", lambda: _check_measure_normalization(grid)),

@@ -36,6 +36,22 @@ def test_no_private_names_imported_across_modules():
     assert private == []
 
 
+def test_no_module_imports_scipy():
+    # the library needs only numpy; scipy is a test dependency
+    imported = []
+    for path in sorted(Path(fractalssm.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            imported += [f"{path.name}:{node.lineno} {name}"
+                         for name in names if name.split(".")[0] == "scipy"]
+    assert imported == []
+
+
 def scipy_modules_after(code: str, *argv) -> str:
     """The scipy modules loaded after `code` runs in a fresh interpreter."""
     src = str(Path(fractalssm.__file__).resolve().parent.parent)
@@ -52,7 +68,6 @@ def scipy_modules_after(code: str, *argv) -> str:
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy is loaded only when a quadrature rule is built
     assert scipy_modules_after("import fractalssm.cli\n") == "[]"
 
 
@@ -68,6 +83,19 @@ def test_build_path_leaves_scipy_unloaded(tmp_path):
             "assert main(['discretize', '--alpha', '0.9', '--n', '8', '--delta', '0.01',\n"
             "             '--out', out + '/dssm.json']) == 0\n")
     assert scipy_modules_after(code, str(tmp_path)) == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--alpha-grid", "0,0.9", "--n", "4", "--seed", "0"],
+    ["measure", "--alphas", "0.5", "--samples", "20", "--out", "{out}/measure.csv"],
+    ["oracle", "--alpha", "0.5", "--n", "8"],
+], ids=lambda argv: argv[0])
+def test_quadrature_commands_leave_scipy_unloaded(argv, tmp_path):
+    # verify and oracle build Gauss-Jacobi rules, whose nodes numpy seeds;
+    # measure tabulates the measure's closed forms
+    argv = [arg.format(out=tmp_path) for arg in argv]
+    code = f"from fractalssm.cli import main\nassert main({argv!r}) in (0, 1)\n"
+    assert scipy_modules_after(code) == "[]"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)

@@ -11,7 +11,8 @@ from scipy.linalg import eigh_tridiagonal
 
 from fractalssm import quadrature
 from fractalssm.quadrature import (QuadratureRule, _christoffel_weights, _newton_step,
-                                   _recurrence_coeffs, gauss_jacobi, weight_mass)
+                                   _recurrence_coeffs, _seed_nodes, gauss_jacobi,
+                                   weight_mass)
 from fractalssm.specfun import JacobiParam
 
 
@@ -100,11 +101,12 @@ def table_rule(param: JacobiParam, order: int):
     """The rule as first written: every pass evaluates the full p_0..p_order table.
 
     Three Newton sweeps on p_order, then weights 1 / sum_{j<order} p_j^2,
-    all in long double from the same double-precision tridiagonal seed.
+    all in long double from the seed gauss_jacobi takes, so that the test
+    pins the passes and not the eigensolver.
     """
     ld = np.longdouble
     d, e = _recurrence_coeffs(param, order)
-    seed, _ = eigh_tridiagonal(d[:order].astype(float), e[:order - 1].astype(float))
+    seed = _seed_nodes(d, e)
     mu = weight_mass(param)
 
     def table(x):
@@ -156,6 +158,35 @@ class TestRulesPinned:
             finally:
                 tracemalloc.stop()
             assert peak < 32 * row, (one_pass.__name__, peak)
+
+
+def tridiagonal_seed(d, e):
+    """The eigenvalues of the Jacobi matrix from LAPACK's tridiagonal solver."""
+    return eigh_tridiagonal(d.astype(float), e[:d.size - 1].astype(float))[0]
+
+
+@pytest.mark.parametrize("order", [1, 2, 16, 257, 1024])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.95])
+def test_seed_matches_tridiagonal_solver(alpha, order):
+    # the dense symmetric solver against the tridiagonal one: both are
+    # backward stable, so they agree to a few ulp of ||T|| (11 measured at most)
+    d, e = _recurrence_coeffs(JacobiParam(-alpha, 0.0), order)
+    reference = tridiagonal_seed(d, e)
+    norm = np.max(np.abs(reference))   # ||T||_2 of the symmetric T
+    assert np.max(np.abs(_seed_nodes(d, e) - reference)) <= 16 * np.finfo(float).eps * norm
+
+
+@pytest.mark.parametrize("order", [1, 2, 16, 257, 1024])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.95])
+def test_newton_takes_either_seed_to_the_same_nodes(alpha, order, monkeypatch):
+    # the nodes lie in (-1, 1), so the bound is in ulps of 1: the middle node
+    # of an odd Legendre rule is 0 up to rounding, where an ulp of the node
+    # itself is a subnormal
+    param = JacobiParam(-alpha, 0.0)
+    nodes = gauss_jacobi(param, order).nodes_hi
+    monkeypatch.setattr(quadrature, "_seed_nodes", tridiagonal_seed)
+    reference = gauss_jacobi(param, order).nodes_hi
+    assert np.max(np.abs(nodes - reference)) <= 4 * np.finfo(np.longdouble).eps
 
 
 def test_last_sweep_sees_only_unsettled_nodes(monkeypatch):

@@ -11,11 +11,12 @@ import pytest
 
 from fractalssm import ssm as ssm_mod
 from fractalssm import verify
+from fractalssm.quadrature import gauss_jacobi
 from fractalssm.specfun import JacobiParam, basis_scale, jacobi_eval_all
 from fractalssm.ssm import (DiscreteDiagonalSSM, FilterBankConfig, LayerWeights, SequenceBatch,
                             layer_forward)
-from fractalssm.verify import (OracleReport, ode_consistency, projection_coefficients,
-                               run_full_suite)
+from fractalssm.verify import (OracleReport, check_scale_invariance, ode_consistency,
+                               projection_coefficients, run_full_suite)
 
 
 class TestProjectionCoefficients:
@@ -52,6 +53,36 @@ class TestProjectionCoefficients:
     def test_nonfinite_signal(self):
         with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(ValueError):
             projection_coefficients(lambda s: 1.0 / (s - s), 0.3, 2, 1.0, order=8)
+
+
+class TestRuleReuse:
+    """A check builds its Gauss-Jacobi rule once and projects every signal with it."""
+
+    @pytest.fixture
+    def orders_built(self, monkeypatch):
+        orders = []
+
+        def spy(param, order):
+            orders.append(order)
+            return gauss_jacobi(param, order)
+
+        monkeypatch.setattr(verify, "gauss_jacobi", spy)
+        return orders
+
+    def test_ode_consistency_builds_one_rule(self, orders_built):
+        ode_consistency(0.5, 8, np.sin, t=3.0)
+        assert orders_built == [64]
+
+    def test_scale_invariance_builds_one_rule(self, orders_built):
+        check_scale_invariance(0.5, 8, 2.0)
+        assert orders_built == [32]
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9])
+    def test_projector_matches_projection_coefficients(self, alpha):
+        project = verify._projector(alpha, 8, 64)
+        for t in (3.0, 3.0003, 2.9997, 1.5):
+            assert np.array_equal(project(np.sin, t),
+                                  projection_coefficients(np.sin, alpha, 8, t, 64))
 
 
 class TestOdeConsistency:
@@ -180,8 +211,10 @@ class TestRunFullSuite:
         assert ode_consistency(0.0, 4, np.sin, t=3.0).seconds == 0.0
 
     def test_scipy_import_is_charged_to_no_check(self):
-        # in a fresh interpreter the first Gauss-Jacobi rule imports scipy,
-        # which takes far longer than measure-normalization's own arithmetic
+        # measure-normalization runs first and builds the suite's first
+        # Gauss-Jacobi rules, so a one-time cost of the first rule, such as
+        # a lazy import of its eigensolver, would land in its seconds; in a
+        # fresh interpreter its own arithmetic takes far less than 0.05 s
         src = str(Path(verify.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
