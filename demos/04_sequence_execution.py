@@ -52,8 +52,11 @@ weights = LayerWeights(
 z_out = layer_forward(config, weights, ssms, z_in)
 
 # the layer convolves with its truncated output kernel, W_out and D folded in,
-# in overlap-save FFT blocks of about four kernel lengths; scan=False is the
-# per-step recur_sequential reference (the speedup is hardware-dependent)
+# in overlap-save FFT blocks of about four kernel lengths; the kernel is one
+# matmul of blocked powers lambda^(B k) and lambda^m, B = ceil(sqrt(taps)), each
+# state cut once its tail is below eps, and each batch of FFT blocks is gated
+# as it is written to the output; scan=False is the per-step recur_sequential
+# reference (the speedup is hardware-dependent)
 for steps in (16384, 65536):
     u_layer = SequenceBatch(rng.standard_normal((steps, 1)))
     t0 = time.perf_counter(); fast = layer_forward(config, weights, ssms, u_layer).values

@@ -9,11 +9,15 @@ kernel K_j = W_out Re sum_n c_n b_bar_n lambda_bar_n^j, plus W_out D at
 j = 0.  It applies that kernel, truncated once every state has
 decayed below eps, by overlap-save in power-of-two FFT blocks of about four
 kernel lengths, or in one block for a shorter input, instead of building the
-state trajectory.  Each channel's kernel is one matmul of its powers with
-the products c_n b_bar_n; the spectral product and the gate W_gate u are
-sums of broadcast products over input columns; the FFTs run in batches of a
-few hundred kB, so a long input makes no whole-length temporaries besides
-the output, the gate and SiLU's one buffer.
+state trajectory.  The bank's kernel is one matmul of blocked powers,
+(lambda_bar^B)^k c_n b_bar_n against lambda_bar^m for m < B = ceil(sqrt(taps)),
+so no taps x n table of powers is built, and each state stops once its own
+tail is below eps, so no power underflows.  The FFTs run in batches of a few
+hundred kB whose windows are read from the input in place; each batch's
+inverse transform is multiplied by the SiLU gate of its rows straight into
+the output, so besides the per-batch buffers the layer allocates only its
+output.  The spectral product and the gate W_gate u are sums of broadcast
+products over input columns.
 """
 
 from __future__ import annotations
@@ -184,6 +188,19 @@ def recur_sequential(ssm: DiscreteDiagonalSSM, u: SequenceBatch) -> np.ndarray:
 _EPS = np.finfo(float).eps
 
 
+def _state_taps(radius: np.ndarray, taps: int) -> np.ndarray:
+    """Taps each state keeps: the least t with |lambda_bar|^t / (1 - |lambda_bar|) <= eps.
+
+    That is t = ceil(log(eps (1 - r)) / log r) for a radius 0 < r < 1, capped
+    at taps; a state at r = 0 keeps one tap and one at r >= 1 keeps all taps.
+    The state's dropped tail sum_{j >= t} r^j is then at most eps.
+    """
+    decaying = (radius > 0.0) & (radius < 1.0)
+    r = np.where(decaying, radius, 0.5)  # any radius with a finite logarithm
+    cut = np.ceil(np.log(_EPS * (1.0 - r)) / np.log(r))
+    return np.where(decaying, np.minimum(cut, taps), np.where(radius == 0.0, 1, taps))
+
+
 def _output_kernel(ssms: list[DiscreteDiagonalSSM], c_tilde: np.ndarray,
                    length: int) -> np.ndarray:
     """Output kernel K[j, out, in] = Re sum_n c_n b_bar_n lambda_bar_n^j of the bank.
@@ -193,29 +210,40 @@ def _output_kernel(ssms: list[DiscreteDiagonalSSM], c_tilde: np.ndarray,
     sum_n |c_n b_bar_n| |lambda_bar_n|^j / (1 - |lambda_bar_n|) is below the
     rounding error the recurrence itself makes.  A bank with
     max|lambda_bar| >= 1 does not decay and keeps all `length` taps.
-    Channels are added one at a time, so at most taps x block_state powers
-    are held at once; each channel's part is one complex matmul of those
-    powers with the (block_state, out * in) products c_n b_bar_n.
+
+    The powers are never tabulated taps x n.  With B = ceil(sqrt(taps)),
+    lambda^(B k + m) = (lambda^B)^k lambda^m, so the bank's n states build
+    head[m] = lambda^m (B x n) and scale[k] = lambda^(B k) (ceil(taps / B) x n)
+    by cumprod, and each out x in column of the kernel is the complex matmul
+    (scale * c_n b_bar_n) @ head^T, read row by row and cut to taps.  Each
+    state also stops at its own cut (see `_state_taps`): the cumprod
+    multipliers are zero from there on, so no power underflows, and the taps
+    a state drops sum to at most eps |c_n b_bar_n|.
     """
-    radius = max(float(np.max(np.abs(ssm.lambda_bar))) for ssm in ssms)
+    lam = np.concatenate([ssm.lambda_bar for ssm in ssms])
+    radius = np.abs(lam)
+    slowest = float(np.max(radius))
     taps = length
-    if radius == 0.0:
+    if slowest == 0.0:
         taps = min(length, 1)
-    elif radius < 1.0:
-        taps = min(length, math.ceil(math.log(_EPS) / math.log(radius)))
-    out_width, in_width = c_tilde.shape[0], ssms[0].b_bar.shape[1]
-    kernel = np.zeros((taps, out_width * in_width))
-    start = 0
-    for ssm in ssms:
-        n = ssm.lambda_bar.shape[0]
-        powers = np.ones((taps, n), dtype=complex)
-        rest = powers[1:]
-        np.cumprod(np.broadcast_to(ssm.lambda_bar, rest.shape), axis=0, out=rest)
-        # cb[n, out * in] = c_n b_bar_n, so one matmul sums the channel's states
-        cb = c_tilde[:, start:start + n].T[:, :, None] * ssm.b_bar[:, None, :]
-        kernel += (powers @ cb.reshape(n, -1)).real
-        start += n
-    return kernel.reshape(taps, out_width, in_width)
+    elif slowest < 1.0:
+        taps = min(length, math.ceil(math.log(_EPS) / math.log(slowest)))
+    block = math.isqrt(max(taps, 1) - 1) + 1  # ceil(sqrt(taps))
+    rows = -(-taps // block)
+    n = lam.shape[0]
+    own = _state_taps(radius, taps)
+    head = np.ones((block, n), dtype=complex)
+    np.cumprod(np.where(np.arange(1, block)[:, None] < own, lam, 0.0), axis=0, out=head[1:])
+    scale = np.ones((rows, n), dtype=complex)
+    step = head[-1] * lam  # lambda^B, or 0 where the state stops before B
+    np.cumprod(np.where(block * np.arange(1, rows)[:, None] < own, step, 0.0), axis=0,
+               out=scale[1:])
+    # cb[out, in, n] = c_n b_bar_n, so each column's matmul sums over every state
+    cb = c_tilde[:, None, :] * np.concatenate([ssm.b_bar for ssm in ssms]).T
+    out_width, in_width = cb.shape[:2]
+    part = (scale * cb.reshape(-1, 1, n)).reshape(-1, n) @ head.T
+    kernel = part.real.reshape(out_width * in_width, rows * block)[:, :taps]
+    return kernel.T.reshape(taps, out_width, in_width)
 
 
 # transform points per batched FFT call: a batch's windows, spectra and
@@ -224,19 +252,35 @@ def _output_kernel(ssms: list[DiscreteDiagonalSSM], c_tilde: np.ndarray,
 _BATCH_POINTS = 1 << 16
 
 
-def _causal_convolve(kernel: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """y[k, out] = sum_j sum_in K[j, out, in] u[k - j, in] for the first len(u) steps.
+def _silu_gate(z: np.ndarray, w_gate: np.ndarray) -> np.ndarray:
+    """silu(W_gate z) for the rows of z, shape (output_width, rows).
 
-    Overlap-save in blocks sized to the kernel: the transform length is the
-    smallest power of two >= min(4 * taps, len(u) + taps - 1), so the
-    overlap is at most a quarter of each transform, and an input shorter
-    than that goes through as one block.  Every block's window reaches
-    taps - 1 steps back into the zero-padded input and keeps its last
-    hop = size - taps + 1 outputs, which the circular wrap-around does not
-    touch.  The kernel is transformed once at the block length; the windows
-    go through batched real FFTs of about _BATCH_POINTS points each, whose
-    spectra are multiplied by the kernel's one input column at a time and
-    inverted into their slots of the output.
+    W_gate z is a sum of broadcast products w_gate[:, i] z[:, i], one per
+    input column, so no (rows, in) @ (in, out) matmul runs.
+    """
+    gate = w_gate[:, :1] * z[:, 0]
+    for i in range(1, z.shape[1]):
+        gate += w_gate[:, i:i + 1] * z[:, i]
+    return silu(gate)
+
+
+def _causal_convolve(kernel: np.ndarray, u: np.ndarray, w_gate: np.ndarray) -> np.ndarray:
+    """y[k, out] = silu(W_gate u[k])[out] sum_j sum_in K[j, out, in] u[k - j, in].
+
+    The convolution covers the first len(u) steps by overlap-save in blocks
+    sized to the kernel: the transform length is the smallest power of two
+    >= min(4 * taps, len(u) + taps - 1), so the overlap is at most a quarter
+    of each transform, and an input shorter than that goes through as one
+    block.  Every block's window reaches taps - 1 steps back into the
+    zero-padded input and keeps its last hop = size - taps + 1 outputs,
+    which the circular wrap-around does not touch.  The kernel is
+    transformed once at the block length; the windows go through batched
+    real FFTs of about _BATCH_POINTS points each, whose spectra are
+    multiplied by the kernel's one input column at a time.  An interior
+    batch reads its windows straight from u; only a batch that reaches
+    before step 0 or past the end copies its span into a zero-padded
+    segment.  Each batch's inverse transform is multiplied by the gate of
+    its rows (`_silu_gate`) into its slot of the output, in one pass.
     """
     length, width = u.shape
     taps, out_width = kernel.shape[:2]
@@ -247,22 +291,30 @@ def _causal_convolve(kernel: np.ndarray, u: np.ndarray) -> np.ndarray:
     blocks = -(-length // hop)
     batch = max(1, _BATCH_POINTS // size)
     kernel_f = np.fft.rfft(kernel, size, axis=0).transpose(1, 2, 0)  # (out, in, freq)
-    y = np.empty((out_width, blocks, hop))
+    y = np.empty((out_width, blocks * hop))
     for first in range(0, blocks, batch):
         count = min(batch, blocks - first)
-        # the batch's windows read u[begin : begin + count * hop + taps - 1], zero outside u
+        # the batch's windows read u[begin : end], zero outside u
         begin = first * hop - (taps - 1)
-        segment = np.zeros((width, count * hop + taps - 1))
-        lo, hi = max(begin, 0), min(begin + segment.shape[1], length)
-        segment[:, lo - begin:hi - begin] = u[lo:hi].T
-        windows = sliding_window_view(segment, size, axis=-1)[:, ::hop]  # (in, count, size)
-        windows_f = np.fft.rfft(windows, axis=-1)
-        # spectrum[o, b, f] = sum_i K[f, o, i] U[i, b, f], one broadcast product per input
-        spectrum = kernel_f[:, 0, None, :] * windows_f[0]
+        end = begin + count * hop + taps - 1
+        if begin >= 0 and end <= length:
+            source, offset = u, begin
+        else:
+            source, offset = np.zeros((end - begin, width)), 0
+            lo, hi = max(begin, 0), min(end, length)
+            source[lo - begin:hi - begin] = u[lo:hi]
+        windows = sliding_window_view(source, size, axis=0)[offset:offset + count * hop:hop]
+        windows_f = np.fft.rfft(windows, axis=-1)  # (count, in, freq)
+        # spectrum[o, b, f] = sum_i K[f, o, i] U[b, i, f], one broadcast product per input
+        spectrum = kernel_f[:, 0, None, :] * windows_f[:, 0]
         for i in range(1, width):
-            spectrum += kernel_f[:, i, None, :] * windows_f[i]
-        y[:, first:first + count] = np.fft.irfft(spectrum, size, axis=-1)[..., taps - 1:]
-    return y.reshape(out_width, blocks * hop)[:, :length].T
+            spectrum += kernel_f[:, i, None, :] * windows_f[:, i]
+        # the batch's output rows; past the end of u they read zeros and are cut below
+        rows = source[offset + taps - 1:offset + taps - 1 + count * hop]
+        slot = y[:, first * hop:(first + count) * hop].reshape(out_width, count, hop)
+        np.multiply(np.fft.irfft(spectrum, size, axis=-1)[..., taps - 1:],
+                    _silu_gate(rows, w_gate).reshape(out_width, count, hop), out=slot)
+    return y[:, :length].T
 
 
 def build_filter_bank(config: FilterBankConfig) -> list[SpectralInit]:
@@ -281,12 +333,14 @@ def layer_forward(config: FilterBankConfig, weights: LayerWeights,
     bank's output kernel, truncated where max|lambda_bar|^j falls below eps
     (see `_output_kernel`), with W_out and D folded in: K'[j] = W_out K[j]
     and K'[0] += W_out D.  The convolution runs by overlap-save in FFT
-    blocks of about four kernel lengths (see `_causal_convolve`); no state
-    trajectory is built.  scan=False runs `recur_sequential` on every
-    channel and applies D and W_out after it, the per-step reference.  A
-    scalar D becomes D I once, before either path.  On both paths W_gate z
-    is a sum of broadcast products z[:, i] w_gate[:, i], and the gate
-    multiplies W_out y in place.  Every weight's shape is checked before
+    blocks of about four kernel lengths (see `_causal_convolve`), which
+    multiplies each batch of outputs by its rows' gate as it writes them; no
+    state trajectory is built, and besides per-batch buffers the path
+    allocates only its output.  scan=False runs `recur_sequential` on
+    every channel and applies D and W_out after it, the per-step reference,
+    and multiplies W_out y by the gate of all rows in place.  A scalar D
+    becomes D I once, before either path.  Both paths compute the gate with
+    `_silu_gate`.  Every weight's shape is checked before
     any channel runs; a non-finite output raises ArithmeticError.  The
     convolution is the package's one fast path; `verify`'s
     layer-equivalence oracle checks it against an exact chunked recurrence
@@ -313,20 +367,16 @@ def layer_forward(config: FilterBankConfig, weights: LayerWeights,
         d = d * np.eye(config.output_width, config.input_width)
     elif np.shape(d) != (config.output_width, config.input_width):
         raise ValueError("feedthrough shape does not match the layer widths")
+    w_gate = np.asarray(weights.w_gate)
     if scan:
         kernel = weights.w_out @ _output_kernel(ssms, weights.c_tilde, z_in.length)
         kernel[:1] += weights.w_out @ d  # a slice: zero-length input has no taps
-        z_out = _causal_convolve(kernel, z_in.values)
+        z_out = _causal_convolve(kernel, z_in.values, w_gate)
     else:
         states = np.concatenate([recur_sequential(ssm, z_in) for ssm in ssms], axis=1)
         y = (states @ weights.c_tilde.T).real + z_in.values @ np.asarray(d).T
         z_out = y @ weights.w_out.T
-    # W_gate z as one broadcast product per input column: no (L, in) @ (in, out) matmul
-    z, w_gate = z_in.values, np.asarray(weights.w_gate)
-    gate = z[:, :1] * w_gate[:, 0]
-    for i in range(1, config.input_width):
-        gate += z[:, i:i + 1] * w_gate[:, i]
-    z_out *= silu(gate)  # W_out y is a fresh array on both paths
+        z_out *= _silu_gate(z_in.values, w_gate).T  # W_out y is a fresh array
     try:
         return SequenceBatch(values=z_out)  # its finiteness check is the layer's
     except ValueError as exc:

@@ -13,6 +13,7 @@ from fractalssm.spectral import SpectralInit, spectral_init
 from fractalssm.ssm import (DiscreteDiagonalSSM, FilterBankConfig, LayerWeights,
                             SequenceBatch, _output_kernel, build_filter_bank, layer_forward,
                             recur_sequential, silu, zoh_discretize)
+from fractalssm.verify import _random_system
 
 
 def toy_init(lam: complex) -> SpectralInit:
@@ -319,7 +320,11 @@ class TestOutputKernel:
         kernel = _output_kernel(ssms, c_tilde, length)
         expected = TestOutputKernel.oracle(ssms, c_tilde, taps)
         assert kernel.shape == expected.shape
-        assert np.max(np.abs(kernel - expected)) <= 1e-13 * np.max(np.abs(expected))
+        # a state may stop at its own cut, dropping at most eps |c_n b_n| from each tap
+        b_bar = np.concatenate([ssm.b_bar for ssm in ssms])
+        dropped = np.finfo(float).eps * np.einsum("on,ni->oi", np.abs(c_tilde), np.abs(b_bar))
+        rounding = 1e-13 * np.max(np.abs(expected))
+        assert np.all(np.abs(kernel - expected) <= dropped + rounding)
 
     def test_three_channels_two_inputs_three_outputs(self):
         rng = np.random.default_rng(21)
@@ -338,6 +343,53 @@ class TestOutputKernel:
             for _ in range(2)]
         c_tilde = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
         self.assert_matches(ssms, c_tilde, 257, 257)
+
+    def test_fast_and_slow_states_mixed(self):
+        # the r = 0.999 states set 36024 taps; the r = 0.5 states stop at their
+        # own cut, 53 taps, long before the powers would underflow
+        rng = np.random.default_rng(24)
+        radius = np.array([0.999, 0.5, 0.5, 0.999, 0.5, 0.999])
+        lambda_bar = radius * np.exp(1j * rng.uniform(-np.pi, np.pi, size=6))
+        ssms = [DiscreteDiagonalSSM(
+            lambda_bar=lambda_bar[3 * k:3 * k + 3],
+            b_bar=rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)), delta=1.0)
+            for k in range(2)]
+        c_tilde = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
+        taps = math.ceil(math.log(np.finfo(float).eps) / math.log(0.999))
+        self.assert_matches(ssms, c_tilde, 40000, taps)
+
+    @pytest.mark.parametrize("bank", ["filter-bank-4x32", "random-64"])
+    def test_no_power_underflows(self, bank):
+        # fast states decay below 1e-308 long before the slowest one reaches eps
+        rng = np.random.default_rng(25)
+        if bank == "random-64":
+            ssms = [_random_system(rng, 64)]
+        else:
+            config = FilterBankConfig(channels=4, block_state=32, delta=0.01)
+            ssms = [zoh_discretize(init, 0.01) for init in build_filter_bank(config)]
+        total = sum(ssm.lambda_bar.shape[0] for ssm in ssms)
+        c_tilde = rng.standard_normal((1, total)) + 1j * rng.standard_normal((1, total))
+        with np.errstate(under="raise"):
+            kernel = _output_kernel(ssms, c_tilde, 10000)
+        assert kernel.shape[0] > 2000 and np.all(np.isfinite(kernel))
+
+    def test_builds_no_power_table(self):
+        # one 64-state system at 7191 taps: the taps x n table of powers alone
+        # would take 7.4 MB
+        rng = np.random.default_rng(26)
+        ssm = _random_system(rng, 64)
+        ssm = DiscreteDiagonalSSM(lambda_bar=np.concatenate([[0.995], ssm.lambda_bar[1:]]),
+                                  b_bar=ssm.b_bar, delta=1.0)
+        c_tilde = rng.standard_normal((1, 64)) + 1j * rng.standard_normal((1, 64))
+        tracemalloc.start()
+        try:
+            kernel = _output_kernel([ssm], c_tilde, 10000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        taps = kernel.shape[0]
+        assert taps == 7191
+        assert peak < 0.25 * taps * 64 * 16
 
 
 class TestConvolutionPath:
@@ -503,6 +555,25 @@ class TestConvolutionPath:
         self.assert_paths_agree(config, weights, ssms,
                                 SequenceBatch(rng.standard_normal((7 * hop + hop // 2, 2))))
         counts = [batch] * (8 // batch) + [8 % batch] * (8 % batch > 0)
+        assert [shape[:2] for shape in inverse_batches] == [(3, c) for c in counts]
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_gate_across_batch_edges(self, extra, inverse_batches, monkeypatch):
+        # batches of 2 blocks over 3 batches' worth of steps, give or take one:
+        # the first batch reaches before step 0, the middle one reads u in place,
+        # and the last one runs past the end (extra = -1), ends on it (0) or is
+        # followed by a one-block batch (1); each gates its own rows
+        ssms = self.bank(0.2, width=2)
+        taps = self.taps(ssms, 10 ** 6)
+        hop = self.block_hop(ssms, taps, inverse_batches)
+        monkeypatch.setattr("fractalssm.ssm._BATCH_POINTS", 2 * (hop + taps - 1))
+        inverse_batches.clear()
+        rng = np.random.default_rng(18 + extra)
+        config, weights = self.layer(ssms, width=2, out_width=3, seed=11 + extra,
+                                     d=rng.standard_normal((3, 2)))
+        self.assert_paths_agree(config, weights, ssms,
+                                SequenceBatch(rng.standard_normal((3 * 2 * hop + extra, 2))))
+        counts = [2, 2, 2] + [1] * (extra > 0)
         assert [shape[:2] for shape in inverse_batches] == [(3, c) for c in counts]
 
     @pytest.mark.parametrize("scan", [True, False])
