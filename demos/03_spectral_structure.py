@@ -34,14 +34,17 @@ for n in (8, 16):
 
 # --- the channel initialization --------------------------------------------------
 # decay rates -(n+1) exactly; imaginary parts follow the linear ramp pi*n;
-# the input vector is pushed through the eigenbasis.
+# the input vector is pushed through the eigenbasis, b_tilde = V^-1 B.  The
+# initialization keeps the eigenvalues, b_tilde and kappa(V), not V itself.
 init = spectral_init(0.5, 6, input_width=1)
 print("\nspectral initialization at alpha=0.5, six states:")
 print("  eigenvalues:", np.round(init.eigenvalues, 3))
 print("  |b_tilde|:  ", np.round(np.abs(init.b_tilde[:, 0]), 3))
 print("  cond(V):    ", f"{init.cond_v:.3e}")
 
-# round trip: V (V^-1 B) recovers the physical input vector
-recon = init.v @ init.b_tilde[:, 0].real
+# round trip: V (V^-1 B) recovers the physical input vector, with V rebuilt
+# from the same exact eigendecomposition spectral_init used
+_, v, _ = eig_triangular(build_A(0.5, 6))
+recon = v @ init.b_tilde[:, 0].real
 print("  input-vector round-trip deviation:",
       f"{np.max(np.abs(recon - build_B(0.5, 6))):.2e}")

@@ -122,8 +122,6 @@ def _init_out(init: SpectralInit) -> dict:
         "alpha": init.alpha,
         "n": init.n,
         "lambda": _complex_out(init.eigenvalues),
-        "v": [float(x) for x in init.v.ravel()],
-        "v_inv": [float(x) for x in init.v_inv.ravel()],
         "b_tilde": _complex_out(init.b_tilde),
         "input_width": init.b_tilde.shape[1],
         "cond_v": init.cond_v,
@@ -131,13 +129,12 @@ def _init_out(init: SpectralInit) -> dict:
 
 
 def _init_in(doc: dict) -> SpectralInit:
+    # older channels also carry the eigenbasis "v" and "v_inv"; a model reads neither
     n = int(doc["n"])
     width = int(doc["input_width"])
     return SpectralInit(
         alpha=float(doc["alpha"]),
         eigenvalues=_complex_in(doc["lambda"], (n,)),
-        v=_real_in(doc["v"], (n, n)),
-        v_inv=_real_in(doc["v_inv"], (n, n)),
         b_tilde=_complex_in(doc["b_tilde"], (n, width)),
         cond_v=float(doc["cond_v"]),
     )

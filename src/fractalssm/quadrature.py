@@ -12,8 +12,8 @@ node that one sweep leaves unchanged would come out of every later sweep
 unchanged too: each sweep runs only on the nodes the previous one moved,
 and the nodes are the same as if every sweep ran on all of them.  The
 refined copies are kept on the rule so that the oracles of `verify` can
-reach their 1e-10 tolerances; the public arrays are float64.  The module
-needs only numpy.
+reach their 1e-10 tolerances; the public float64 arrays round them.  The
+module needs only numpy.
 """
 
 from __future__ import annotations
@@ -40,10 +40,16 @@ class QuadratureRule:
     """Nodes and weights for integrating f against the Jacobi weight."""
 
     param: JacobiParam
-    nodes: np.ndarray
-    weights: np.ndarray
-    nodes_hi: np.ndarray = field(repr=False, default=None)
-    weights_hi: np.ndarray = field(repr=False, default=None)
+    nodes_hi: np.ndarray = field(repr=False)
+    weights_hi: np.ndarray = field(repr=False)
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return self.nodes_hi.astype(float)
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.weights_hi.astype(float)
 
 
 def weight_mass(param: JacobiParam) -> float:
@@ -136,14 +142,13 @@ def gauss_jacobi(param: JacobiParam, order: int) -> QuadratureRule:
         stepped = _newton_step(d, e, p0, order, before)
         x[moving] = stepped
         moving = moving[stepped != before]
-    w = _christoffel_weights(d, e, p0, order, x)
-    nodes = x.astype(float)
-    weights = w.astype(float)
+    rule = QuadratureRule(param=param, nodes_hi=x,
+                          weights_hi=_christoffel_weights(d, e, p0, order, x))
+    nodes, weights = rule.nodes, rule.weights
     if (not np.all(np.isfinite(nodes)) or not np.all(np.isfinite(weights))
             or np.any(np.diff(nodes) <= 0) or np.any(weights <= 0)
             or np.any(np.abs(nodes) >= 1.0)):
         raise QuadratureError(
             f"invalid rule for (a={param.a}, b={param.b}) at order {order}")
-    return QuadratureRule(param=param, nodes=nodes, weights=weights,
-                          nodes_hi=x, weights_hi=w)
+    return rule
 

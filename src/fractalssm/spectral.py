@@ -22,14 +22,12 @@ _DISTINCT_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class SpectralInit:
-    """Diagonalized system data: eigenvalues, eigenbasis, transformed input."""
+    """Diagonalized system data: eigenvalues, transformed input V^-1 B, kappa(V)."""
 
     alpha: float
     eigenvalues: np.ndarray   # complex, Re = -(n+1)
-    v: np.ndarray             # real eigenvector matrix, unit-norm columns
-    v_inv: np.ndarray
     b_tilde: np.ndarray       # complex, shape (n, input_width)
-    cond_v: float
+    cond_v: float             # two-norm condition number of the eigenbasis V
 
     @property
     def n(self) -> int:
@@ -91,5 +89,5 @@ def spectral_init(alpha: float, n: int, input_width: int = 1) -> SpectralInit:
     phys = v_inv @ b
     b_tilde = np.repeat(phys[:, None], input_width, axis=1).astype(complex)
     b_tilde /= np.sqrt(input_width)
-    return SpectralInit(alpha=alpha, eigenvalues=eigenvalues, v=v, v_inv=v_inv,
-                        b_tilde=b_tilde, cond_v=condition_number(v))
+    return SpectralInit(alpha=alpha, eigenvalues=eigenvalues, b_tilde=b_tilde,
+                        cond_v=condition_number(v))

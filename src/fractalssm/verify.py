@@ -76,6 +76,12 @@ class OracleReport:
         return bool(self.max_deviation <= self.tolerance)
 
 
+def _worst(deviations) -> float:
+    """The largest deviation of a check's rows.  np.max, unlike max(), carries
+    a NaN through wherever it stands, so a NaN row fails its check."""
+    return float(np.max(deviations))
+
+
 def _projector(alpha: float, n: int, order: int):
     """The map (u, t) -> projection_coefficients(u, alpha, n, t, order).
 
@@ -84,8 +90,9 @@ def _projector(alpha: float, n: int, order: int):
     """
     param = JacobiParam(-alpha, 0.0)
     rule = gauss_jacobi(param, order)
-    xi = (1.0 + rule.nodes) / 2.0
-    p = jacobi_eval_all(param, n - 1, rule.nodes)
+    nodes, weights = rule.nodes, rule.weights
+    xi = (1.0 + nodes) / 2.0
+    p = jacobi_eval_all(param, n - 1, nodes)
     gammas, _ = basis_scale(alpha, n)
     scale = (1.0 - alpha) * 2.0 ** (alpha - 1.0) * gammas
 
@@ -93,7 +100,7 @@ def _projector(alpha: float, n: int, order: int):
         signal = np.asarray(u(t * xi), dtype=float)
         if not np.all(np.isfinite(signal)):
             raise ValueError("signal produced non-finite values at quadrature nodes")
-        return scale * (p @ (rule.weights * signal))
+        return scale * (p @ (weights * signal))
 
     return project
 
@@ -169,8 +176,8 @@ def _check_measure_normalization(grid) -> OracleReport:
         m = measure_mod.FractionalMeasure(alpha, t=1.0)
         dev = abs(measure_mod.total_mass(m, order=32) - 1.0)
         detail.append({"alpha": alpha, "deviation": dev})
-    worst = max(row["deviation"] for row in detail)
-    return OracleReport("measure-normalization", worst, 1e-10, detail)
+    return OracleReport("measure-normalization",
+                        _worst([row["deviation"] for row in detail]), 1e-10, detail)
 
 
 def _check_scale_invariance(rng) -> OracleReport:
@@ -182,13 +189,12 @@ def _check_scale_invariance(rng) -> OracleReport:
         name, u = signals[trial % 2]
         dev = check_scale_invariance(alpha, 8, lam, t=2.5, u=u)
         detail.append({"alpha": alpha, "dilation": lam, "signal": name, "deviation": dev})
-    worst = max(row["deviation"] for row in detail)
-    return OracleReport("scale-invariance", worst, 1e-8, detail)
+    return OracleReport("scale-invariance",
+                        _worst([row["deviation"] for row in detail]), 1e-8, detail)
 
 
 def _check_orthonormality(grid, n_max: int = 32) -> OracleReport:
     detail = []
-    worst = 0.0
     for alpha in grid:
         rule = gauss_jacobi(JacobiParam(-alpha, 0.0), 2 * (n_max + 1))
         p = jacobi_eval_all(JacobiParam(-alpha, 0.0), n_max, rule.nodes_hi, dtype=_LD)
@@ -197,8 +203,8 @@ def _check_orthonormality(grid, n_max: int = 32) -> OracleReport:
         cross = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
         h = basis_scale(alpha, n_max + 1)[1].astype(_LD)
         norm_dev = float(np.max(np.abs(np.diag(gram) / h - 1.0)))
-        worst = max(worst, cross, norm_dev)
         detail.append({"alpha": alpha, "cross": cross, "norm_rel": norm_dev})
+    worst = _worst([(row["cross"], row["norm_rel"]) for row in detail])
     return OracleReport("basis-orthonormality", worst, 1e-10, detail)
 
 
@@ -233,7 +239,7 @@ def _check_galerkin_projection(grid, n: int) -> OracleReport:
         at = int(np.argmax(rel))
         detail.append({"alpha": alpha, "max_relative_deviation": float(rel[at]),
                        "entry": (int(rows[at]), int(cols[at]))})
-    worst = float(np.max([row["max_relative_deviation"] for row in detail]))
+    worst = _worst([row["max_relative_deviation"] for row in detail])
     return OracleReport("galerkin-projection", worst, 1e-10, detail)
 
 
@@ -242,19 +248,15 @@ def _check_legs_recovery(n: int) -> OracleReport:
     b_dev = float(np.max(np.abs(build_B(0.0, n) - np.sqrt(2.0 * np.arange(n) + 1.0))))
     detail = [{"matrix_deviation": a_dev, "vector_deviation": b_dev}]
     # the vector tolerance is 100x tighter (1e-12); scale it onto the matrix one
-    return OracleReport("legs-recovery", max(a_dev, 100.0 * b_dev), 1e-10, detail)
+    return OracleReport("legs-recovery", _worst([a_dev, 100.0 * b_dev]), 1e-10, detail)
 
 
 def _check_table(alpha: float, table: dict, name: str) -> OracleReport:
     a = build_A(alpha, 5)
-    detail = []
-    worst = 0.0
-    for (row, col), printed in sorted(table.items()):
-        dev = abs(a[row, col] - printed)
-        worst = max(worst, dev)
-        detail.append({"entry": (row, col), "computed": float(a[row, col]),
-                       "printed": printed, "deviation": dev})
-    return OracleReport(name, float(worst), 0.005, detail)
+    detail = [{"entry": (row, col), "computed": float(a[row, col]), "printed": printed,
+               "deviation": abs(a[row, col] - printed)}
+              for (row, col), printed in sorted(table.items())]
+    return OracleReport(name, _worst([row["deviation"] for row in detail]), 0.005, detail)
 
 
 def _check_eigenvalue_invariance(grid, n: int) -> OracleReport:
@@ -264,8 +266,8 @@ def _check_eigenvalue_invariance(grid, n: int) -> OracleReport:
         eigs = np.sort(np.linalg.eigvals(a).real)
         dev = float(np.max(np.abs(eigs - np.arange(1, n + 1))))
         detail.append({"alpha": alpha, "deviation": dev})
-    worst = max(row["deviation"] for row in detail)
-    return OracleReport("eigenvalue-invariance", worst, 1e-10, detail)
+    return OracleReport("eigenvalue-invariance",
+                        _worst([row["deviation"] for row in detail]), 1e-10, detail)
 
 
 def _check_condition_growth() -> OracleReport:
@@ -279,23 +281,21 @@ def _check_condition_growth() -> OracleReport:
     alphas = sorted({a for _, a in CONDITION_TABLE})
     kappa = {}
     detail = []
-    worst_ratio = 1.0
     for n in sizes:
         for alpha in alphas:
             _, v, _ = eig_triangular(build_A(alpha, n))
             k = condition_number(v)
             kappa[(n, alpha)] = k
             ref = CONDITION_TABLE[(n, alpha)]
-            ratio = max(k / ref, ref / k)
-            worst_ratio = max(worst_ratio, ratio)
             detail.append({"n": n, "alpha": alpha, "kappa": k, "reference": ref,
-                           "ratio": ratio})
+                           "ratio": max(k / ref, ref / k)})
+    worst_ratio = _worst([row["ratio"] for row in detail])
     monotone = all(kappa[(n1, a)] <= kappa[(n2, a)]
                    for a in alphas for n1, n2 in zip(sizes, sizes[1:]))
     monotone &= all(kappa[(n, a1)] <= kappa[(n, a2)]
                     for n in sizes for a1, a2 in zip(alphas, alphas[1:]))
     detail.append({"monotone": monotone})
-    deviation = float(worst_ratio) if monotone else float("inf")
+    deviation = worst_ratio if monotone else float("inf")
     return OracleReport("condition-growth", deviation, 10.0, detail)
 
 
@@ -309,7 +309,7 @@ def _check_b_closed_form(grid, n: int) -> OracleReport:
         gammas, _ = basis_scale(alpha, n)
         rel = float(np.max(np.abs(b - (gammas * endpoints).astype(float)) / np.abs(b)))
         detail.append({"alpha": alpha, "relative_deviation": rel})
-    worst = max(row["relative_deviation"] for row in detail)
+    worst = _worst([row["relative_deviation"] for row in detail])
     return OracleReport("input-vector-closed-form", worst, 1e-12, detail)
 
 
@@ -411,26 +411,24 @@ def _check_layer_equivalence(rng, systems: int = 50) -> OracleReport:
         # np.max, unlike max(), carries a NaN through
         dev = np.max(np.abs(layer.values[:, 0] - ref)) / max(np.max(np.abs(ref)), 1e-300)
         detail.append({"n": n, "length": u.length, "relative_deviation": float(dev)})
-    worst = float(np.max([0.0, *(row["relative_deviation"] for row in detail)]))
+    worst = _worst([row["relative_deviation"] for row in detail])
     return OracleReport("layer-equivalence", worst, 1e-10, detail)
 
 
 def _check_zoh_limit(grid) -> OracleReport:
     detail = []
-    worst = 0.0
     stable = True
     for alpha in grid:
         init = spectral_init(alpha, 8)
         ssm = zoh_discretize(init, 1e-6)
         rel = float(np.max(np.abs(ssm.b_bar / 1e-6 - init.b_tilde) / np.abs(init.b_tilde)))
-        worst = max(worst, rel)
         moduli_ok = all(
             np.all(np.abs(zoh_discretize(init, d).lambda_bar) < 1.0)
             for d in (1e-3, 1e-1, 1.0, 10.0))
         stable &= moduli_ok
         detail.append({"alpha": alpha, "small_step_rel_dev": rel, "stable": moduli_ok})
-    deviation = worst if stable else float("inf")
-    return OracleReport("zoh-limit", deviation, 1e-4, detail)
+    worst = _worst([row["small_step_rel_dev"] for row in detail])
+    return OracleReport("zoh-limit", worst if stable else float("inf"), 1e-4, detail)
 
 
 def run_full_suite(alpha_grid, n_max: int, seed: int = 0) -> list[OracleReport]:

@@ -1,5 +1,6 @@
 """Round-trip and schema-validation tests for the file formats."""
 
+import copy
 import csv
 import json
 import re
@@ -10,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalssm import fileio
-from fractalssm.operators import build_operators
-from fractalssm.spectral import spectral_init
+from fractalssm.cli import main
+from fractalssm.operators import build_A, build_operators
+from fractalssm.spectral import eig_triangular, spectral_init
 from fractalssm.ssm import (FilterBankConfig, LayerWeights, SequenceBatch,
                             build_filter_bank, zoh_discretize)
 
@@ -94,22 +96,52 @@ class TestModelFile:
         )
         return config, inits, weights
 
-    def test_round_trip_bit_exact(self, tmp_path):
-        config, inits, weights = self.build_model()
-        path = tmp_path / "model.json"
-        fileio.write_model_file(path, config, inits, weights)
-        config2, inits2, weights2 = fileio.read_model_file(path)
+    @staticmethod
+    def assert_same_model(model, back):
+        (config, inits, weights), (config2, inits2, weights2) = model, back
         assert config2 == config
+        assert len(inits2) == len(inits)
         for a, b in zip(inits, inits2):
+            assert a.alpha == b.alpha
             assert np.array_equal(a.eigenvalues, b.eigenvalues)
-            assert np.array_equal(a.v, b.v)
-            assert np.array_equal(a.v_inv, b.v_inv)
             assert np.array_equal(a.b_tilde, b.b_tilde)
             assert a.cond_v == b.cond_v
         assert np.array_equal(weights2.c_tilde, weights.c_tilde)
         assert np.array_equal(weights2.w_out, weights.w_out)
         assert np.array_equal(weights2.w_gate, weights.w_gate)
         assert np.array_equal(weights2.d, weights.d)
+
+    def test_round_trip_bit_exact(self, tmp_path):
+        model = self.build_model()
+        path = tmp_path / "model.json"
+        fileio.write_model_file(path, *model)
+        for channel in json.loads(path.read_text())["channels"]:
+            assert "v" not in channel and "v_inv" not in channel
+        self.assert_same_model(model, fileio.read_model_file(path))
+
+    def test_legacy_eigenbasis_ignored(self, tmp_path):
+        # older fractal-model/1 files also carry each channel's eigenbasis
+        model = self.build_model()
+        path = tmp_path / "model.json"
+        fileio.write_model_file(path, *model)
+        doc = json.loads(path.read_text())
+        for channel in doc["channels"]:
+            _, v, v_inv = eig_triangular(build_A(channel["alpha"], channel["n"]))
+            channel["v"] = [float(x) for x in v.ravel()]
+            channel["v_inv"] = [float(x) for x in v_inv.ravel()]
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps(doc, indent=1))
+        self.assert_same_model(model, fileio.read_model_file(legacy))
+
+        seq = tmp_path / "in.csv"
+        fileio.write_sequence_csv(seq, SequenceBatch(
+            np.random.default_rng(3).standard_normal((64, 2))))
+        outputs = []
+        for model_file in (path, legacy):
+            outputs.append(tmp_path / f"{model_file.stem}.csv")
+            assert main(["run", "--model", str(model_file), "--input", str(seq),
+                         "--out", str(outputs[-1])]) == 0
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
     def test_scalar_feedthrough_round_trip(self, tmp_path):
         config, inits, weights = self.build_model()
@@ -210,6 +242,47 @@ class TestDiscreteSystemFile:
         path.write_text(json.dumps(doc))
         with pytest.raises(fileio.SchemaError, match=message):
             fileio.read_dssm_file(path)
+
+
+def key_paths(node, prefix=()):
+    """The path of every key in a JSON document, keys nested in objects and
+    lists included."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield prefix + (key,)
+            yield from key_paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from key_paths(value, prefix + (i,))
+
+
+@pytest.mark.parametrize("write, read", [
+    (lambda path: fileio.write_operator_file(path, build_operators(0.5, 5)),
+     fileio.read_operator_file),
+    (lambda path: fileio.write_model_file(path, *TestModelFile.build_model()),
+     fileio.read_model_file),
+    (lambda path: fileio.write_dssm_file(path, zoh_discretize(spectral_init(0.4, 5, 2), 0.01)),
+     fileio.read_dssm_file),
+], ids=[fileio.OPERATOR_SCHEMA, fileio.MODEL_SCHEMA, fileio.DSSM_SCHEMA])
+def test_every_written_key_is_read(tmp_path, write, read):
+    # a file holds no field that nothing reads: without any one key, the read fails
+    path = tmp_path / "file.json"
+    write(path)
+    written = json.loads(path.read_text())
+    unread = []
+    for key_path in key_paths(written):
+        doc = copy.deepcopy(written)
+        node = doc
+        for key in key_path[:-1]:
+            node = node[key]
+        del node[key_path[-1]]
+        path.write_text(json.dumps(doc))
+        try:
+            read(path)
+        except fileio.SchemaError:
+            continue
+        unread.append(key_path)
+    assert unread == []
 
 
 class TestSequenceCsv:

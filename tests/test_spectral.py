@@ -117,12 +117,14 @@ class TestSpectralInit:
         init = spectral_init(0.5, 8)
         b = build_B(0.5, 8)
         assert np.all(np.isfinite(init.b_tilde))
-        recon = init.v @ init.b_tilde[:, 0].real
+        _, v, _ = eig_triangular(build_A(0.5, 8))
+        recon = v @ init.b_tilde[:, 0].real
         assert np.max(np.abs(recon - b)) < 1e-8
 
     def test_multi_input_replication(self):
         init = spectral_init(0.3, 6, input_width=4)
-        phys = init.v_inv @ build_B(0.3, 6)
+        _, _, v_inv = eig_triangular(build_A(0.3, 6))
+        phys = v_inv @ build_B(0.3, 6)
         assert init.b_tilde.shape == (6, 4)
         for j in range(4):
             assert init.b_tilde[:, j] == pytest.approx(phys / 2.0)

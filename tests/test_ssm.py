@@ -18,7 +18,6 @@ from fractalssm.verify import _random_system
 
 def toy_init(lam: complex) -> SpectralInit:
     return SpectralInit(alpha=0.0, eigenvalues=np.array([lam]),
-                        v=np.eye(1), v_inv=np.eye(1),
                         b_tilde=np.array([[1.0 + 0.0j]]), cond_v=1.0)
 
 

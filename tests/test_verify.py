@@ -1,5 +1,7 @@
 """Oracle-module tests: projection coefficients, ODE check, suite wiring."""
 
+import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -255,6 +257,79 @@ class TestRunFullSuite:
         assert [r.name for r in reports] == [r.name for r in uniform_suite]
         assert all(not r.passed and r.detail == [{"error": "RuntimeError: boom"}]
                    for r in reports)
+
+
+def nan_last(values):
+    """A copy of values with its last entry NaN."""
+    out = np.array(values, dtype=np.result_type(values, float))
+    out.flat[-1] = np.nan
+    return out
+
+
+def with_nan_subdiagonal(a):
+    out = a.copy()
+    out[-1, -2] = np.nan   # offdiag-monotonicity reads no diagonal entry
+    return out
+
+
+def with_nan_output(batch):
+    batch.values[-1, 0] = np.nan
+    return batch
+
+
+_GRID = (0.0, 0.5, 0.9)
+
+# (check, owner, function, its call that feeds the check's last row, plant, run)
+_NAN_ROWS = [
+    ("measure-normalization", verify.measure_mod, "total_mass", 3,
+     lambda _: math.nan, lambda: verify._check_measure_normalization(_GRID)),
+    ("scale-invariance", verify, "check_scale_invariance", 20,
+     lambda _: math.nan, lambda: verify._check_scale_invariance(np.random.default_rng(0))),
+    ("basis-orthonormality", verify, "basis_scale", 3,
+     lambda scales: (scales[0], nan_last(scales[1])),
+     lambda: verify._check_orthonormality(_GRID, 8)),
+    ("galerkin-projection", verify, "build_A", 3, nan_last,
+     lambda: verify._check_galerkin_projection(_GRID, 8)),
+    ("legs-recovery", verify, "build_B", 1, nan_last,
+     lambda: verify._check_legs_recovery(8)),
+    ("table-alpha0", verify, "build_A", 1, nan_last,
+     lambda: verify._check_table(0.0, verify.TABLE_ALPHA0, "table-alpha0")),
+    ("table-alpha05", verify, "build_A", 1, nan_last,
+     lambda: verify._check_table(0.5, verify.TABLE_ALPHA05, "table-alpha05")),
+    ("eigenvalue-invariance", np.linalg, "eigvals", 3, nan_last,
+     lambda: verify._check_eigenvalue_invariance(_GRID, 8)),
+    ("condition-growth", verify, "condition_number", len(verify.CONDITION_TABLE),
+     lambda _: math.nan, verify._check_condition_growth),
+    ("input-vector-closed-form", verify, "build_B", 3, nan_last,
+     lambda: verify._check_b_closed_form(_GRID, 8)),
+    ("offdiag-monotonicity", verify, "build_A", 3, with_nan_subdiagonal,
+     lambda: verify._check_monotonicity(_GRID, 8)),
+    ("layer-equivalence", verify, "layer_forward", 3, with_nan_output,
+     lambda: verify._check_layer_equivalence(np.random.default_rng(0), systems=3)),
+    ("zoh-limit", verify, "spectral_init", 3,
+     lambda init: dataclasses.replace(init, b_tilde=nan_last(init.b_tilde)),
+     lambda: verify._check_zoh_limit(_GRID)),
+]
+
+
+@pytest.mark.parametrize("name, owner, function, call, plant, run", _NAN_ROWS,
+                         ids=[case[0] for case in _NAN_ROWS])
+def test_nan_in_last_row_fails_the_check(monkeypatch, name, owner, function, call,
+                                         plant, run):
+    # Python's max() keeps a NaN only when it comes first; a NaN in a check's
+    # last row must still fail the check
+    real = getattr(owner, function)
+    calls = itertools.count(1)
+
+    def planted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return plant(out) if next(calls) == call else out
+
+    monkeypatch.setattr(owner, function, planted)
+    report = run()
+    assert next(calls) == call + 1, "the planted call is not the check's last"
+    assert report.name == name
+    assert report.passed is False
 
 
 class TestScanEquivalenceGroups:
