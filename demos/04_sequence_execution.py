@@ -1,9 +1,9 @@
 """Running sequences: ZOH discretization and the gated layer.
 
-One channel is discretized and its per-step recurrence run; a small
+One channel is discretized and its impulse response shown; a small
 multi-scale filter bank then processes a signal with both a slow drift and a
-sharp transient, through its truncated output kernel, and is checked and
-timed against the per-step reference.
+sharp transient, through its truncated output kernel, and the layer is timed
+on longer inputs.
 """
 
 import time
@@ -11,8 +11,7 @@ import time
 import numpy as np
 
 from fractalssm import (FilterBankConfig, LayerWeights, SequenceBatch,
-                        build_filter_bank, layer_forward, recur_sequential,
-                        spectral_init, zoh_discretize)
+                        build_filter_bank, layer_forward, spectral_init, zoh_discretize)
 
 # --- discretize one channel ---------------------------------------------------
 init = spectral_init(0.5, 8)
@@ -20,14 +19,10 @@ ssm = zoh_discretize(init, delta=0.01)
 print("discrete decay moduli |lambda_bar| (should be exp(-delta*(n+1))):")
 print(" ", np.round(np.abs(ssm.lambda_bar), 5))
 
-# the per-step recurrence: an impulse at step 0 leaves x_k = lambda_bar^k b_bar
-impulse = np.zeros((64, 1))
-impulse[0] = 1.0
-states = recur_sequential(ssm, SequenceBatch(impulse))
-expected = ssm.lambda_bar ** np.arange(64)[:, None] * ssm.b_bar[:, 0]
-rel = np.max(np.abs(states - expected)) / np.max(np.abs(expected))
-print(f"impulse response vs lambda_bar^k b_bar over 64 steps: "
-      f"max relative deviation {rel:.2e}")
+# an impulse at step 0 leaves the state x_k = lambda_bar^k b_bar
+states = ssm.lambda_bar ** np.arange(64)[:, None] * ssm.b_bar[:, 0]
+print("impulse response x_k = lambda_bar^k b_bar, |x_k| at k = 0, 16, 32, 63:")
+print(" ", np.round(np.linalg.norm(states[[0, 16, 32, 63]], axis=1), 5))
 
 # --- a multi-scale layer ---------------------------------------------------------
 # four channels spanning alpha in [0, 0.9]: low alpha retains global context,
@@ -55,18 +50,13 @@ z_out = layer_forward(config, weights, ssms, z_in)
 # in overlap-save FFT blocks of about four kernel lengths; the kernel is one
 # matmul of blocked powers lambda^(B k) and lambda^m, B = ceil(sqrt(taps)), each
 # state cut once its tail is below eps, and each batch of FFT blocks is gated
-# as it is written to the output; scan=False is the per-step recur_sequential
-# reference (the speedup is hardware-dependent)
+# as it is written to the output (`fractal verify`'s layer-equivalence check
+# compares it with an exact chunked recurrence; timings are hardware-dependent)
 for steps in (16384, 65536):
     u_layer = SequenceBatch(rng.standard_normal((steps, 1)))
-    t0 = time.perf_counter(); fast = layer_forward(config, weights, ssms, u_layer).values
-    t_fast = time.perf_counter() - t0
     t0 = time.perf_counter()
-    ref = layer_forward(config, weights, ssms, u_layer, scan=False).values
-    t_ref = time.perf_counter() - t0
-    dev = np.max(np.abs(fast - ref)) / np.max(np.abs(ref))
-    print(f"layer, {steps} steps: convolution {t_fast:.3f}s, sequential {t_ref:.3f}s "
-          f"({t_ref / t_fast:.1f}x), max relative deviation {dev:.2e}")
+    layer_forward(config, weights, ssms, u_layer)
+    print(f"layer, {steps} steps: {time.perf_counter() - t0:.4f}s")
 
 peak = int(np.argmax(np.abs(z_out.values[:, 0])))
 print(f"layer output peaks at step {peak} (transient injected at 300)")

@@ -34,9 +34,9 @@ def _check_time(t: float) -> None:
 class FractionalMeasure:
     """Power-law measure with singularity index alpha at current time t.
 
-    The density and mass profiles are closed forms, exact on all of [0, 1)
+    The density and mass profiles are closed forms that hold on all of [0, 1)
     (total_mass at alpha = 0.99 deviates 1.6e-15 from 1), so the measure is
-    not held to ALPHA_MAX, which bounds only the operator quadrature.
+    not held to ALPHA_MAX: that bounds the operator pair and all built from it.
     """
 
     alpha: float

@@ -1,23 +1,13 @@
-"""Discrete execution: ZOH discretization, linear recurrence, gated layer.
+"""Discrete execution: ZOH discretization and the gated filter-bank layer.
 
-The diagonal recurrence x_k = lambda_bar * x_{k-1} + b_bar u_k yields its
-state trajectory one step at a time; that is the per-step reference.  A
-filter bank stacks channels with distinct singularity indices; the layer
-output is gated by a SiLU-activated branch of the input.  The layer needs
-only W_out (Re(C x) + D u), a causal convolution of the input with the
-kernel K_j = W_out Re sum_n c_n b_bar_n lambda_bar_n^j, plus W_out D at
-j = 0.  It applies that kernel, truncated once every state has
-decayed below eps, by overlap-save in power-of-two FFT blocks of about four
-kernel lengths, or in one block for a shorter input, instead of building the
-state trajectory.  The bank's kernel is one matmul of blocked powers,
-(lambda_bar^B)^k c_n b_bar_n against lambda_bar^m for m < B = ceil(sqrt(taps)),
-so no taps x n table of powers is built, and each state stops once its own
-tail is below eps, so no power underflows.  The FFTs run in batches of a few
-hundred kB whose windows are read from the input in place; each batch's
-inverse transform is multiplied by the SiLU gate of its rows straight into
-the output, so besides the per-batch buffers the layer allocates only its
-output.  The spectral product and the gate W_gate u are sums of broadcast
-products over input columns.
+A filter bank stacks channels with distinct singularity indices, each a
+diagonal recurrence x_k = lambda_bar * x_{k-1} + b_bar u_k; the layer
+output is gated by a SiLU-activated branch of the input.  The layer never
+builds the state trajectory: it convolves the input with the bank's output
+kernel, truncated once every state has decayed below eps (`_output_kernel`),
+by overlap-save in FFT blocks that it gates as it writes them
+(`_causal_convolve`).  `verify`'s layer-equivalence oracle checks it against
+an exact chunked recurrence that shares no code with this module.
 """
 
 from __future__ import annotations
@@ -39,7 +29,6 @@ __all__ = [
     "silu",
     "check_step",
     "zoh_discretize",
-    "recur_sequential",
     "build_filter_bank",
     "layer_forward",
 ]
@@ -159,30 +148,14 @@ def check_step(delta: float) -> None:
 def zoh_discretize(init: SpectralInit, delta: float) -> DiscreteDiagonalSSM:
     """Zero-order-hold discretization of a diagonal system with step delta.
 
-    lambda_bar = exp(delta * lambda); b_bar = (lambda_bar - 1)/lambda * b_tilde.
+    lambda_bar = exp(delta * lambda); b_bar = expm1(delta * lambda)/lambda * b_tilde,
+    where expm1 keeps the digits that lambda_bar - 1 cancels at a small step.
     """
     check_step(delta)
     lam = init.eigenvalues
     lambda_bar = np.exp(delta * lam)
-    b_bar = ((lambda_bar - 1.0) / lam)[:, None] * init.b_tilde
+    b_bar = (np.expm1(delta * lam) / lam)[:, None] * init.b_tilde
     return DiscreteDiagonalSSM(lambda_bar=lambda_bar, b_bar=b_bar, delta=float(delta))
-
-
-def recur_sequential(ssm: DiscreteDiagonalSSM, u: SequenceBatch) -> np.ndarray:
-    """State trajectory of the diagonal recurrence, one step at a time.
-
-    x_0 = b_bar u_0 (zero initial state); returns shape (length, n) complex.
-    """
-    if u.width != ssm.b_bar.shape[1]:
-        raise ValueError(
-            f"input width {u.width} does not match system width {ssm.b_bar.shape[1]}")
-    drive = u.values @ ssm.b_bar.T  # (L, n)
-    out = np.empty_like(drive)
-    state = np.zeros(ssm.lambda_bar.shape, dtype=complex)
-    for k in range(drive.shape[0]):
-        state = ssm.lambda_bar * state + drive[k]
-        out[k] = state
-    return out
 
 
 _EPS = np.finfo(float).eps
@@ -329,23 +302,21 @@ def layer_forward(config: FilterBankConfig, weights: LayerWeights,
     """Gated layer: filter all channels, project, and gate with SiLU(W_gate z).
 
     z_out = (W_out y) * silu(W_gate z_in) with y = Re(C_tilde x) + D z_in.
-    With scan=True (the default) W_out y is the input convolved with the
-    bank's output kernel, truncated where max|lambda_bar|^j falls below eps
-    (see `_output_kernel`), with W_out and D folded in: K'[j] = W_out K[j]
-    and K'[0] += W_out D.  The convolution runs by overlap-save in FFT
+    W_out y is the input convolved with the bank's output kernel, truncated
+    where max|lambda_bar|^j falls below eps (see `_output_kernel`), with
+    W_out and D folded in: K'[j] = W_out K[j] and K'[0] += W_out D, where a
+    scalar D stands for D I.  The convolution runs by overlap-save in FFT
     blocks of about four kernel lengths (see `_causal_convolve`), which
     multiplies each batch of outputs by its rows' gate as it writes them; no
-    state trajectory is built, and besides per-batch buffers the path
-    allocates only its output.  scan=False runs `recur_sequential` on
-    every channel and applies D and W_out after it, the per-step reference,
-    and multiplies W_out y by the gate of all rows in place.  A scalar D
-    becomes D I once, before either path.  Both paths compute the gate with
-    `_silu_gate`.  Every weight's shape is checked before
-    any channel runs; a non-finite output raises ArithmeticError.  The
-    convolution is the package's one fast path; `verify`'s
-    layer-equivalence oracle checks it against an exact chunked recurrence
-    of its own, one system at a time.
+    state trajectory is built, and besides per-batch buffers the layer
+    allocates only its output.  Every weight's shape is checked before
+    any channel runs; a non-finite output raises ArithmeticError.
+
+    scan=True is the only accepted value; the keyword stays only until the next
+    benchmark change (ROADMAP.md, item 4) drops it from perfbench's `stream`.
     """
+    if not scan:
+        raise ValueError("the per-step layer path was removed; scan must be True")
     if len(ssms) != config.channels:
         raise ValueError(f"expected {config.channels} channel systems, got {len(ssms)}")
     if z_in.width != config.input_width:
@@ -367,16 +338,9 @@ def layer_forward(config: FilterBankConfig, weights: LayerWeights,
         d = d * np.eye(config.output_width, config.input_width)
     elif np.shape(d) != (config.output_width, config.input_width):
         raise ValueError("feedthrough shape does not match the layer widths")
-    w_gate = np.asarray(weights.w_gate)
-    if scan:
-        kernel = weights.w_out @ _output_kernel(ssms, weights.c_tilde, z_in.length)
-        kernel[:1] += weights.w_out @ d  # a slice: zero-length input has no taps
-        z_out = _causal_convolve(kernel, z_in.values, w_gate)
-    else:
-        states = np.concatenate([recur_sequential(ssm, z_in) for ssm in ssms], axis=1)
-        y = (states @ weights.c_tilde.T).real + z_in.values @ np.asarray(d).T
-        z_out = y @ weights.w_out.T
-        z_out *= _silu_gate(z_in.values, w_gate).T  # W_out y is a fresh array
+    kernel = weights.w_out @ _output_kernel(ssms, weights.c_tilde, z_in.length)
+    kernel[:1] += weights.w_out @ d  # a slice: zero-length input has no taps
+    z_out = _causal_convolve(kernel, z_in.values, np.asarray(weights.w_gate))
     try:
         return SequenceBatch(values=z_out)  # its finiteness check is the layer's
     except ValueError as exc:

@@ -141,7 +141,8 @@ def ode_consistency(alpha: float, n: int, u, t: float, h: float | None = None) -
 
     Compares the central difference of the projection coefficients with
     -(1/t) A x(t) + (1/t) B u(t) and reports the worst component deviation
-    at steps h and h/2 together with their convergence ratio.
+    at steps h and h/2 together with their convergence ratio.  The check is
+    judged on the step-h row; a NaN in either row makes it and the ratio NaN.
     """
     if h is None:
         h = 1e-4 * t
@@ -164,6 +165,8 @@ def ode_consistency(alpha: float, n: int, u, t: float, h: float | None = None) -
         devs.append(dev)
         detail.append({"h": step, "max_deviation": dev})
     ratio = devs[0] / devs[1] if devs[1] > 0 else float("inf")
+    if np.isnan(devs).any():
+        devs[0] = ratio = float("nan")
     detail.append({"convergence_ratio": ratio})
     return OracleReport(f"ode-consistency[alpha={alpha:g}]", devs[0], 1e-6, detail)
 
@@ -347,47 +350,60 @@ def _random_system(rng, n: int) -> DiscreteDiagonalSSM:
 
 
 _LAYER_CHUNK = 64   # T, the steps per chunk of the layer-equivalence reference
+# (input width, output width, length) of each bank layer-equivalence draws
+_BANK_LAYERS = ((1, 2, 1000), (2, 1, 4096), (2, 3, 17), (3, 2, 4096), (3, 3, 1000), (2, 2, 4096))
 
 
-def _layer_reference(ssm: DiscreteDiagonalSSM, u: SequenceBatch,
+def _layer_reference(ssms: list[DiscreteDiagonalSSM], u: SequenceBatch,
                      weights: LayerWeights) -> np.ndarray:
-    """Output of the one-channel layer (ssm, weights) on u, in the chunked form
-    of the recurrence x_k = lambda_bar x_{k-1} + b_bar u_k (the "state space
-    duality" form of Mamba-2, arXiv:2405.21060).
+    """Output (length, out) of the gated layer (ssms, weights) on u, in the
+    chunked "state space duality" form (Mamba-2, arXiv:2405.21060) of the
+    stacked recurrences x_k = lambda_bar x_{k-1} + b_bar u_k.
 
-    u is padded to whole chunks of T = _LAYER_CHUNK steps.  Within a chunk
-    the output from a zero start is the Toeplitz product with the taps
-    k_m = Re sum_n c_n b_bar_n lambda_bar_n^m, m < T.  Chunk j ends in the
-    state sum_i u_i lambda_bar^(T-1-i) b_bar, and a loop over the chunks
-    carries h_j = lambda_bar^T h_{j-1} + (end of chunk j-1) into chunk j,
-    where it adds Re(c lambda_bar^(i+1) h_j) at step i.  The output is
-    w_out (Re(c x) + d u) g / (1 + exp(-g)) with g = w_gate u.
+    u is padded to chunks of T = _LAYER_CHUNK steps, laid out (chunk, input,
+    step).  Within a chunk, output o from a zero start is one Toeplitz product
+    with the taps k_m[o, i] = Re sum_n c_on b_ni lambda_bar_n^m, m < T.  A loop
+    over the chunks carries the state h_j = lambda_bar^T h_{j-1} + (end of
+    chunk j-1) in, adding Re(c_o lambda_bar^(s+1) h_j) at step s.  The output
+    is w_out (Re(c x) + d u) * g / (1 + exp(-g)), g = w_gate u, a scalar d
+    standing for d I.
     """
-    t, lam, b, c = _LAYER_CHUNK, ssm.lambda_bar, ssm.b_bar[:, 0], weights.c_tilde[0]
-    x = u.values[:, 0]
-    steps = np.zeros((-(-x.size // t), t))
-    steps.flat[:x.size] = x
+    t = _LAYER_CHUNK
+    lam = np.concatenate([ssm.lambda_bar for ssm in ssms])
+    b = np.concatenate([ssm.b_bar for ssm in ssms])   # (states, in)
+    c, x = weights.c_tilde, u.values
+    length, width = x.shape
+    chunks = -(-length // t)
+    padded = np.pad(x, ((0, chunks * t - length), (0, 0)))
+    steps = padded.reshape(chunks, t, width).transpose(0, 2, 1).reshape(chunks, width * t)
     powers = lam ** np.arange(t + 1)[:, None]   # powers[m] = lambda_bar^m
-    taps = (powers[:t] @ (c * b)).real
     lag = np.subtract.outer(np.arange(t), np.arange(t))
-    y = steps @ np.where(lag >= 0, taps[lag], 0.0).T
-    ends = steps @ (powers[t - 1::-1] * b)
+    ends = steps @ (b.T[:, None, :] * powers[t - 1::-1]).reshape(width * t, -1)
     h = np.zeros_like(ends)
-    for j in range(1, len(h)):
+    for j in range(1, chunks):
         h[j] = powers[t] * h[j - 1] + ends[j - 1]
-    y += (h @ (powers[1:] * c).T).real
-    g = weights.w_gate[0, 0] * x
-    return weights.w_out[0, 0] * (y.ravel()[:x.size] + weights.d * x) * g / (1.0 + np.exp(-g))
+    y = np.empty((chunks, t, c.shape[0]))
+    for o, c_o in enumerate(c):
+        taps = (powers[:t] @ (c_o[:, None] * b)).real   # (T, in)
+        toeplitz = np.where(lag[:, :, None] >= 0, taps[lag], 0.0).transpose(0, 2, 1)
+        y[:, :, o] = steps @ toeplitz.reshape(t, width * t).T
+        y[:, :, o] += (h @ (powers[1:] * c_o).T).real
+    d = weights.d * np.eye(c.shape[0], width) if np.isscalar(weights.d) else weights.d
+    # einsum, where a matmul with one or two columns would be several times slower
+    y = y.reshape(chunks * t, c.shape[0])[:length] + np.einsum("ki,oi->ko", x, d)
+    g = np.einsum("ki,oi->ko", x, weights.w_gate)
+    return np.einsum("ki,oi->ko", y, weights.w_out) * g / (1.0 + np.exp(-g))
 
 
 def _check_layer_equivalence(rng, systems: int = 50) -> OracleReport:
-    """layer_forward, on its default convolution path, against _layer_reference.
+    """layer_forward against _layer_reference on `systems` one-channel layers,
+    then on one bank of 2-4 channels of 1-16 states and a matrix D per
+    _BANK_LAYERS entry, which stack channels, mix outputs and gate several inputs.
 
-    Each drawn one-channel layer is compared, in draw order, with a
-    reference that shares no code with `ssm`: it uses no `_output_kernel`,
-    no FFT and no truncated kernel, so it is exact to the last step, and its
-    output map and SiLU are written out, so a defect in the layer cannot
-    cancel out.
+    The reference shares no code with `ssm`: it uses no `_output_kernel`, no
+    FFT and no truncated kernel, so it is exact to the last step, and it
+    writes out the stacking, output map, feedthrough and gate, so a defect
+    in the layer cannot cancel out.
     """
     lengths = [16, 1024, 65536]
     drawn = []
@@ -396,21 +412,36 @@ def _check_layer_equivalence(rng, systems: int = 50) -> OracleReport:
         length = lengths[trial % 3] if trial < 45 else 65536
         ssm = _random_system(rng, n)
         drawn.append((ssm, SequenceBatch(rng.standard_normal((length, 1)))))
+    def normal(*shape):   # complex, standard normal parts
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
     # each layer's weights are drawn after all the (system, input) pairs
-    for i, (ssm, u) in enumerate(drawn):
-        n = ssm.lambda_bar.shape[0]
-        c = rng.standard_normal((1, n)) + 1j * rng.standard_normal((1, n))
+    layers = []
+    for ssm, u in drawn:
+        c = normal(1, ssm.lambda_bar.size)
         w_out, w_gate = rng.standard_normal((1, 1)), rng.standard_normal((1, 1))
-        drawn[i] = (ssm, u, LayerWeights(c_tilde=c, w_out=w_out, w_gate=w_gate,
-                                         d=float(rng.standard_normal())))
+        layers.append(([ssm], u, LayerWeights(c_tilde=c, w_out=w_out, w_gate=w_gate,
+                                              d=float(rng.standard_normal()))))
+    for width, out_width, length in _BANK_LAYERS:
+        channels, block = int(rng.integers(2, 5)), int(rng.integers(1, 17))
+        # _random_system draws one input column; each channel gets `width`
+        ssms = [replace(_random_system(rng, block), b_bar=normal(block, width))
+                for _ in range(channels)]
+        weights = LayerWeights(c_tilde=normal(out_width, channels * block),
+                               w_out=rng.standard_normal((out_width, out_width)),
+                               w_gate=rng.standard_normal((out_width, width)),
+                               d=rng.standard_normal((out_width, width)))
+        layers.append((ssms, SequenceBatch(rng.standard_normal((length, width))), weights))
     detail = []
-    for ssm, u, w in drawn:
-        n = ssm.lambda_bar.shape[0]
-        layer = layer_forward(FilterBankConfig(channels=1, block_state=n), w, [ssm], u)
-        ref = _layer_reference(ssm, u, w)
+    for ssms, u, w in layers:
+        config = FilterBankConfig(channels=len(ssms), block_state=ssms[0].lambda_bar.size,
+                                  input_width=u.width, output_width=w.w_out.shape[0])
+        ref = _layer_reference(ssms, u, w)
         # np.max, unlike max(), carries a NaN through
-        dev = np.max(np.abs(layer.values[:, 0] - ref)) / max(np.max(np.abs(ref)), 1e-300)
-        detail.append({"n": n, "length": u.length, "relative_deviation": float(dev)})
+        dev = np.max(np.abs(layer_forward(config, w, ssms, u).values - ref))
+        detail.append({"n": config.block_state, "length": u.length, "channels": len(ssms),
+                       "input_width": u.width, "output_width": config.output_width,
+                       "relative_deviation": float(dev / max(np.max(np.abs(ref)), 1e-300))})
     worst = _worst([row["relative_deviation"] for row in detail])
     return OracleReport("layer-equivalence", worst, 1e-10, detail)
 

@@ -21,7 +21,8 @@ from fractalssm.ssm import (FilterBankConfig, LayerWeights, SequenceBatch, layer
                             zoh_discretize)
 from fractalssm.verify import (CONDITION_TABLE, TABLE_ALPHA0, TABLE_ALPHA05,
                                _check_galerkin_projection, _check_layer_equivalence,
-                               _random_system, check_scale_invariance, ode_consistency)
+                               _layer_reference, _random_system, check_scale_invariance,
+                               ode_consistency)
 
 ALPHA_GRID = [round(0.1 * k, 10) for k in range(10)]   # 0.0 .. 0.9
 
@@ -175,23 +176,26 @@ def test_c10_offdiag_monotonicity():
 
 def test_c11_layer_equivalence():
     report = _check_layer_equivalence(np.random.default_rng(31), systems=50)
-    # the two layer paths on one 64-state bank at L = 65536: reported, not gated
+    # the layer and its chunked reference on one 64-state bank at L = 65536:
+    # reported, not gated
     rng = np.random.default_rng(11)
     ssm = _random_system(rng, 64)
     weights = LayerWeights(c_tilde=rng.standard_normal((1, 64)) + 0j, w_out=np.eye(1),
                            w_gate=np.eye(1))
     u = SequenceBatch(rng.standard_normal((65536, 1)))
+    config = FilterBankConfig(channels=1, block_state=64)
     seconds = {}
-    for scan in (True, False):
+    for name, run in (("layer", lambda: layer_forward(config, weights, [ssm], u)),
+                      ("reference", lambda: _layer_reference([ssm], u, weights))):
         t0 = time.perf_counter()
-        layer_forward(FilterBankConfig(channels=1, block_state=64), weights, [ssm], u,
-                      scan=scan)
-        seconds[scan] = time.perf_counter() - t0
+        run()
+        seconds[name] = time.perf_counter() - t0
     ok = report.max_deviation < 1e-10
     record_criterion(
         11, "layer-equivalence", ok,
-        f"50 systems max rel dev {report.max_deviation:.2e}; layer convolution "
-        f"{seconds[True]:.3f}s, per-step {seconds[False]:.3f}s (not gated)")
+        f"{len(report.detail)} layers max rel dev {report.max_deviation:.2e}; layer "
+        f"convolution {seconds['layer']:.3f}s, chunked reference "
+        f"{seconds['reference']:.3f}s (not gated)")
     assert report.max_deviation < 1e-10
 
 

@@ -1,4 +1,4 @@
-"""Discretization, recurrence execution, the layer's two paths, gated layer."""
+"""Discretization, the output kernel, and the gated layer against its chunked reference."""
 
 import math
 import tracemalloc
@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from fractalssm.spectral import SpectralInit, spectral_init
 from fractalssm.ssm import (DiscreteDiagonalSSM, FilterBankConfig, LayerWeights,
                             SequenceBatch, _output_kernel, build_filter_bank, layer_forward,
-                            recur_sequential, silu, zoh_discretize)
-from fractalssm.verify import _random_system
+                            silu, zoh_discretize)
+from fractalssm.verify import _layer_reference, _random_system
 
 
 def toy_init(lam: complex) -> SpectralInit:
@@ -54,60 +54,26 @@ class TestZohDiscretize:
             with pytest.raises(ValueError):
                 zoh_discretize(toy_init(-1.0), delta)
 
-
-class TestSequentialRecurrence:
-    def test_zero_input(self):
-        ssm = random_system(np.random.default_rng(0), 5)
-        states = recur_sequential(ssm, SequenceBatch(np.zeros((12, 1))))
-        assert np.all(states == 0)
-
-    def test_single_step(self):
-        ssm = random_system(np.random.default_rng(1), 4)
-        u = SequenceBatch(np.array([[2.5]]))
-        states = recur_sequential(ssm, u)
-        assert states[0] == pytest.approx(2.5 * ssm.b_bar[:, 0])
-
-    def test_impulse_response_closed_form(self):
-        ssm = random_system(np.random.default_rng(2), 6)
-        length = 40
-        u = np.zeros((length, 1))
-        u[0, 0] = 1.0
-        states = recur_sequential(ssm, SequenceBatch(u))
-        powers = ssm.lambda_bar[None, :] ** np.arange(length)[:, None]
-        expected = powers * ssm.b_bar[:, 0]
-        assert np.max(np.abs(states - expected)) < 1e-12
-
-    def test_width_mismatch(self):
-        ssm = random_system(np.random.default_rng(3), 4, width=2)
-        with pytest.raises(ValueError):
-            recur_sequential(ssm, SequenceBatch(np.zeros((4, 1))))
-
-    def test_stability_bound(self):
-        rng = np.random.default_rng(4)
-        for _ in range(5):
-            ssm = random_system(rng, 8)
-            u = SequenceBatch(rng.uniform(-1, 1, size=(500, 1)))
-            states = recur_sequential(ssm, u)
-            drive_max = np.max(np.abs(u.values @ ssm.b_bar.T), axis=0)
-            bound = drive_max / (1.0 - np.abs(ssm.lambda_bar))
-            assert np.all(np.max(np.abs(states), axis=0) <= bound * (1 + 1e-12))
-
-    def test_linearity(self):
-        rng = np.random.default_rng(5)
-        ssm = random_system(rng, 6)
-        u = rng.standard_normal((64, 1))
-        v = rng.standard_normal((64, 1))
-        a, b = 1.7, -0.4
-        combo = recur_sequential(ssm, SequenceBatch(a * u + b * v))
-        parts = (a * recur_sequential(ssm, SequenceBatch(u))
-                 + b * recur_sequential(ssm, SequenceBatch(v)))
-        scale = np.max(np.abs(parts))
-        assert np.max(np.abs(combo - parts)) / scale < 1e-10
+    @pytest.mark.parametrize("delta", [1e-2, 1e-6, 1e-9, 1e-12])
+    def test_small_steps_keep_full_precision(self, delta):
+        # b_bar / b_tilde = (exp(delta lambda) - 1) / lambda = delta sum_k z^k / (k + 1)!
+        # with z = delta lambda; |z| <= 0.25 here, so 30 terms converge
+        init = spectral_init(0.5, 8)
+        z = delta * init.eigenvalues
+        term = np.full_like(z, delta)
+        series = term.copy()
+        for k in range(1, 30):
+            term = term * z / (k + 1)
+            series += term
+        ssm = zoh_discretize(init, delta)
+        rel = np.abs(ssm.b_bar[:, 0] / init.b_tilde[:, 0] - series) / np.abs(series)
+        assert np.max(rel) <= 1e-15
 
 
 class TestScanEquivalence:
-    """layer_forward's convolution (scan=True) against its per-step reference (scan=False)
-    on random one-channel layers, through TestConvolutionPath's helpers."""
+    """layer_forward's convolution against verify's chunked recurrence,
+    `_layer_reference`, on random one-channel layers, through
+    TestConvolutionPath's helpers."""
 
     @staticmethod
     def assert_paths_agree(ssm, u, seed):
@@ -155,10 +121,12 @@ class TestScanEquivalence:
         assert peak < 0.25 * 65536 * 64 * 16
 
     def test_zero_length(self):
+        # the reference, like the layer (TestConvolutionPath.test_zero_length),
+        # maps an empty input to an empty output of the layer's width
         ssm = random_system(np.random.default_rng(7), 5, width=2)
+        config, weights = TestConvolutionPath.layer([ssm], width=2, out_width=3, seed=7)
         u = SequenceBatch(np.zeros((0, 2)))
-        # the layer's zero-length case is TestConvolutionPath.test_zero_length
-        assert recur_sequential(ssm, u).shape == (0, 5)
+        assert _layer_reference([ssm], u, weights).shape == (0, 3)
 
     def test_long_sequence(self):
         rng = np.random.default_rng(99)
@@ -244,24 +212,33 @@ class TestLayerForward:
 
     def test_gate_value_at_unit_preactivation(self):
         # silu(1) = sigmoid(1); with W_gate = [[1]] and unit input the gate
-        # multiplies the mixed output by exactly that scalar
+        # multiplies the mixed output by exactly that scalar.  A unit input
+        # drives the state to x_k = b_bar (1 - lambda_bar^(k+1)) / (1 - lambda_bar)
         config, weights, ssms = self.small_layer()
         weights = LayerWeights(c_tilde=weights.c_tilde, w_out=np.eye(1),
                                w_gate=np.eye(1))
         z_in = SequenceBatch(np.ones((8, 1)))
         out = layer_forward(config, weights, ssms, z_in)
-        states = np.concatenate([recur_sequential(s, z_in) for s in ssms], axis=1)
+        lam = np.concatenate([s.lambda_bar for s in ssms])
+        b = np.concatenate([s.b_bar[:, 0] for s in ssms])
+        states = b * (1.0 - lam ** np.arange(1, 9)[:, None]) / (1.0 - lam)
         y = (states @ weights.c_tilde.T).real
         expected = y * (1.0 / (1.0 + math.exp(-1.0)))
         assert out.values == pytest.approx(expected, rel=1e-12)
+        assert _layer_reference(ssms, z_in, weights) == pytest.approx(expected, rel=1e-12)
 
     def test_scan_and_sequential_paths_agree(self):
         config, weights, ssms = self.small_layer(channels=3, width=2, out_width=2, seed=3)
         rng = np.random.default_rng(4)
         z_in = SequenceBatch(rng.standard_normal((64, 2)))
-        out_scan = layer_forward(config, weights, ssms, z_in, scan=True)
-        out_seq = layer_forward(config, weights, ssms, z_in, scan=False)
-        assert out_scan.values == pytest.approx(out_seq.values, abs=1e-10)
+        out = layer_forward(config, weights, ssms, z_in)
+        reference = _layer_reference(ssms, z_in, weights)
+        assert out.values == pytest.approx(reference, abs=1e-10)
+
+    def test_per_step_path_removed(self):
+        config, weights, ssms = self.small_layer()
+        with pytest.raises(ValueError, match="per-step layer path"):
+            layer_forward(config, weights, ssms, SequenceBatch(np.zeros((4, 1))), scan=False)
 
     def test_shape_mismatch(self, monkeypatch):
         config, weights, ssms = self.small_layer()
@@ -269,15 +246,13 @@ class TestLayerForward:
             layer_forward(config, weights, ssms, SequenceBatch(np.zeros((4, 3))))
         with pytest.raises(ValueError):
             layer_forward(config, weights, ssms[:1], SequenceBatch(np.zeros((4, 1))))
-        # the output map is checked before any channel runs, on either path
-        for helper in ("_output_kernel", "recur_sequential"):
-            monkeypatch.setattr(f"fractalssm.ssm.{helper}",
-                                lambda *_: pytest.fail("channels ran"))
+        # the output map is checked before any channel runs
+        monkeypatch.setattr("fractalssm.ssm._output_kernel",
+                            lambda *_: pytest.fail("channels ran"))
         narrow = LayerWeights(c_tilde=weights.c_tilde[:, 1:], w_out=weights.w_out,
                               w_gate=weights.w_gate)
-        for scan in (True, False):
-            with pytest.raises(ValueError, match="output map"):
-                layer_forward(config, narrow, ssms, SequenceBatch(np.zeros((4, 1))), scan=scan)
+        with pytest.raises(ValueError, match="output map"):
+            layer_forward(config, narrow, ssms, SequenceBatch(np.zeros((4, 1))))
         # a (2, 1) gate would broadcast to two output columns without an error
         bad_mixes = [("output mix", np.ones((1, 3)), weights.w_gate),
                      ("output mix", np.ones((3, 3)), weights.w_gate),
@@ -285,9 +260,8 @@ class TestLayerForward:
                      ("gate", weights.w_out, np.ones((1, 2)))]
         for message, w_out, w_gate in bad_mixes:
             bad = LayerWeights(c_tilde=weights.c_tilde, w_out=w_out, w_gate=w_gate)
-            for scan in (True, False):
-                with pytest.raises(ValueError, match=message):
-                    layer_forward(config, bad, ssms, SequenceBatch(np.zeros((4, 1))), scan=scan)
+            with pytest.raises(ValueError, match=message):
+                layer_forward(config, bad, ssms, SequenceBatch(np.zeros((4, 1))))
 
     def test_feedthrough_matrix(self):
         config, weights, ssms = self.small_layer()
@@ -391,13 +365,18 @@ class TestOutputKernel:
         assert peak < 0.25 * taps * 64 * 16
 
 
+# the scan-parametrized cases pass scan=True, as perfbench's `stream` workload
+# does, or leave the keyword at its default: both run the one layer path
+SCAN_KEYWORD = pytest.mark.parametrize("scan", [{"scan": True}, {}], ids=["True", "False"])
+
+
 class TestConvolutionPath:
-    """The default kernel-convolution path against the per-step reference."""
+    """The kernel-convolution layer against verify's chunked reference."""
 
     @staticmethod
     def assert_paths_agree(config, weights, ssms, z_in):
         fast = layer_forward(config, weights, ssms, z_in).values
-        reference = layer_forward(config, weights, ssms, z_in, scan=False).values
+        reference = _layer_reference(ssms, z_in, weights)
         assert fast.shape == reference.shape == (z_in.length, config.output_width)
         scale = max(np.max(np.abs(reference)), 1e-300)
         assert np.max(np.abs(fast - reference)) / scale < 1e-10
@@ -575,7 +554,7 @@ class TestConvolutionPath:
         counts = [2, 2, 2] + [1] * (extra > 0)
         assert [shape[:2] for shape in inverse_batches] == [(3, c) for c in counts]
 
-    @pytest.mark.parametrize("scan", [True, False])
+    @SCAN_KEYWORD
     def test_gate_mixes_every_input(self, scan):
         # with C = 0 the layer is (W_out D z) * silu(W_gate z), written out here
         ssms = self.bank(0.05, width=2)
@@ -587,21 +566,21 @@ class TestConvolutionPath:
         z = rng.standard_normal((40, 2))
         gate = z @ weights.w_gate.T
         expected = (z @ weights.d.T @ weights.w_out.T) * gate / (1.0 + np.exp(-gate))
-        out = layer_forward(config, weights, ssms, SequenceBatch(z), scan=scan).values
+        out = layer_forward(config, weights, ssms, SequenceBatch(z), **scan).values
         assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
 
-    @pytest.mark.parametrize("scan", [True, False])
+    @SCAN_KEYWORD
     def test_scalar_feedthrough_widths(self, scan):
         ssms = self.bank(0.05, width=2)
         config, weights = self.layer(ssms, width=2, out_width=3, d=0.5)
         z_in = SequenceBatch(np.ones((16, 2)))
         with pytest.raises(ValueError, match="scalar feedthrough requires matching widths"):
-            layer_forward(config, weights, ssms, z_in, scan=scan)
+            layer_forward(config, weights, ssms, z_in, **scan)
         config, weights = self.layer(ssms, width=2, out_width=3, d=0.0)
-        assert layer_forward(config, weights, ssms, z_in, scan=scan).values.shape == (16, 3)
+        assert layer_forward(config, weights, ssms, z_in, **scan).values.shape == (16, 3)
 
     def test_scalar_feedthrough_two_by_two(self):
-        # a nonzero scalar D stands for D I on both paths
+        # a nonzero scalar D stands for D I, in the layer and in the reference
         ssms = self.bank(0.05, width=2)
         rng = np.random.default_rng(17)
         z_in = SequenceBatch(rng.standard_normal((300, 2)))
@@ -612,7 +591,7 @@ class TestConvolutionPath:
         assert np.array_equal(layer_forward(config, weights, ssms, z_in).values,
                               layer_forward(config, identity, ssms, z_in).values)
 
-    @pytest.mark.parametrize("scan", [True, False])
+    @SCAN_KEYWORD
     def test_one_finiteness_pass(self, scan, monkeypatch):
         ssms = self.bank(0.05, width=2)
         config, weights = self.layer(ssms, width=2, out_width=3, seed=10)
@@ -625,18 +604,18 @@ class TestConvolutionPath:
             return isfinite(x, *args, **kwargs)
 
         monkeypatch.setattr(np, "isfinite", spy)
-        layer_forward(config, weights, ssms, z_in, scan=scan)
+        layer_forward(config, weights, ssms, z_in, **scan)
         assert passes == [(64, 3)]
 
-    @pytest.mark.parametrize("scan", [True, False])
+    @SCAN_KEYWORD
     def test_feedthrough_shape_checked(self, scan):
         # a (3, 1) matrix would broadcast silently over the folded kernel's two inputs
         ssms = self.bank(0.05, width=2)
         config, weights = self.layer(ssms, width=2, out_width=3, d=np.ones((3, 1)))
         with pytest.raises(ValueError, match="feedthrough shape"):
-            layer_forward(config, weights, ssms, SequenceBatch(np.ones((16, 2))), scan=scan)
+            layer_forward(config, weights, ssms, SequenceBatch(np.ones((16, 2))), **scan)
 
-    @pytest.mark.parametrize("scan", [True, False])
+    @SCAN_KEYWORD
     def test_growing_system_raises(self, scan):
         ssms = [DiscreteDiagonalSSM(lambda_bar=np.array([1.5 + 0j, 0.5 + 0j]),
                                     b_bar=np.ones((2, 1), dtype=complex), delta=1.0)]
@@ -644,13 +623,13 @@ class TestConvolutionPath:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ArithmeticError):
                 layer_forward(config, weights, ssms, SequenceBatch(np.ones((4096, 1))),
-                              scan=scan)
+                              **scan)
 
-    @pytest.mark.parametrize("scan", [True, False])
+    @SCAN_KEYWORD
     def test_zero_length(self, scan):
         ssms = self.bank(0.05, width=2)
         config, weights = self.layer(ssms, width=2, out_width=3)
-        out = layer_forward(config, weights, ssms, SequenceBatch(np.zeros((0, 2))), scan=scan)
+        out = layer_forward(config, weights, ssms, SequenceBatch(np.zeros((0, 2))), **scan)
         assert out.values.shape == (0, 3)
 
     def test_channel_shape_mismatch(self):

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from fractalssm import ssm as ssm_mod
 from fractalssm import verify
@@ -112,6 +113,23 @@ class TestOdeConsistency:
         assert report.name == "ode-consistency[alpha=0]"
         assert len(report.detail) == 3
         assert report.passed == (report.max_deviation <= report.tolerance)
+
+    # projections run at t, t + h, t - h, t + h/2 and t - h/2, in that order
+    @pytest.mark.parametrize("call", [2, 4, 5], ids=["step-h", "half-step", "half-step-back"])
+    def test_nan_in_either_row_fails(self, monkeypatch, call):
+        real = verify._projector
+        calls = itertools.count(1)
+
+        def projector(*args):
+            project = real(*args)
+            return lambda u, t: (np.full(8, np.nan) if next(calls) == call
+                                 else project(u, t))
+
+        monkeypatch.setattr(verify, "_projector", projector)
+        report = ode_consistency(0.0, 8, np.sin, t=3.0)
+        assert next(calls) == 6
+        assert math.isnan(report.max_deviation) and not report.passed
+        assert math.isnan(report.detail[-1]["convergence_ratio"])
 
 
 class TestOracleReport:
@@ -304,7 +322,7 @@ _NAN_ROWS = [
      lambda: verify._check_b_closed_form(_GRID, 8)),
     ("offdiag-monotonicity", verify, "build_A", 3, with_nan_subdiagonal,
      lambda: verify._check_monotonicity(_GRID, 8)),
-    ("layer-equivalence", verify, "layer_forward", 3, with_nan_output,
+    ("layer-equivalence", verify, "layer_forward", 3 + len(verify._BANK_LAYERS), with_nan_output,
      lambda: verify._check_layer_equivalence(np.random.default_rng(0), systems=3)),
     ("zoh-limit", verify, "spectral_init", 3,
      lambda init: dataclasses.replace(init, b_tilde=nan_last(init.b_tilde)),
@@ -333,7 +351,8 @@ def test_nan_in_last_row_fails_the_check(monkeypatch, name, owner, function, cal
 
 
 class TestScanEquivalenceGroups:
-    """The layer-equivalence oracle, which checks layer_forward's scan=True path."""
+    """The layer-equivalence oracle, which checks layer_forward against
+    _layer_reference."""
 
     @staticmethod
     def draws(rng, systems):
@@ -341,7 +360,7 @@ class TestScanEquivalenceGroups:
         pairs = []
         for trial in range(systems):
             ssm = verify._random_system(rng, int(rng.integers(1, 65)))
-            length = [16, 1024, 65536][trial % 3]
+            length = [16, 1024, 65536][trial % 3] if trial < 45 else 65536
             pairs.append((ssm, SequenceBatch(rng.standard_normal((length, 1)))))
         weights = []
         for ssm, _ in pairs:
@@ -356,15 +375,69 @@ class TestScanEquivalenceGroups:
         # the same draws as the oracle makes, checked one system at a time
         report = verify._check_layer_equivalence(np.random.default_rng(4), systems=7)
         pairs, weights = self.draws(np.random.default_rng(4), 7)
-        assert len(report.detail) == 7
+        assert len(report.detail) == 7 + len(verify._BANK_LAYERS)
         for row, (ssm, u), w in zip(report.detail, pairs, weights):
             config = FilterBankConfig(channels=1, block_state=ssm.lambda_bar.size)
-            conv = layer_forward(config, w, [ssm], u, scan=True).values
-            seq = layer_forward(config, w, [ssm], u, scan=False).values
-            dev = float(np.max(np.abs(conv - seq))) / float(np.max(np.abs(seq)))
+            conv = layer_forward(config, w, [ssm], u).values
+            ref = verify._layer_reference([ssm], u, w)
+            dev = float(np.max(np.abs(conv - ref))) / float(np.max(np.abs(ref)))
             assert (row["n"], row["length"]) == (ssm.lambda_bar.size, u.length)
+            assert (row["channels"], row["input_width"], row["output_width"]) == (1, 1, 1)
             assert abs(row["relative_deviation"] - dev) <= 1e-14
         assert report.max_deviation == max(row["relative_deviation"] for row in report.detail)
+
+    def test_bank_rows_report_their_shape(self):
+        report = verify._check_layer_equivalence(np.random.default_rng(0))
+        # the 50 one-channel rows come first, as drawn before the banks were added
+        pairs, _ = self.draws(np.random.default_rng(0), 50)
+        assert [(row["n"], row["length"]) for row in report.detail[:50]] == [
+            (ssm.lambda_bar.size, u.length) for ssm, u in pairs]
+        banks = report.detail[50:]
+        assert [(row["input_width"], row["output_width"], row["length"]) for row in banks] \
+            == list(verify._BANK_LAYERS)
+        assert all(2 <= row["channels"] <= 4 and 1 <= row["n"] <= 16 for row in banks)
+        assert all(row["relative_deviation"] < 1e-10 for row in report.detail)
+
+    @staticmethod
+    def flagged(report):
+        return [i for i, row in enumerate(report.detail) if not row["relative_deviation"] <= 1e-10]
+
+    @staticmethod
+    def run_with_layer(monkeypatch, change_weights):
+        # layer_forward with its weights changed by change_weights(config, weights)
+        def layer(config, weights, ssms, z_in):
+            return layer_forward(config, change_weights(config, weights), ssms, z_in)
+
+        monkeypatch.setattr(verify, "layer_forward", layer)
+        return verify._check_layer_equivalence(np.random.default_rng(6), systems=3)
+
+    def test_transposed_output_mix_fails(self, monkeypatch):
+        report = self.run_with_layer(
+            monkeypatch, lambda config, w: dataclasses.replace(w, w_out=w.w_out.T))
+        assert not report.passed
+        assert self.flagged(report) == [i for i, row in enumerate(report.detail)
+                                        if row["output_width"] > 1]
+
+    def test_swapped_channel_blocks_fail(self, monkeypatch):
+        def swap(config, w):
+            if config.channels == 1:
+                return w
+            block = config.block_state
+            c = w.c_tilde.copy()
+            c[:, :2 * block] = np.roll(c[:, :2 * block], block, axis=1)
+            return dataclasses.replace(w, c_tilde=c)
+
+        report = self.run_with_layer(monkeypatch, swap)
+        assert not report.passed
+        assert self.flagged(report) == list(range(3, 3 + len(verify._BANK_LAYERS)))
+
+    def test_gate_from_first_input_fails(self, monkeypatch):
+        real = ssm_mod._silu_gate
+        monkeypatch.setattr(ssm_mod, "_silu_gate", lambda z, w_gate: real(z[:, :1], w_gate[:, :1]))
+        report = verify._check_layer_equivalence(np.random.default_rng(6), systems=3)
+        assert not report.passed
+        assert self.flagged(report) == [i for i, row in enumerate(report.detail)
+                                        if row["input_width"] > 1]
 
     @staticmethod
     def late_error(monkeypatch, seed, systems, index, error):
@@ -420,7 +493,23 @@ class TestScanEquivalenceGroups:
 
 class TestChunkedReference:
     """_layer_reference, the chunked recurrence of layer-equivalence, against the
-    per-step layer."""
+    layer recomputed state by state with scipy's lfilter."""
+
+    @staticmethod
+    def per_state_layer(ssms, u, w):
+        # each state's recurrence x_k = lambda x_{k-1} + b . u_k runs through
+        # lfilter, one input column at a time; output map, feedthrough and
+        # gate are written out
+        x = u.values
+        d = w.d * np.eye(w.c_tilde.shape[0], u.width) if np.isscalar(w.d) else w.d
+        y = x @ d.T
+        lam = np.concatenate([ssm.lambda_bar for ssm in ssms])
+        b = np.concatenate([ssm.b_bar for ssm in ssms])
+        for n in range(lam.size):
+            state = sum(lfilter([b[n, i]], [1.0, -lam[n]], x[:, i]) for i in range(u.width))
+            y += (np.outer(state, w.c_tilde[:, n])).real
+        g = x @ w.w_gate.T
+        return y @ w.w_out.T * g / (1.0 + np.exp(-g))
 
     @staticmethod
     def triple(rng, n, length):
@@ -442,11 +531,32 @@ class TestChunkedReference:
     def test_rows_match_sequential_layer(self, length, sizes):
         rng = np.random.default_rng(length)
         for ssm, u, w in [self.triple(rng, n, length) for n in sizes]:
-            config = FilterBankConfig(channels=1, block_state=ssm.lambda_bar.size)
-            seq = layer_forward(config, w, [ssm], u, scan=False).values[:, 0]
-            ref = verify._layer_reference(ssm, u, w)
-            assert ref.shape == seq.shape
+            seq = self.per_state_layer([ssm], u, w)
+            ref = verify._layer_reference([ssm], u, w)
+            assert ref.shape == seq.shape == (length, 1)
             assert np.max(np.abs(ref - seq)) <= 1e-13 * np.max(np.abs(seq))
+
+    # a matrix D with three inputs and two outputs, and a scalar D standing for D I
+    @pytest.mark.parametrize("widths, d", [((3, 2), None), ((2, 2), -0.7)])
+    @pytest.mark.parametrize("length", [17, 64, 1000, 4097])
+    def test_bank_matches_sequential_layer(self, widths, d, length):
+        width, out_width = widths
+        rng = np.random.default_rng(length)
+        ssms = [dataclasses.replace(verify._random_system(rng, 5),
+                                    b_bar=rng.standard_normal((5, width))
+                                    + 1j * rng.standard_normal((5, width)))
+                for _ in range(3)]
+        w = LayerWeights(
+            c_tilde=(rng.standard_normal((out_width, 15))
+                     + 1j * rng.standard_normal((out_width, 15))),
+            w_out=rng.standard_normal((out_width, out_width)),
+            w_gate=rng.standard_normal((out_width, width)),
+            d=rng.standard_normal((out_width, width)) if d is None else d)
+        u = SequenceBatch(rng.standard_normal((length, width)))
+        seq = self.per_state_layer(ssms, u, w)
+        ref = verify._layer_reference(ssms, u, w)
+        assert ref.shape == seq.shape == (length, out_width)
+        assert np.max(np.abs(ref - seq)) <= 1e-13 * np.max(np.abs(seq))
 
     def test_nan_fails_its_row_alone(self, monkeypatch):
         def poison(values):
