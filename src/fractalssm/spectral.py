@@ -43,31 +43,49 @@ def eig_triangular(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     v[i, :i] = -(a[i, :i] @ v[:i, :i]) / (a[i, i] - diag[:i]), and the
     inverse of the unit-lower-triangular V is built row by row the same
     way.  Columns are then rescaled to unit Euclidean norm (and the inverse
-    consistently).  Requires the diagonal entries to be pairwise distinct.
+    consistently).  Requires a finite, lower-triangular matrix whose
+    diagonal entries are pairwise distinct; anything else raises ValueError.
+
+    Each row is written in place: the product goes straight into V and is
+    divided by the negated gap diag[:i] - a[i, i], which gives the same bits
+    as negating the quotient.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("matrix must be square")
-    diag = np.diag(a).copy()
-    if np.min(np.abs(np.subtract.outer(diag, diag) + np.eye(n))) < _DISTINCT_TOL:
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has a non-finite entry")
+    if np.triu(a, 1).any():
+        raise ValueError("matrix is not lower triangular")
+    diag = a.diagonal().copy()
+    gap = diag - diag[:, None]   # gap[i, k] = diag[k] - diag[i]
+    np.fill_diagonal(gap, 1.0)
+    if np.abs(gap).min() < _DISTINCT_TOL:
         raise ValueError("diagonal entries coincide; eigendecomposition is not unique")
 
     v = np.eye(n)
     v_inv = np.eye(n)
     for i in range(1, n):
-        v[i, :i] = -(a[i, :i] @ v[:i, :i]) / (a[i, i] - diag[:i])
-        v_inv[i, :i] = -(v[i, :i] @ v_inv[:i, :i])
+        row = v[i, :i]
+        np.matmul(a[i, :i], v[:i, :i], out=row)
+        np.divide(row, gap[i, :i], out=row)
+        inv_row = v_inv[i, :i]
+        np.matmul(row, v_inv[:i, :i], out=inv_row)
+        np.negative(inv_row, out=inv_row)
 
-    scale = np.linalg.norm(v, axis=0)
-    v = v / scale
-    v_inv = v_inv * scale[:, None]
+    scale = np.sqrt(np.sum(v * v, axis=0))
+    v /= scale
+    v_inv *= scale[:, None]
     return diag, v, v_inv
 
 
 def condition_number(v: np.ndarray) -> float:
     """Two-norm condition number sigma_max / sigma_min."""
-    s = np.linalg.svd(np.asarray(v, dtype=float), compute_uv=False)
+    v = np.asarray(v, dtype=float)
+    if not np.isfinite(v).all():   # LAPACK would report only that the SVD did not converge
+        raise ValueError("matrix is non-finite")
+    s = np.linalg.svd(v, compute_uv=False)
     if s[-1] == 0.0 or not np.isfinite(s[-1]):
         raise ValueError("matrix is singular")
     return float(s[0] / s[-1])

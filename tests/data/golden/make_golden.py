@@ -1,0 +1,55 @@
+"""Write the golden CLI outputs that tests/test_golden.py compares against.
+
+Each case runs one `fractal` command in process and stores what it emits:
+the standard output of a `--json` command, or the file a command writes to
+`--out`.  The test runs the same CASES and compares their output with the
+committed files.  To cover another command, add a case and regenerate:
+
+    PYTHONPATH=src python tests/data/golden/make_golden.py
+
+A regenerated file that differs from the committed one is a change in what
+the program emits; say which file changed and why.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+from fractalssm import cli
+
+HERE = Path(__file__).resolve().parent
+OUT = "{out}"   # stands for the output path of a file-writing case
+
+# (golden file, argv, exit code); a case whose argv holds no OUT stores its
+# standard output
+CASES = [
+    ("spectrum_a0.5_n8.json", ["spectrum", "--alpha", "0.5", "--n", "8", "--json"], 0),
+    ("spectrum_a0.9_n16.json", ["spectrum", "--alpha", "0.9", "--n", "16", "--json"], 0),
+    ("discretize_a0.5_n8.json", ["discretize", "--alpha", "0.5", "--n", "8",
+                                 "--delta", "0.01", "--out", OUT], 0),
+    ("discretize_a0.9_n16_w2.json", ["discretize", "--alpha", "0.9", "--n", "16",
+                                     "--input-width", "2", "--delta", "0.01",
+                                     "--out", OUT], 0),
+]
+
+
+def run_case(argv: list[str], out: Path) -> tuple[int, str]:
+    """Exit code and emitted text of one case, with OUT bound to `out`."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main([str(out) if arg == OUT else arg for arg in argv])
+    return code, out.read_text(encoding="utf-8") if OUT in argv else stdout.getvalue()
+
+
+def main() -> None:
+    for name, argv, expected_exit in CASES:
+        target = HERE / name
+        code, text = run_case(argv, target)
+        if code != expected_exit:
+            raise SystemExit(f"{name}: exit {code}, expected {expected_exit}")
+        target.write_text(text, encoding="utf-8")
+        print(f"wrote {name}: {target.stat().st_size} bytes")
+
+
+if __name__ == "__main__":
+    main()

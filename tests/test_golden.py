@@ -1,0 +1,78 @@
+"""CLI outputs against the committed golden files of tests/data/golden.
+
+Keys, shapes, strings, integers and every float not named in BOUNDS must
+match the golden file exactly: the schema ids, alpha, n, delta and the
+eigenvalues A(alpha) has on its diagonal.  The fields in BOUNDS are
+computed through BLAS, LAPACK or libm, whose summation order and last bits
+may differ between builds and thread counts; each compares normwise,
+max|x - golden| <= bound * max|golden|.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+
+_spec = importlib.util.spec_from_file_location("make_golden", GOLDEN / "make_golden.py")
+make_golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_golden)
+
+# Re-running eig_triangular's recurrence with its dot products summed in
+# another order moved b_bar by up to 6e-14 and kappa_v by up to 7e-6.  An
+# SVD may move kappa_v by eps * kappa_v, 1.4e-4 at alpha = 0.9, n = 16.
+BOUNDS = {
+    "kappa_v": 1e-3,
+    "kappa_a": 1e-12,
+    "lambda_bar": 1e-14,
+    "b_bar": 1e-12,
+}
+
+
+def _compare(got, want, path: str) -> None:
+    assert type(got) is type(want), f"{path}: {type(got).__name__} != {type(want).__name__}"
+    if isinstance(want, dict):
+        assert list(got) == list(want), f"{path}: keys differ"
+        for key in want:
+            field = f"{path}.{key}"
+            if key in BOUNDS:
+                _compare_bounded(got[key], want[key], BOUNDS[key], field)
+            else:
+                _compare(got[key], want[key], field)
+    elif isinstance(want, list):
+        assert len(got) == len(want), f"{path}: length {len(got)} != {len(want)}"
+        for k, (g, w) in enumerate(zip(got, want)):
+            _compare(g, w, f"{path}[{k}]")
+    else:
+        assert got == want, f"{path}: {got!r} != {want!r}"
+
+
+def _compare_bounded(got, want, bound: float, path: str) -> None:
+    g, w = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert g.shape == w.shape, f"{path}: shape {g.shape} != {w.shape}"
+    deviation, scale = np.max(np.abs(g - w)), np.max(np.abs(w))
+    assert deviation <= bound * scale, \
+        f"{path}: relative deviation {deviation / scale:.2e} > {bound:.0e}"
+
+
+@pytest.mark.parametrize("name,argv,expected_exit", make_golden.CASES,
+                         ids=[case[0] for case in make_golden.CASES])
+def test_cli_output_matches_golden(name, argv, expected_exit, tmp_path):
+    code, text = make_golden.run_case(argv, tmp_path / name)
+    assert code == expected_exit
+    got = json.loads(text)
+    want = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+    _compare(got, want, name)
+
+
+def test_bounded_field_catches_drift():
+    want = {"schema_version": "fractal-dssm/1", "b_bar": [[1.0, 0.0], [2.0, -1.0]]}
+    drifted = {"schema_version": "fractal-dssm/1", "b_bar": [[1.0, 0.0], [2.0 + 1e-9, -1.0]]}
+    _compare(want, want, "same")
+    with pytest.raises(AssertionError, match="relative deviation"):
+        _compare(drifted, want, "drifted")
+    with pytest.raises(AssertionError, match="schema_version"):
+        _compare({**want, "schema_version": "fractal-dssm/2"}, want, "schema")

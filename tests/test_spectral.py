@@ -78,6 +78,48 @@ class TestEigTriangular:
         with pytest.raises(ValueError):
             eig_triangular(a)
 
+    def test_entry_above_diagonal_rejected(self):
+        with pytest.raises(ValueError, match="not lower triangular"):
+            eig_triangular(np.array([[1.0, 5.0], [1.0, 2.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(1, 0), (1, 1), (0, 1)])
+    def test_non_finite_entry_rejected(self, bad, where):
+        a = build_A(0.5, 4)
+        a[where] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            eig_triangular(a)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 64, 256])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.95])
+    def test_bit_identical_to_row_formula(self, alpha, n):
+        assert_same_bits(eig_triangular(build_A(alpha, n)), row_formula(build_A(alpha, n)))
+
+    def test_bit_identical_to_row_formula_random(self):
+        rng = np.random.default_rng(7)
+        n = 48
+        a = np.tril(rng.standard_normal((n, n)), -1)
+        a[np.diag_indices(n)] = rng.permutation(n) + rng.uniform(0.1, 0.9, n)
+        assert_same_bits(eig_triangular(a), row_formula(a))
+
+
+def row_formula(a):
+    """The allocating row formula that eig_triangular computes in place."""
+    n = a.shape[0]
+    diag = np.diag(a).copy()
+    v = np.eye(n)
+    v_inv = np.eye(n)
+    for i in range(1, n):
+        v[i, :i] = -(a[i, :i] @ v[:i, :i]) / (a[i, i] - diag[:i])
+        v_inv[i, :i] = -(v[i, :i] @ v_inv[:i, :i])
+    scale = np.linalg.norm(v, axis=0)
+    return diag, v / scale, v_inv * scale[:, None]
+
+
+def assert_same_bits(got, want):
+    for g, w, name in zip(got, want, ("eigenvalues", "v", "v_inv")):
+        assert np.array_equal(g, w), f"{name} differs from the row formula"
+
 
 class TestConditionNumber:
     def test_identity(self):
@@ -88,8 +130,15 @@ class TestConditionNumber:
         assert condition_number(v) == pytest.approx(10.0)
 
     def test_singular_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="singular"):
             condition_number(np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        v = np.eye(3)
+        v[2, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            condition_number(v)
 
     def test_growth_in_size_and_index(self):
         # conditioning worsens with both state count and singularity index
