@@ -30,6 +30,13 @@ CASES = [
     ("discretize_a0.9_n16_w2.json", ["discretize", "--alpha", "0.9", "--n", "16",
                                      "--input-width", "2", "--delta", "0.01",
                                      "--out", OUT], 0),
+    ("matrix_a0.5_n8.json", ["matrix", "--alpha", "0.5", "--n", "8", "--out", OUT], 0),
+    ("matrix_a0.9_n16.json", ["matrix", "--alpha", "0.9", "--n", "16", "--out", OUT], 0),
+    # criterion 9 fails at alpha > 0, so both oracle cases exit 1
+    ("oracle_a0.5_n8_sin.json", ["oracle", "--alpha", "0.5", "--n", "8", "--signal", "sin",
+                                 "--json"], 1),
+    ("oracle_a0.3_n16_poly.json", ["oracle", "--alpha", "0.3", "--n", "16",
+                                   "--signal", "poly", "--json"], 1),
 ]
 
 
