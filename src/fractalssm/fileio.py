@@ -52,14 +52,14 @@ def _complex_out(z: np.ndarray) -> list:
 def _complex_in(pairs, shape) -> np.ndarray:
     flat = np.array([complex(re, im) for re, im in pairs])
     if flat.size != int(np.prod(shape)):
-        raise SchemaError(f"expected {int(np.prod(shape))} complex entries, got {flat.size}")
+        raise ValueError(f"expected {int(np.prod(shape))} complex entries, got {flat.size}")
     return flat.reshape(shape)
 
 
 def _real_in(values, shape) -> np.ndarray:
     arr = np.asarray([float(v) for v in values])
     if arr.size != int(np.prod(shape)):
-        raise SchemaError(f"expected {int(np.prod(shape))} entries, got {arr.size}")
+        raise ValueError(f"expected {int(np.prod(shape))} entries, got {arr.size}")
     return arr.reshape(shape)
 
 
@@ -77,7 +77,8 @@ def _load(path, expected_schema: str) -> dict:
 
 @contextmanager
 def _malformed(path, what: str):
-    """Report a missing field, a wrong type or an out-of-range value as SchemaError."""
+    """Report a missing field, a wrong type, a wrong entry count or an out-of-range
+    value as SchemaError, its message prefixed with the path."""
     try:
         yield
     except SchemaError:
@@ -120,22 +121,20 @@ def read_operator_file(path) -> HippoOperators:
 def _init_out(init: SpectralInit) -> dict:
     return {
         "alpha": init.alpha,
-        "n": init.n,
         "lambda": _complex_out(init.eigenvalues),
         "b_tilde": _complex_out(init.b_tilde),
-        "input_width": init.b_tilde.shape[1],
         "cond_v": init.cond_v,
     }
 
 
-def _init_in(doc: dict) -> SpectralInit:
-    # older channels also carry the eigenbasis "v" and "v_inv"; a model reads neither
-    n = int(doc["n"])
-    width = int(doc["input_width"])
+def _init_in(doc: dict, config: FilterBankConfig) -> SpectralInit:
+    # the config fixes the shapes; a model reads none of the keys older channels
+    # also carry: "n", "input_width" and the eigenbasis "v" and "v_inv"
+    n = config.block_state
     return SpectralInit(
         alpha=float(doc["alpha"]),
         eigenvalues=_complex_in(doc["lambda"], (n,)),
-        b_tilde=_complex_in(doc["b_tilde"], (n, width)),
+        b_tilde=_complex_in(doc["b_tilde"], (n, config.input_width)),
         cond_v=float(doc["cond_v"]),
     )
 
@@ -174,13 +173,11 @@ def read_model_file(path):
             delta=tuple(float(d) for d in cfg["delta"]),
             input_width=int(cfg["input_width"]), output_width=int(cfg["output_width"]),
         )
-        inits = [_init_in(ch) for ch in doc["channels"]]
+        inits = [_init_in(ch, config) for ch in doc["channels"]]
         if len(inits) != config.channels:
             raise SchemaError(f"{path}: expected {config.channels} channels, "
                               f"got {len(inits)}")
         for init, alpha in zip(inits, config.alphas):
-            if init.n != config.block_state or init.b_tilde.shape[1] != config.input_width:
-                raise SchemaError(f"{path}: channel shapes do not match the config")
             if init.alpha != alpha:
                 raise SchemaError(f"{path}: channel alpha {init.alpha} does not match "
                                   f"the config's {alpha}")

@@ -22,10 +22,18 @@ __all__ = [
     "mass_oldest",
     "mass_recent",
     "measure_profile",
+    "check_time",
 ]
 
 
-def _check_time(t: float) -> None:
+def _check_index(alpha: float) -> None:
+    # the closed forms hold on all of [0, 1); the comparisons fail a NaN
+    if not (0.0 <= alpha < 1.0):
+        raise ValueError(f"singularity index must lie in [0, 1), got {alpha}")
+
+
+def check_time(t: float) -> None:
+    """Raise ValueError unless the current time t is finite and positive."""
     if not (math.isfinite(t) and t > 0.0):
         raise ValueError(f"current time must be finite and positive, got {t}")
 
@@ -43,9 +51,8 @@ class FractionalMeasure:
     t: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 <= self.alpha < 1.0):
-            raise ValueError(f"singularity index must lie in [0, 1), got {self.alpha}")
-        _check_time(self.t)
+        _check_index(self.alpha)
+        check_time(self.t)
 
 
 def density(m: FractionalMeasure, x) -> np.ndarray | float:
@@ -54,7 +61,7 @@ def density(m: FractionalMeasure, x) -> np.ndarray | float:
     Diverges at x = t for alpha > 0; that endpoint is excluded.
     """
     x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0.0) or np.any(x_arr >= m.t):
+    if not np.all((x_arr >= 0.0) & (x_arr < m.t)):   # a NaN fails both comparisons
         raise ValueError("density is defined on [0, t) only")
     out = (1.0 - m.alpha) / m.t ** (1.0 - m.alpha) * (m.t - x_arr) ** (-m.alpha)
     return float(out) if np.ndim(x) == 0 else out
@@ -77,6 +84,7 @@ def total_mass(m: FractionalMeasure, order: int = 16) -> float:
 
 def mass_oldest(alpha: float, p: float) -> float:
     """Measure of the oldest p-fraction of history, [0, p t]: 1 - (1-p)^(1-alpha)."""
+    _check_index(alpha)
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"fraction must lie in [0, 1], got {p}")
     return 1.0 - (1.0 - p) ** (1.0 - alpha)
@@ -84,6 +92,7 @@ def mass_oldest(alpha: float, p: float) -> float:
 
 def mass_recent(alpha: float, p: float) -> float:
     """Measure of the most recent p-fraction of history, [t(1-p), t]: p^(1-alpha)."""
+    _check_index(alpha)
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"fraction must lie in [0, 1], got {p}")
     return p ** (1.0 - alpha)
@@ -99,7 +108,7 @@ def measure_profile(alphas, samples: int, t: float = 1.0):
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
-    _check_time(t)
+    check_time(t)
     alphas = [float(a) for a in alphas]
     measures = [FractionalMeasure(a, t) for a in alphas]
     xs = np.linspace(0.0, t * (1.0 - 1e-6), samples)

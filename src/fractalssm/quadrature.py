@@ -25,21 +25,16 @@ import numpy as np
 
 from .specfun import JacobiParam
 
-__all__ = ["QuadratureRule", "QuadratureError", "gauss_jacobi", "weight_mass"]
+__all__ = ["QuadratureRule", "gauss_jacobi", "weight_mass"]
 
 _LD = np.longdouble
 _NEWTON_SWEEPS = 3
-
-
-class QuadratureError(RuntimeError):
-    """Raised when a quadrature rule cannot be constructed."""
 
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Nodes and weights for integrating f against the Jacobi weight."""
 
-    param: JacobiParam
     nodes_hi: np.ndarray = field(repr=False)
     weights_hi: np.ndarray = field(repr=False)
 
@@ -130,7 +125,7 @@ def gauss_jacobi(param: JacobiParam, order: int) -> QuadratureRule:
     try:
         seed = _seed_nodes(d, e)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise QuadratureError(f"tridiagonal eigen-solve failed at order {order}") from exc
+        raise ArithmeticError(f"tridiagonal eigen-solve failed at order {order}") from exc
     p0 = 1 / np.sqrt(_LD(weight_mass(param)))
     x = seed.astype(_LD)
     # a step is elementwise and deterministic, so a node the last sweep left
@@ -142,13 +137,12 @@ def gauss_jacobi(param: JacobiParam, order: int) -> QuadratureRule:
         stepped = _newton_step(d, e, p0, order, before)
         x[moving] = stepped
         moving = moving[stepped != before]
-    rule = QuadratureRule(param=param, nodes_hi=x,
-                          weights_hi=_christoffel_weights(d, e, p0, order, x))
+    rule = QuadratureRule(nodes_hi=x, weights_hi=_christoffel_weights(d, e, p0, order, x))
     nodes, weights = rule.nodes, rule.weights
     if (not np.all(np.isfinite(nodes)) or not np.all(np.isfinite(weights))
             or np.any(np.diff(nodes) <= 0) or np.any(weights <= 0)
             or np.any(np.abs(nodes) >= 1.0)):
-        raise QuadratureError(
+        raise ArithmeticError(
             f"invalid rule for (a={param.a}, b={param.b}) at order {order}")
     return rule
 

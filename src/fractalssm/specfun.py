@@ -37,23 +37,20 @@ class JacobiParam:
             )
 
 
-def _check_domain(y: np.ndarray) -> None:
-    if np.any(np.abs(y) > 1.0 + _DOMAIN_SLACK):
-        raise ValueError("Jacobi evaluation point outside [-1, 1]")
-
-
 def jacobi_eval_all(p: JacobiParam, n_max: int, y, dtype=np.float64) -> np.ndarray:
     """Evaluate P_0^(a,b) .. P_{n_max}^(a,b) at y via the three-term recurrence.
 
-    y may be a scalar or 1-d array; the result has shape (n_max+1,) or
-    (n_max+1, len(y)).  dtype selects the working precision (the operator
-    construction accumulates in extended precision).
+    y is a 1-d array; the result has shape (n_max+1, len(y)).  dtype selects
+    the working precision (the oracles of `verify` evaluate in extended
+    precision).
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    scalar = np.isscalar(y) or np.ndim(y) == 0
-    y = np.atleast_1d(np.asarray(y, dtype=dtype))
-    _check_domain(y)
+    y = np.asarray(y, dtype=dtype)
+    if y.ndim != 1:
+        raise ValueError(f"evaluation points must form a 1-d array, got shape {y.shape}")
+    if not np.all(np.abs(y) <= 1.0 + _DOMAIN_SLACK):   # a NaN compares False: it fails
+        raise ValueError("Jacobi evaluation point outside [-1, 1] or not a number")
     a = dtype(p.a)
     b = dtype(p.b)
     out = np.zeros((n_max + 1, y.size), dtype=dtype)
@@ -67,7 +64,7 @@ def jacobi_eval_all(p: JacobiParam, n_max: int, y, dtype=np.float64) -> np.ndarr
         c3 = (2 * nn + a + b - 1) * (a * a - b * b)
         c4 = 2 * (nn + a - 1) * (nn + b - 1) * (2 * nn + a + b)
         out[n] = ((c2 * y + c3) * out[n - 1] - c4 * out[n - 2]) / c1
-    return out[:, 0] if scalar else out
+    return out
 
 
 def basis_scale(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -29,10 +29,6 @@ class SpectralInit:
     b_tilde: np.ndarray       # complex, shape (n, input_width)
     cond_v: float             # two-norm condition number of the eigenbasis V
 
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.shape[0]
-
 
 def eig_triangular(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact eigendecomposition of a lower-triangular matrix.

@@ -104,6 +104,8 @@ class SequenceBatch:
     values: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.values):   # the float conversion would drop the imaginary part
+            raise ValueError("sequence values must be real, got complex values")
         values = np.asarray(self.values, dtype=float)
         if values.ndim == 1:
             values = values[:, None]

@@ -28,12 +28,21 @@ __all__ = [
     "check_scale_invariance",
     "ode_consistency",
     "run_full_suite",
+    "SIGNALS",
     "TABLE_ALPHA0",
     "TABLE_ALPHA05",
     "CONDITION_TABLE",
 ]
 
 _LD = np.longdouble
+
+# the oracles' test signals by name: scale-invariance draws sin and poly, and
+# `fractal oracle --signal` takes any of them
+SIGNALS = {
+    "sin": np.sin,
+    "poly": lambda s: 0.3 * s ** 3 - s + 0.5,
+    "const": lambda s: np.ones_like(np.asarray(s, dtype=float)),
+}
 
 # reference entries (2 d.p.) for the five-state operator at alpha = 0 and 0.5
 TABLE_ALPHA0 = {
@@ -112,6 +121,7 @@ def projection_coefficients(u, alpha: float, n: int, t: float, order: int) -> np
     (1-xi)^(-alpha) d xi by Gauss-Jacobi quadrature in the dimensionless
     variable; u must be callable on [0, t].
     """
+    measure_mod.check_time(t)
     if order < 2 * n:
         raise ValueError(f"quadrature order must be >= 2n = {2 * n}, got {order}")
     return _projector(alpha, n, order)(u, t)
@@ -125,8 +135,9 @@ def check_scale_invariance(alpha: float, n: int, dilation: float,
     through the same quadrature oracle and returns the largest absolute
     difference; the two are equal in exact arithmetic.
     """
-    if dilation <= 0.0:
-        raise ValueError(f"dilation must be positive, got {dilation}")
+    measure_mod.check_time(t)
+    if not (np.isfinite(dilation) and dilation > 0.0):
+        raise ValueError(f"dilation must be finite and positive, got {dilation}")
     if n > 32:
         raise ValueError(f"scale-invariance check supports n <= 32, got {n}")
     project = _projector(alpha, n, max(2 * n, 32))
@@ -185,18 +196,17 @@ def _check_measure_normalization(grid) -> OracleReport:
 
 def _check_scale_invariance(rng) -> OracleReport:
     detail = []
-    signals = [("sin", np.sin), ("poly", lambda s: 0.3 * s ** 3 - s + 0.5)]
     for trial in range(20):
         alpha = float(rng.uniform(0.0, 0.9))
         lam = float(rng.uniform(0.25, 4.0))
-        name, u = signals[trial % 2]
-        dev = check_scale_invariance(alpha, 8, lam, t=2.5, u=u)
+        name = ("sin", "poly")[trial % 2]
+        dev = check_scale_invariance(alpha, 8, lam, t=2.5, u=SIGNALS[name])
         detail.append({"alpha": alpha, "dilation": lam, "signal": name, "deviation": dev})
     return OracleReport("scale-invariance",
                         _worst([row["deviation"] for row in detail]), 1e-8, detail)
 
 
-def _check_orthonormality(grid, n_max: int = 32) -> OracleReport:
+def _check_orthonormality(grid, n_max: int) -> OracleReport:
     detail = []
     for alpha in grid:
         rule = gauss_jacobi(JacobiParam(-alpha, 0.0), 2 * (n_max + 1))
@@ -316,7 +326,7 @@ def _check_b_closed_form(grid, n: int) -> OracleReport:
     return OracleReport("input-vector-closed-form", worst, 1e-12, detail)
 
 
-def _check_monotonicity(grid, n_max: int = 16) -> OracleReport:
+def _check_monotonicity(grid, n_max: int) -> OracleReport:
     grid = sorted(grid)
     mats = {alpha: build_A(alpha, n_max + 1) for alpha in grid}
     violations = 0
@@ -488,12 +498,10 @@ def run_full_suite(alpha_grid, n_max: int, seed: int = 0) -> list[OracleReport]:
         ("galerkin-projection", lambda: _check_galerkin_projection(grid, n_max)),
         ("legs-recovery", lambda: _check_legs_recovery(n_max)),
     ]
-    if any(abs(a) < 1e-12 for a in grid):
-        checks.append(("table-alpha0",
-                       lambda: _check_table(0.0, TABLE_ALPHA0, "table-alpha0")))
-    if any(abs(a - 0.5) < 1e-12 for a in grid):
-        checks.append(("table-alpha05",
-                       lambda: _check_table(0.5, TABLE_ALPHA05, "table-alpha05")))
+    checks += [(name, functools.partial(_check_table, alpha, table, name))
+               for alpha, table, name in ((0.0, TABLE_ALPHA0, "table-alpha0"),
+                                          (0.5, TABLE_ALPHA05, "table-alpha05"))
+               if any(abs(a - alpha) < 1e-12 for a in grid)]
     checks += [
         ("eigenvalue-invariance", lambda: _check_eigenvalue_invariance(grid, n_max)),
         ("condition-growth", _check_condition_growth),

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from fractalssm import fileio, verify
+from fractalssm import fileio, quadrature, verify
 from fractalssm.cli import main
 from fractalssm.ssm import FilterBankConfig, LayerWeights, SequenceBatch, build_filter_bank
 
@@ -244,6 +244,17 @@ class TestRunCommand:
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_short_array_names_the_model_file(self, model_path, tmp_path, capsys):
+        doc = json.loads(model_path.read_text())
+        del doc["weights"]["c_tilde"][-1]
+        model_path.write_text(json.dumps(doc))
+        seq = tmp_path / "in.csv"
+        fileio.write_sequence_csv(seq, SequenceBatch(np.zeros((8, 1))))
+        assert run_cli("run", "--model", str(model_path), "--input", str(seq),
+                       "--out", str(tmp_path / "out.csv")) == 2
+        assert capsys.readouterr().err == (f"error: {model_path}: malformed model file "
+                                           "(expected 4 complex entries, got 3)\n")
+
     def test_byte_determinism(self, model_path, tmp_path):
         seq = tmp_path / "in.csv"
         rng = np.random.default_rng(4)
@@ -320,3 +331,14 @@ class TestOracleCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"]
         assert payload["max_deviation"] < 1e-6
+
+    def test_failed_rule_is_a_computation_failure(self, monkeypatch, capsys):
+        # gauss_jacobi raises ArithmeticError, which main maps to exit 1
+        monkeypatch.setattr(quadrature, "_seed_nodes", lambda d, e: np.full(d.size, np.nan))
+        assert run_cli("oracle", "--alpha", "0.5", "--n", "4") == 1
+        assert capsys.readouterr().err.startswith("computation failed: invalid rule")
+
+    @pytest.mark.parametrize("signal", sorted(verify.SIGNALS))
+    def test_every_signal_is_an_option(self, signal, capsys):
+        assert run_cli("oracle", "--alpha", "0", "--n", "4", "--signal", signal, "--json") == 0
+        assert json.loads(capsys.readouterr().out)["passed"]

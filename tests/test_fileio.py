@@ -44,6 +44,16 @@ class TestOperatorFile:
         with pytest.raises(fileio.SchemaError):
             fileio.read_operator_file(path)
 
+    def test_entry_count_names_the_file(self, tmp_path):
+        path = tmp_path / "op.json"
+        fileio.write_operator_file(path, build_operators(0.5, 3))
+        doc = json.loads(path.read_text())
+        del doc["a"][-1]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(fileio.SchemaError, match=re.escape(
+                f"{path}: malformed operator file (expected 9 entries, got 8)")):
+            fileio.read_operator_file(path)
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "op.json"
         path.write_text("{not json")
@@ -120,13 +130,17 @@ class TestModelFile:
         self.assert_same_model(model, fileio.read_model_file(path))
 
     def test_legacy_eigenbasis_ignored(self, tmp_path):
-        # older fractal-model/1 files also carry each channel's eigenbasis
+        # older fractal-model/1 files also carry each channel's eigenbasis and
+        # its shape, which the config fixes
         model = self.build_model()
+        config = model[0]
         path = tmp_path / "model.json"
         fileio.write_model_file(path, *model)
         doc = json.loads(path.read_text())
         for channel in doc["channels"]:
-            _, v, v_inv = eig_triangular(build_A(channel["alpha"], channel["n"]))
+            _, v, v_inv = eig_triangular(build_A(channel["alpha"], config.block_state))
+            channel["n"] = config.block_state
+            channel["input_width"] = config.input_width
             channel["v"] = [float(x) for x in v.ravel()]
             channel["v_inv"] = [float(x) for x in v_inv.ravel()]
         legacy = tmp_path / "legacy.json"
@@ -164,8 +178,27 @@ class TestModelFile:
         small = spectral_init(inits[1].alpha, 2, config.input_width)
         path = tmp_path / "model.json"
         fileio.write_model_file(path, config, [inits[0], small], weights)
-        with pytest.raises(fileio.SchemaError,
-                           match=re.escape(f"{path}: channel shapes do not match")):
+        # the config's block_state of 3 fixes the channel's shape
+        with pytest.raises(fileio.SchemaError, match=re.escape(
+                f"{path}: malformed model file (expected 3 complex entries, got 2)")):
+            fileio.read_model_file(path)
+
+    def test_channel_width_must_match_input_width(self, tmp_path):
+        config, inits, weights = self.build_model()
+        narrow = spectral_init(inits[1].alpha, config.block_state, 1)
+        path = tmp_path / "model.json"
+        fileio.write_model_file(path, config, [inits[0], narrow], weights)
+        with pytest.raises(fileio.SchemaError, match=re.escape(
+                f"{path}: malformed model file (expected 6 complex entries, got 3)")):
+            fileio.read_model_file(path)
+
+    def test_entry_count_names_the_file(self, tmp_path):
+        def edit(doc):
+            del doc["weights"]["c_tilde"][-1]
+
+        path = self.edited(tmp_path, edit)
+        with pytest.raises(fileio.SchemaError, match=re.escape(
+                f"{path}: malformed model file (expected 12 complex entries, got 11)")):
             fileio.read_model_file(path)
 
     def test_non_finite_value_writes_no_file(self, tmp_path):
@@ -222,6 +255,16 @@ class TestDiscreteSystemFile:
         assert back.delta == ssm.delta
         assert np.array_equal(back.lambda_bar, ssm.lambda_bar)
         assert np.array_equal(back.b_bar, ssm.b_bar)
+
+    def test_entry_count_names_the_file(self, tmp_path):
+        path = tmp_path / "dssm.json"
+        fileio.write_dssm_file(path, zoh_discretize(spectral_init(0.4, 5), 0.01))
+        doc = json.loads(path.read_text())
+        del doc["lambda_bar"][-1]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(fileio.SchemaError, match=re.escape(
+                f"{path}: malformed discrete-system file (expected 5 complex entries, got 4)")):
+            fileio.read_dssm_file(path)
 
     @pytest.mark.parametrize("field, value, message", [
         ("delta", -1.0, "timestep"),

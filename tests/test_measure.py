@@ -34,6 +34,11 @@ class TestDensity:
         with pytest.raises(ValueError):
             density(m, -0.1)
 
+    @pytest.mark.parametrize("x", [math.nan, [0.2, math.nan]], ids=["scalar", "array"])
+    def test_nan_position_rejected(self, x):
+        with pytest.raises(ValueError, match=r"\[0, t\)"):
+            density(FractionalMeasure(0.5), x)
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             FractionalMeasure(1.0, 1.0)
@@ -81,6 +86,13 @@ class TestMassProfiles:
             mass_oldest(0.5, 1.2)
         with pytest.raises(ValueError):
             mass_recent(0.5, -0.1)
+
+    @pytest.mark.parametrize("alpha", [-0.1, 1.0, 1.5, math.nan])
+    @pytest.mark.parametrize("profile", [mass_oldest, mass_recent], ids=lambda f: f.__name__)
+    def test_index_domain(self, profile, alpha):
+        # the measure's own range: mass_oldest(1.5, 0.5) was a negative mass
+        with pytest.raises(ValueError, match="singularity index"):
+            profile(alpha, 0.5)
 
     @settings(max_examples=100, deadline=None)
     @given(alpha=st.floats(min_value=0.0, max_value=0.95),
@@ -155,3 +167,15 @@ class TestScaleInvariance:
     def test_invalid_dilation(self):
         with pytest.raises(ValueError):
             check_scale_invariance(0.5, 8, 0.0)
+
+    @pytest.mark.parametrize("dilation", [math.nan, math.inf])
+    def test_non_finite_dilation_rejected(self, dilation):
+        # a NaN or infinite dilation failed later, as a non-finite signal
+        with pytest.raises(ValueError, match="dilation must be finite and positive"):
+            check_scale_invariance(0.5, 8, dilation)
+
+    @pytest.mark.parametrize("t", [-1.0, 0.0, math.nan, math.inf])
+    def test_invalid_time(self, t):
+        # t = -1 was a pass: both projections read the same negative-time samples
+        with pytest.raises(ValueError, match="current time"):
+            check_scale_invariance(0.5, 8, 2.0, t=t)

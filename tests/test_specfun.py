@@ -15,19 +15,24 @@ def endpoint_closed_form(a: float, n: int) -> float:
     return math.prod((m + a) / m for m in range(1, n + 1))
 
 
+def at(p: JacobiParam, n_max: int, y: float) -> np.ndarray:
+    """P_0 .. P_{n_max} at the single point y."""
+    return jacobi_eval_all(p, n_max, [y])[:, 0]
+
+
 class TestJacobiEval:
     def test_degree_one_at_endpoint(self):
-        vals = jacobi_eval_all(JacobiParam(-0.5, 0.0), 1, 1.0)
+        vals = at(JacobiParam(-0.5, 0.0), 1, 1.0)
         assert vals[0] == pytest.approx(1.0)
         assert vals[1] == pytest.approx(0.5, abs=1e-14)
 
     def test_legendre_at_zero(self):
-        vals = jacobi_eval_all(JacobiParam(0.0, 0.0), 2, 0.0)
+        vals = at(JacobiParam(0.0, 0.0), 2, 0.0)
         assert vals == pytest.approx([1.0, 0.0, -0.5], abs=1e-15)
 
     def test_degree_zero_is_one(self):
         for a in (-0.9, -0.3, 0.0, 1.7):
-            assert jacobi_eval_all(JacobiParam(a, 0.0), 0, 1.0)[0] == 1.0
+            assert at(JacobiParam(a, 0.0), 0, 1.0)[0] == 1.0
 
     def test_vectorized_shape(self):
         y = np.linspace(-1, 1, 7)
@@ -35,8 +40,17 @@ class TestJacobiEval:
         assert vals.shape == (5, 7)
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
-            jacobi_eval_all(JacobiParam(0.0, 0.0), 2, 1.0 + 1e-9)
+        with pytest.raises(ValueError, match="outside"):
+            jacobi_eval_all(JacobiParam(0.0, 0.0), 2, [0.5, 1.0 + 1e-9])
+
+    def test_nan_point_rejected(self):
+        with pytest.raises(ValueError, match="not a number"):
+            jacobi_eval_all(JacobiParam(-0.5), 2, [0.1, np.nan])
+
+    @pytest.mark.parametrize("y", [0.5, [[0.5]]], ids=["scalar", "2-d"])
+    def test_points_must_be_1d(self, y):
+        with pytest.raises(ValueError, match="1-d array"):
+            jacobi_eval_all(JacobiParam(-0.5), 2, y)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -49,7 +63,7 @@ class TestJacobiEval:
             alpha = rng.uniform(0.0, 0.95)
             n = int(rng.integers(0, 40))
             p = JacobiParam(-alpha, 0.0)
-            via_recurrence = jacobi_eval_all(p, n, 1.0)[n]
+            via_recurrence = at(p, n, 1.0)[n]
             via_endpoint = endpoint_closed_form(-alpha, n)
             assert via_recurrence == pytest.approx(via_endpoint, rel=1e-11)
 
@@ -58,7 +72,7 @@ class TestJacobiEndpoint:
     @staticmethod
     def endpoint(p, n):
         # P_n^(a,b)(1) = C(n + a, n), by the closed form and by the recurrence
-        return endpoint_closed_form(p.a, n), jacobi_eval_all(p, n, 1.0)[n]
+        return endpoint_closed_form(p.a, n), at(p, n, 1.0)[n]
 
     def test_degree_zero(self):
         assert self.endpoint(JacobiParam(-0.3, 0.0), 0) == (1.0, 1.0)

@@ -653,6 +653,13 @@ class TestSequenceBatch:
         with pytest.raises(ValueError):
             SequenceBatch(np.array([[1.0], [np.nan]]))
 
+    @pytest.mark.parametrize("values", [np.array([1.0, 2.0 + 0.5j]), np.zeros((3, 2), complex),
+                                        [1.0, 2j]], ids=["array", "real-valued", "list"])
+    def test_complex_rejected(self, values):
+        # the float conversion would drop the imaginary part with only a warning
+        with pytest.raises(ValueError, match="must be real"):
+            SequenceBatch(values)
+
 
 def test_silu_values():
     assert silu(0.0) == pytest.approx(0.0)

@@ -53,6 +53,11 @@ class TestProjectionCoefficients:
         with pytest.raises(ValueError):
             projection_coefficients(np.sin, 0.3, 8, 1.0, order=8)
 
+    @pytest.mark.parametrize("t", [-1.0, 0.0, math.nan, math.inf])
+    def test_time_must_be_finite_and_positive(self, t):
+        with pytest.raises(ValueError, match="current time"):
+            projection_coefficients(np.sin, 0.5, 4, t, 16)
+
     def test_nonfinite_signal(self):
         with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(ValueError):
             projection_coefficients(lambda s: 1.0 / (s - s), 0.3, 2, 1.0, order=8)
