@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -249,32 +250,37 @@ def write_sequence_csv(path, batch: SequenceBatch, prefix: str = "u") -> None:
 def read_sequence_csv(path) -> SequenceBatch:
     """Read a sequence CSV written by write_sequence_csv, or any CSV of that shape.
 
-    csv.reader tokenizes, so quoted fields, CRLF line endings and blank
-    lines read as they always have; the 't' column is not parsed.  The value
-    fields are converted with float() in one pass, and a field that is not
-    a finite number raises SchemaError naming the file.
+    csv.reader reads the header, which must start with a 't' column.  The
+    body goes to one np.loadtxt call with ',' delimiters and '"' quotes, so
+    quoted fields, CRLF line endings and spaces around a number read as
+    written, and empty lines are skipped.  Every other row must have as many
+    fields as the header: a row of spaces, or one starting with '#' (nothing
+    is a comment), is a ragged row.  The 't' field is split off but never
+    parsed, so any text passes; every value field must be a finite float.
+    A ragged row, a field that is not a number (an empty one too), a NaN,
+    an infinity or an empty body raises SchemaError naming the file.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if not header or header[0] != "t":
             raise SchemaError(f"{path}: expected a sequence CSV with a 't' column")
         width = len(header) - 1
         if width < 1:
             raise SchemaError(f"{path}: no value columns")
-        fields = []
-        for line in reader:
-            if not line:
-                continue
-            if len(line) != width + 1:
-                raise SchemaError(f"{path}: ragged row of length {len(line)}")
-            del line[0]
-            fields += line
-    if not fields:
+        # 'U0' holds no characters, so the 't' field is split off but not converted
+        body = np.dtype([("t", "U0"), ("u", np.float64, (width,))])
+        try:
+            with warnings.catch_warnings():   # loadtxt warns on an empty body
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(fh, dtype=body, delimiter=",", quotechar='"',
+                                  comments=None, ndmin=1)
+        except ValueError as exc:   # a ragged row, or a field that is not a number
+            raise SchemaError(f"{path}: {exc}") from exc
+    if rows.size == 0:
         raise SchemaError(f"{path}: empty sequence")
     try:
-        return SequenceBatch(values=np.array(list(map(float, fields))).reshape(-1, width))
-    except ValueError as exc:   # a field float() rejects, or nan or inf
+        return SequenceBatch(values=rows["u"])
+    except ValueError as exc:   # nan or inf
         raise SchemaError(f"{path}: a value field is not a finite number ({exc})") from exc
 
 

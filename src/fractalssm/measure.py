@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import gauss_jacobi
-from .specfun import JacobiParam
+from .specfun import JacobiParam, check_index
 
 __all__ = [
     "FractionalMeasure",
@@ -24,12 +24,6 @@ __all__ = [
     "measure_profile",
     "check_time",
 ]
-
-
-def _check_index(alpha: float) -> None:
-    # the closed forms hold on all of [0, 1); the comparisons fail a NaN
-    if not (0.0 <= alpha < 1.0):
-        raise ValueError(f"singularity index must lie in [0, 1), got {alpha}")
 
 
 def check_time(t: float) -> None:
@@ -51,7 +45,7 @@ class FractionalMeasure:
     t: float = 1.0
 
     def __post_init__(self):
-        _check_index(self.alpha)
+        check_index(self.alpha)
         check_time(self.t)
 
 
@@ -84,7 +78,7 @@ def total_mass(m: FractionalMeasure, order: int = 16) -> float:
 
 def mass_oldest(alpha: float, p: float) -> float:
     """Measure of the oldest p-fraction of history, [0, p t]: 1 - (1-p)^(1-alpha)."""
-    _check_index(alpha)
+    check_index(alpha)
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"fraction must lie in [0, 1], got {p}")
     return 1.0 - (1.0 - p) ** (1.0 - alpha)
@@ -92,7 +86,7 @@ def mass_oldest(alpha: float, p: float) -> float:
 
 def mass_recent(alpha: float, p: float) -> float:
     """Measure of the most recent p-fraction of history, [t(1-p), t]: p^(1-alpha)."""
-    _check_index(alpha)
+    check_index(alpha)
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"fraction must lie in [0, 1], got {p}")
     return p ** (1.0 - alpha)

@@ -17,6 +17,7 @@ __all__ = [
     "JacobiParam",
     "jacobi_eval_all",
     "basis_scale",
+    "check_index",
 ]
 
 # evaluation tolerance for the closed interval [-1, 1]
@@ -67,6 +68,13 @@ def jacobi_eval_all(p: JacobiParam, n_max: int, y, dtype=np.float64) -> np.ndarr
     return out
 
 
+def check_index(alpha: float) -> None:
+    """Raise ValueError unless the singularity index alpha lies in [0, 1), the
+    measure's range; a NaN fails the comparison."""
+    if not (0.0 <= alpha < 1.0):
+        raise ValueError(f"singularity index must lie in [0, 1), got {alpha}")
+
+
 def basis_scale(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Normalization constants (gamma, h) of the fractional basis, degrees 0..n-1.
 
@@ -76,8 +84,7 @@ def basis_scale(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     arrays of length n (empty at n = 0).  The closed forms are exact on all
     of [0, 1), so this takes the measure's range.
     """
-    if not (0.0 <= alpha < 1.0):
-        raise ValueError(f"singularity index must lie in [0, 1), got {alpha}")
+    check_index(alpha)
     if n < 0:
         raise ValueError(f"number of degrees must be >= 0, got {n}")
     k = np.arange(n)

@@ -364,6 +364,35 @@ _LAYER_CHUNK = 64   # T, the steps per chunk of the layer-equivalence reference
 _BANK_LAYERS = ((1, 2, 1000), (2, 1, 4096), (2, 3, 17), (3, 2, 4096), (3, 3, 1000), (2, 2, 4096))
 
 
+def _carry_scan(x: np.ndarray, decay: np.ndarray) -> None:
+    """Run x[j] = decay x[j-1] + x[j], j = 1 .. len(x)-1, in place along axis 0.
+
+    A work-efficient up-sweep / down-sweep scan (Blelloch, "Prefix sums and
+    their applications", 1990) over floor(log2(len(x))) levels, O(len(x))
+    work, for any length.  The up-sweep leaves at index i the sum of the
+    block of 2^d rows ending there, 2^d the largest power of two dividing
+    i+1; the down-sweep then completes, level by level from the top, the
+    rows whose block has a finished prefix on its left.  Level d multiplies
+    by decay^(2^d), one squaring of the level below; a real or imaginary
+    part below finfo.tiny is flushed to zero, so no power goes subnormal
+    and the scan runs no subnormal arithmetic.
+    """
+    tiny = np.finfo(float).tiny
+    powers, stride = [], 2
+    power = np.array(decay, dtype=complex)
+    while stride <= len(x):
+        parts = power.view(float)
+        parts[np.abs(parts) < tiny] = 0.0
+        right = x[stride - 1::stride]
+        right += power * x[stride // 2 - 1::stride][:len(right)]
+        powers.append(power)
+        power, stride = power * power, 2 * stride
+    for power in reversed(powers):   # level d: stride 2^(d+1), blocks of 2^d
+        stride //= 2
+        right = x[stride + stride // 2 - 1::stride]
+        right += power * x[stride - 1::stride][:len(right)]
+
+
 def _layer_reference(ssms: list[DiscreteDiagonalSSM], u: SequenceBatch,
                      weights: LayerWeights) -> np.ndarray:
     """Output (length, out) of the gated layer (ssms, weights) on u, in the
@@ -372,9 +401,15 @@ def _layer_reference(ssms: list[DiscreteDiagonalSSM], u: SequenceBatch,
 
     u is padded to chunks of T = _LAYER_CHUNK steps, laid out (chunk, input,
     step).  Within a chunk, output o from a zero start is one Toeplitz product
-    with the taps k_m[o, i] = Re sum_n c_on b_ni lambda_bar_n^m, m < T.  A loop
-    over the chunks carries the state h_j = lambda_bar^T h_{j-1} + (end of
-    chunk j-1) in, adding Re(c_o lambda_bar^(s+1) h_j) at step s.  The output
+    with the taps k_m[o, i] = Re sum_n c_on b_ni lambda_bar_n^m, m < T.  The
+    state h_j carried into chunk j obeys h_j = lambda_bar^T h_{j-1} + (end of
+    chunk j-1), h_0 = 0, which _carry_scan solves in place over the chunk ends
+    in log2(chunks) levels, O(chunks) work in place of a Python step per chunk;
+    its powers lambda_bar^(T 2^k) are flushed to zero below finfo.tiny, since a
+    subnormal operand slows every product it enters and adds nothing above
+    rounding.  Step s of chunk j adds Re(c_o lambda_bar^(s+1) h_j).
+    The chunk ends and the carried terms are real matmuls on the float views
+    of the complex factors, so no real block is cast up to complex.  The output
     is w_out (Re(c x) + d u) * g / (1 + exp(-g)), g = w_gate u, a scalar d
     standing for d I.
     """
@@ -388,16 +423,17 @@ def _layer_reference(ssms: list[DiscreteDiagonalSSM], u: SequenceBatch,
     steps = padded.reshape(chunks, t, width).transpose(0, 2, 1).reshape(chunks, width * t)
     powers = lam ** np.arange(t + 1)[:, None]   # powers[m] = lambda_bar^m
     lag = np.subtract.outer(np.arange(t), np.arange(t))
-    ends = steps @ (b.T[:, None, :] * powers[t - 1::-1]).reshape(width * t, -1)
-    h = np.zeros_like(ends)
-    for j in range(1, chunks):
-        h[j] = powers[t] * h[j - 1] + ends[j - 1]
+    end_map = (b.T[:, None, :] * powers[t - 1::-1]).reshape(width * t, -1)
+    # row j of carried is h_{j+1}: the scanned ends of chunks 0 .. j
+    carried = (steps[:-1] @ end_map.view(float)).view(complex)
+    _carry_scan(carried, powers[t])
     y = np.empty((chunks, t, c.shape[0]))
     for o, c_o in enumerate(c):
         taps = (powers[:t] @ (c_o[:, None] * b)).real   # (T, in)
         toeplitz = np.where(lag[:, :, None] >= 0, taps[lag], 0.0).transpose(0, 2, 1)
         y[:, :, o] = steps @ toeplitz.reshape(t, width * t).T
-        y[:, :, o] += (h @ (powers[1:] * c_o).T).real
+        # Re(h c_o lambda^(s+1)) = [Re h, Im h] . [Re, -Im](c_o lambda^(s+1))
+        y[1:, :, o] += carried.view(float) @ np.conj(powers[1:] * c_o).view(float).T
     d = weights.d * np.eye(c.shape[0], width) if np.isscalar(weights.d) else weights.d
     # einsum, where a matmul with one or two columns would be several times slower
     y = y.reshape(chunks * t, c.shape[0])[:length] + np.einsum("ki,oi->ko", x, d)

@@ -9,16 +9,26 @@ committed files.  To cover another command, add a case and regenerate:
 
 A regenerated file that differs from the committed one is a change in what
 the program emits; say which file changed and why.
+
+The `run` case reads a committed 4x8 model with two inputs and one output
+and a 1024-step input.  They are written only when missing, so that a
+regenerated run output shows a change in `fractal run`, not in the model
+or the input it was given.
 """
 
 import contextlib
 import io
 from pathlib import Path
 
-from fractalssm import cli
+import numpy as np
+
+from fractalssm import (FilterBankConfig, LayerWeights, SequenceBatch, build_filter_bank, cli,
+                        fileio)
 
 HERE = Path(__file__).resolve().parent
 OUT = "{out}"   # stands for the output path of a file-writing case
+RUN_MODEL = HERE / "run_model_4x8_w2.json"
+RUN_INPUT = HERE / "run_in_1024_w2.csv"
 
 # (golden file, argv, exit code); a case whose argv holds no OUT stores its
 # standard output
@@ -37,7 +47,25 @@ CASES = [
                                  "--json"], 1),
     ("oracle_a0.3_n16_poly.json", ["oracle", "--alpha", "0.3", "--n", "16",
                                    "--signal", "poly", "--json"], 1),
+    ("run_4x8_1024_w2.csv", ["run", "--model", str(RUN_MODEL), "--input", str(RUN_INPUT),
+                             "--out", OUT], 0),
 ]
+
+
+def write_run_inputs() -> None:
+    """The model and input of the `run` case, from a fixed seed."""
+    config = FilterBankConfig(channels=4, block_state=8, input_width=2)
+    rng = np.random.default_rng(24)
+    total = config.total_state
+    weights = LayerWeights(
+        c_tilde=(rng.standard_normal((1, total)) + 1j * rng.standard_normal((1, total)))
+        / np.sqrt(total),
+        w_out=rng.standard_normal((1, 1)), w_gate=rng.standard_normal((1, 2)),
+        d=rng.standard_normal((1, 2)))
+    fileio.write_model_file(RUN_MODEL, config, build_filter_bank(config), weights)
+    # four decimals keep the input file small
+    u = np.round(rng.standard_normal((1024, 2)), 4)
+    fileio.write_sequence_csv(RUN_INPUT, SequenceBatch(u))
 
 
 def run_case(argv: list[str], out: Path) -> tuple[int, str]:
@@ -49,6 +77,8 @@ def run_case(argv: list[str], out: Path) -> tuple[int, str]:
 
 
 def main() -> None:
+    if not (RUN_MODEL.exists() and RUN_INPUT.exists()):
+        write_run_inputs()
     for name, argv, expected_exit in CASES:
         target = HERE / name
         code, text = run_case(argv, target)

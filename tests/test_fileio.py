@@ -4,6 +4,7 @@ import copy
 import csv
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -362,7 +363,7 @@ class TestSequenceCsv:
             fileio.read_sequence_csv(path)
 
     @pytest.mark.parametrize("field, message", [
-        ("abc", "could not convert string to float: 'abc'"),
+        ("abc", "could not convert string 'abc' to float64"),
         ("nan", "non-finite"),
         ("-inf", "non-finite"),
     ])
@@ -375,8 +376,37 @@ class TestSequenceCsv:
     def test_ragged_message_keeps_the_row_length(self, tmp_path):
         path = tmp_path / "seq.csv"
         path.write_text("t,u_0\n0,1.0\n1,2.0,3.0\n")
-        with pytest.raises(fileio.SchemaError, match="ragged row of length 3"):
+        with pytest.raises(fileio.SchemaError, match="requires 2 columns but 3 were found"):
             fileio.read_sequence_csv(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("# a comment", "requires 3 columns but 1 were found"),
+        ("#", "requires 3 columns but 1 were found"),
+        ("   ", "requires 3 columns but 1 were found"),
+        ("\t", "requires 3 columns but 1 were found"),
+        ("2,,1.0", "could not convert string '' to float64"),
+        ("2,1.0, ", "could not convert string ' ' to float64"),
+    ], ids=["comment", "hash", "spaces", "tab", "empty-field", "blank-field"])
+    def test_reader_rejects(self, tmp_path, row, message):
+        # no row is a comment and no row of spaces is skipped: each is a ragged row
+        path = tmp_path / "seq.csv"
+        path.write_text(f"t,u_0,u_1\n0,1.5,-2\n{row}\n1,0.003,4\n")
+        with pytest.raises(fileio.SchemaError, match=rf"seq\.csv: .*{message}"):
+            fileio.read_sequence_csv(path)
+
+    def test_time_field_is_not_parsed(self, tmp_path):
+        path = tmp_path / "seq.csv"
+        path.write_text('t,u_0\nfirst,1.5\n#2,-2\n"a,b",0.25\n,4\n')
+        assert np.array_equal(fileio.read_sequence_csv(path).values, [[1.5], [-2.0], [0.25], [4.0]])
+
+    @pytest.mark.parametrize("body", ["", "\n", "\r\n\r\n"], ids=["none", "lf", "crlf"])
+    def test_empty_body_warns_nothing(self, tmp_path, body):
+        path = tmp_path / "seq.csv"
+        path.write_text(f"t,u_0{body}", newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(fileio.SchemaError, match=r"seq\.csv: empty sequence"):
+                fileio.read_sequence_csv(path)
 
 
 class TestSequenceCsvGolden:

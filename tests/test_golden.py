@@ -6,7 +6,9 @@ steps h, the eigenvalues A(alpha) has on its diagonal and the operator pair
 `matrix` writes from its closed form in long double.  The fields in BOUNDS are
 computed through BLAS, LAPACK or libm, whose summation order and last bits
 may differ between builds and thread counts; each compares normwise,
-max|x - golden| <= bound * max|golden|.
+max|x - golden| <= bound * max|golden|.  A CSV output (`fractal run`) must
+match the golden header and step column exactly and its values within
+CSV_BOUND, normwise per column.
 """
 
 import importlib.util
@@ -36,6 +38,9 @@ BOUNDS = {
     "max_deviation": 1e-11,
     "convergence_ratio": 1e-11,
 }
+# The run case's FFT layer lies 8.4e-16 from the exact chunked reference of
+# verify, normwise; the bound leaves room for other FFT and BLAS builds.
+CSV_BOUND = 1e-12
 
 
 def _compare(got, want, path: str) -> None:
@@ -69,9 +74,21 @@ def _compare_bounded(got, want, bound: float, path: str) -> None:
 def test_cli_output_matches_golden(name, argv, expected_exit, tmp_path):
     code, text = make_golden.run_case(argv, tmp_path / name)
     assert code == expected_exit
-    got = json.loads(text)
-    want = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
-    _compare(got, want, name)
+    golden = (GOLDEN / name).read_text(encoding="utf-8")
+    if name.endswith(".csv"):
+        _compare_csv(text, golden, name)
+    else:
+        _compare(json.loads(text), json.loads(golden), name)
+
+
+def _compare_csv(got: str, want: str, path: str) -> None:
+    (got_header, *got_rows), (want_header, *want_rows) = got.splitlines(), want.splitlines()
+    assert got_header == want_header, f"{path}: header {got_header!r} != {want_header!r}"
+    g, w = (np.array([row.split(",") for row in rows]) for rows in (got_rows, want_rows))
+    assert g.shape == w.shape, f"{path}: shape {g.shape} != {w.shape}"
+    assert np.array_equal(g[:, 0], w[:, 0]), f"{path}: step column differs"
+    for k in range(1, w.shape[1]):
+        _compare_bounded(g[:, k], w[:, k], CSV_BOUND, f"{path} column {k}")
 
 
 def test_bounded_field_catches_drift():
@@ -82,3 +99,14 @@ def test_bounded_field_catches_drift():
         _compare(drifted, want, "drifted")
     with pytest.raises(AssertionError, match="schema_version"):
         _compare({**want, "schema_version": "fractal-dssm/2"}, want, "schema")
+
+
+def test_csv_comparison_catches_drift():
+    want = "t,y_0\r\n0,1.5\r\n1,-2.0\r\n"
+    _compare_csv(want, want, "same")
+    with pytest.raises(AssertionError, match="relative deviation"):
+        _compare_csv("t,y_0\r\n0,1.5\r\n1,-2.000000001\r\n", want, "drifted")
+    with pytest.raises(AssertionError, match="header"):
+        _compare_csv("t,u_0\r\n0,1.5\r\n1,-2.0\r\n", want, "header")
+    with pytest.raises(AssertionError, match="shape"):
+        _compare_csv("t,y_0\r\n0,1.5\r\n", want, "short")

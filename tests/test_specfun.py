@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractalssm.measure import FractionalMeasure
 from fractalssm.specfun import JacobiParam, basis_scale, jacobi_eval_all
 
 
@@ -121,3 +122,13 @@ class TestBasisScale:
             basis_scale(1.0, 0)
         with pytest.raises(ValueError):
             basis_scale(-0.1, 0)
+
+    @pytest.mark.parametrize("alpha", [-0.1, 1.0, math.nan])
+    def test_measure_and_basis_state_one_index_rule(self, alpha):
+        # the measure and the basis both take alpha in [0, 1), by specfun.check_index
+        with pytest.raises(ValueError) as basis:
+            basis_scale(alpha, 2)
+        with pytest.raises(ValueError) as measure:
+            FractionalMeasure(alpha)
+        assert str(basis.value) == str(measure.value) == (
+            f"singularity index must lie in [0, 1), got {alpha}")

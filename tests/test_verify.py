@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -562,6 +563,28 @@ class TestChunkedReference:
         ref = verify._layer_reference(ssms, u, w)
         assert ref.shape == seq.shape == (length, out_width)
         assert np.max(np.abs(ref - seq)) <= 1e-13 * np.max(np.abs(seq))
+
+    # chunk counts on both sides of 64 and 1024, where the scan's tree is whole
+    @pytest.mark.parametrize("chunks", [1, 2, 3, 63, 64, 65, 1023, 1024, 1025])
+    def test_carry_scan_matches_per_chunk_recurrence(self, chunks):
+        rng = np.random.default_rng(chunks)
+        radius = np.repeat([0.05, 0.5, 0.995], 4)
+        lam = radius * np.exp(1j * rng.uniform(-np.pi, np.pi, radius.size))
+        decay = lam ** verify._LAYER_CHUNK
+        ends = (rng.standard_normal((chunks, radius.size))
+                + 1j * rng.standard_normal((chunks, radius.size)))
+        # the per-chunk carry the scan replaced: h_j = lambda^T h_{j-1} + ends_{j-1}
+        h = np.zeros_like(ends)
+        for j in range(1, chunks):
+            h[j] = decay * h[j - 1] + ends[j - 1]
+        carried = ends[:-1].copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                verify._carry_scan(carried, decay)
+        assert carried.shape == (chunks - 1, radius.size)
+        error = np.max(np.abs(carried - h[1:]), axis=0, initial=0.0)
+        assert np.all(error <= 1e-13 * np.max(np.abs(h), axis=0, initial=0.0))
 
     def test_nan_fails_its_row_alone(self, monkeypatch):
         def poison(values):
