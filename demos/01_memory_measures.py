@@ -35,9 +35,9 @@ for alpha in (0.0, 0.5, 0.9):
 
 # --- figure data ------------------------------------------------------------
 # the profile table also carries the three classical reference measures
-header, rows = measure_profile([0.5], samples=5)
+header, table = measure_profile([0.5], samples=5)
 print("\nprofile table columns:", ",".join(header))
-for row in rows:
+for row in table:
     print("  " + " ".join(f"{v:8.4f}" for v in row))
 
 # --- scale invariance -------------------------------------------------------

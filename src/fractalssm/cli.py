@@ -59,7 +59,6 @@ def _parse_grid(raw: str) -> list[float]:
 
 def _cmd_matrix(args) -> int:
     ops = build_operators(args.alpha, args.n)
-    fileio.ensure_parent(args.out)
     fileio.write_operator_file(args.out, ops)
     print(f"wrote {args.out} (alpha={ops.alpha:g}, n={ops.n})")
     return 0
@@ -106,12 +105,8 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_measure(args) -> int:
     alphas = _parse_grid(args.alphas)
-    header, rows = measure_profile(alphas, args.samples, args.t)
-    fileio.ensure_parent(args.out)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    header, table = measure_profile(alphas, args.samples, args.t)
+    fileio.write_table_csv(args.out, header, table.T)
     print(f"wrote {args.out} ({args.samples} samples, {len(alphas)} alpha column(s))")
     return 0
 
@@ -122,7 +117,6 @@ def _cmd_run(args) -> int:
     ssms = [zoh_discretize(init, delta)
             for init, delta in zip(inits, config.delta)]
     z_out = layer_forward(config, weights, ssms, z_in)
-    fileio.ensure_parent(args.out)
     fileio.write_sequence_csv(args.out, z_out, prefix="y")
     print(f"wrote {args.out} ({z_out.length} steps, width {z_out.width})")
     return 0
@@ -132,7 +126,6 @@ def _cmd_discretize(args) -> int:
     check_step(args.delta)
     init = spectral_init(args.alpha, args.n, args.input_width)
     ssm = zoh_discretize(init, args.delta)
-    fileio.ensure_parent(args.out)
     fileio.write_dssm_file(args.out, ssm)
     print(f"wrote {args.out} (n={args.n}, delta={args.delta:g})")
     return 0

@@ -32,6 +32,7 @@ __all__ = [
     "read_model_file",
     "write_dssm_file",
     "read_dssm_file",
+    "write_table_csv",
     "write_sequence_csv",
     "read_sequence_csv",
 ]
@@ -89,11 +90,13 @@ def _malformed(path, what: str):
 
 
 def _dump(path, doc: dict) -> None:
-    """Write doc as strict JSON; a NaN or infinity raises ValueError and writes no file."""
+    """Write doc as strict JSON, creating the parent directory if missing; a NaN
+    or infinity raises ValueError and writes no file."""
     try:
         text = json.dumps(doc, indent=1, allow_nan=False)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
@@ -222,51 +225,80 @@ def read_dssm_file(path) -> DiscreteDiagonalSSM:
         )
 
 
-# write_sequence_csv formats this many rows per write: a block's strings take
+# write_table_csv formats this many rows per write: a block's strings take
 # about 0.15 MB at width 1, where a 65536-step body formatted at once takes 9 MB
 _CSV_BLOCK_ROWS = 1024
 
 
-def write_sequence_csv(path, batch: SequenceBatch, prefix: str = "u") -> None:
-    """Time series CSV with header t,<prefix>_0,...,<prefix>_{width-1}.
+def write_table_csv(path, header: list[str], columns) -> None:
+    """CSV of equal-length 1-D numeric arrays, one per named column.
 
-    The header goes through csv.writer, which quotes a prefix holding a
-    comma or a quote.  A body field never needs quoting (an integer step or
-    a float repr), so the body is formatted column-wise, _CSV_BLOCK_ROWS
-    rows per write: each column of a block becomes its reprs, zipped
-    row-wise with the step index, joined with commas, and every row ends in
-    \\r\\n as csv.writer ends it.  The file is byte-identical to one written
-    row by row with csv.writer.  A zero-row batch writes only the header.
+    The header goes through csv.writer, which quotes a name holding a comma
+    or a quote.  A body field never needs quoting (the repr of an integer or
+    of a float, the shortest string that reads back bit-exactly), so the
+    body is formatted column-wise, _CSV_BLOCK_ROWS rows per write, and every
+    row ends in \\r\\n as csv.writer ends it: the file is byte-identical to
+    one written row by row with csv.writer.  Zero-length columns write only
+    the header.  The parent directory is created if missing.
     """
+    if len(header) != len(columns) or len({len(column) for column in columns}) != 1:
+        raise ValueError(f"{path}: expected {len(header)} columns of one length")
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow(["t"] + [f"{prefix}_{j}" for j in range(batch.width)])
-        for start in range(0, batch.length, _CSV_BLOCK_ROWS):
-            block = batch.values[start:start + _CSV_BLOCK_ROWS]
-            columns = [map(repr, column) for column in block.T.tolist()]
-            rows = zip(map(str, range(start, start + len(block))), *columns)
-            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+        csv.writer(fh).writerow(header)
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            fields = [map(repr, column[start:start + _CSV_BLOCK_ROWS].tolist())
+                      for column in columns]
+            fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+
+
+def write_sequence_csv(path, batch: SequenceBatch, prefix: str = "u") -> None:
+    """Time series CSV with header t,<prefix>_0,...,<prefix>_{width-1}: the step
+    index, then one column per value, written by write_table_csv."""
+    write_table_csv(path, ["t"] + [f"{prefix}_{j}" for j in range(batch.width)],
+                    [np.arange(batch.length), *batch.values.T])
+
+
+def _bad_line(reader, width: int) -> str | None:
+    """The first line of a sequence CSV that is ragged, holds a field float()
+    rejects or holds a NaN or an infinity, and why; None if there is none.
+    reader is a fresh csv.reader of the file: it counts every line, the header
+    as line 1 and the empty lines np.loadtxt skips too."""
+    next(reader)
+    for row in filter(None, reader):
+        where = f"line {reader.line_num}:"
+        if len(row) != width + 1:
+            return f"{where} the header requires {width + 1} columns but {len(row)} were found"
+        for field in row[1:]:
+            try:
+                if not np.isfinite(float(field)):
+                    return f"{where} non-finite value {field!r}"
+            except ValueError:
+                return f"{where} could not convert string {field!r} to float64"
+    return None
 
 
 def read_sequence_csv(path) -> SequenceBatch:
     """Read a sequence CSV written by write_sequence_csv, or any CSV of that shape.
 
-    csv.reader reads the header, which must start with a 't' column.  The
-    body goes to one np.loadtxt call with ',' delimiters and '"' quotes, so
-    quoted fields, CRLF line endings and spaces around a number read as
-    written, and empty lines are skipped.  Every other row must have as many
-    fields as the header: a row of spaces, or one starting with '#' (nothing
-    is a comment), is a ragged row.  The 't' field is split off but never
-    parsed, so any text passes; every value field must be a finite float.
-    A ragged row, a field that is not a number (an empty one too), a NaN,
-    an infinity or an empty body raises SchemaError naming the file.
+    csv.reader reads the header: a 't' column, then at least one value
+    column.  The body goes to one np.loadtxt call with ',' delimiters and
+    '"' quotes, so quoted fields, CRLF line endings and spaces around a
+    number read as written, and empty lines are skipped.  Every other row
+    must have as many fields as the header: a row of spaces, or one starting
+    with '#' (nothing is a comment), is a ragged row.  The 't' field is
+    split off but never parsed, so any text passes; every value field must
+    be a finite float.  A ragged row, a field that is not a number (an empty
+    one too), a NaN, an infinity or an empty body raises SchemaError naming
+    the file.  For all but the empty body it also names the first file line
+    at fault (_bad_line), and the error of np.loadtxt or SequenceBatch is
+    its cause.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         header = next(csv.reader(fh), None)
-        if not header or header[0] != "t":
-            raise SchemaError(f"{path}: expected a sequence CSV with a 't' column")
+        if not header or header[0] != "t" or len(header) < 2:
+            raise SchemaError(f"{path}: expected a sequence CSV header: 't', then value columns")
         width = len(header) - 1
-        if width < 1:
-            raise SchemaError(f"{path}: no value columns")
         # 'U0' holds no characters, so the 't' field is split off but not converted
         body = np.dtype([("t", "U0"), ("u", np.float64, (width,))])
         try:
@@ -274,16 +306,10 @@ def read_sequence_csv(path) -> SequenceBatch:
                 warnings.simplefilter("ignore", UserWarning)
                 rows = np.loadtxt(fh, dtype=body, delimiter=",", quotechar='"',
                                   comments=None, ndmin=1)
-        except ValueError as exc:   # a ragged row, or a field that is not a number
-            raise SchemaError(f"{path}: {exc}") from exc
-    if rows.size == 0:
+            batch = SequenceBatch(values=rows["u"])
+        except ValueError as exc:   # a ragged row, a field that is not a number, a NaN or an inf
+            fh.seek(0)
+            raise SchemaError(f"{path}: {_bad_line(csv.reader(fh), width) or exc}") from exc
+    if batch.length == 0:
         raise SchemaError(f"{path}: empty sequence")
-    try:
-        return SequenceBatch(values=rows["u"])
-    except ValueError as exc:   # nan or inf
-        raise SchemaError(f"{path}: a value field is not a finite number ({exc})") from exc
-
-
-def ensure_parent(path) -> None:
-    """Create the parent directory of an output path if needed."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    return batch

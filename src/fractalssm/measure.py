@@ -95,25 +95,19 @@ def mass_recent(alpha: float, p: float) -> float:
 def measure_profile(alphas, samples: int, t: float = 1.0):
     """Density table for a list of alphas plus reference measures.
 
-    Returns (header, rows): header is the CSV column list
-    ``x, alpha_<v>..., legs, lagt, legt``; rows are float tuples.  The grid
-    stops at t(1 - 1e-6) because the density diverges at x = t; LegT uses a
-    window of width t/2.
+    Returns (header, table): header is the CSV column list
+    ``x, alpha_<v>..., legs, lagt, legt``; table is a (samples, len(header))
+    float64 array, one row per x.  The grid stops at t(1 - 1e-6) because the
+    density diverges at x = t; LegT uses a window of width t/2.
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
     check_time(t)
-    alphas = [float(a) for a in alphas]
-    measures = [FractionalMeasure(a, t) for a in alphas]
+    measures = [FractionalMeasure(float(a), t) for a in alphas]
     xs = np.linspace(0.0, t * (1.0 - 1e-6), samples)
-    header = ["x"] + [f"alpha_{a:g}" for a in alphas] + ["legs", "lagt", "legt"]
+    header = ["x"] + [f"alpha_{m.alpha:g}" for m in measures] + ["legs", "lagt", "legt"]
     theta = t / 2.0
-    rows = []
-    for x in xs:
-        row = [x]
-        row += [density(m, x) for m in measures]
-        row.append(1.0 / t)
-        row.append(np.exp(-(t - x)))
-        row.append(1.0 / theta if x >= t - theta else 0.0)
-        rows.append(tuple(row))
-    return header, rows
+    table = np.column_stack([xs, *(density(m, xs) for m in measures),
+                             np.full(samples, 1.0 / t), np.exp(-(t - xs)),
+                             np.where(xs >= t - theta, 1.0 / theta, 0.0)])
+    return header, table

@@ -112,10 +112,6 @@ def legs_closed_form(n: int) -> np.ndarray:
     """The uniform-measure (alpha = 0) state matrix: sqrt((2n+1)(2k+1)) below n+1."""
     if n < 1:
         raise ValueError(f"state dimension must be >= 1, got {n}")
-    a = np.zeros((n, n))
-    for row in range(n):
-        a[row, row] = row + 1
-        for col in range(row):
-            a[row, col] = np.sqrt((2 * row + 1) * (2 * col + 1))
-    return a
+    odd = 2 * np.arange(n) + 1   # integer products, exact, then one rounding in sqrt
+    return np.tril(np.sqrt(np.outer(odd, odd)), -1) + np.diag(np.arange(1.0, n + 1))
 

@@ -1,8 +1,9 @@
 """Write the golden CLI outputs that tests/test_golden.py compares against.
 
-Each case runs one `fractal` command in process and stores what it emits:
-the standard output of a `--json` command, or the file a command writes to
-`--out`.  The test runs the same CASES and compares their output with the
+Each case runs one `fractal` command in process and stores what it emits,
+byte for byte: the standard output of a `--json` command, or the file a
+command writes to `--out` (a CSV's lines end in CRLF, as the CLI writes
+them).  The test runs the same CASES and compares their output with the
 committed files.  To cover another command, add a case and regenerate:
 
     PYTHONPATH=src python tests/data/golden/make_golden.py
@@ -49,6 +50,10 @@ CASES = [
                                    "--signal", "poly", "--json"], 1),
     ("run_4x8_1024_w2.csv", ["run", "--model", str(RUN_MODEL), "--input", str(RUN_INPUT),
                              "--out", OUT], 0),
+    ("measure_a0-0.5-0.9_s64.csv", ["measure", "--alphas", "0,0.5,0.9", "--samples", "64",
+                                    "--out", OUT], 0),
+    ("measure_a0.25_s17_t3.csv", ["measure", "--alphas", "0.25", "--samples", "17",
+                                  "--t", "3", "--out", OUT], 0),
 ]
 
 
@@ -73,7 +78,7 @@ def run_case(argv: list[str], out: Path) -> tuple[int, str]:
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = cli.main([str(out) if arg == OUT else arg for arg in argv])
-    return code, out.read_text(encoding="utf-8") if OUT in argv else stdout.getvalue()
+    return code, out.read_bytes().decode("utf-8") if OUT in argv else stdout.getvalue()
 
 
 def main() -> None:
@@ -84,7 +89,7 @@ def main() -> None:
         code, text = run_case(argv, target)
         if code != expected_exit:
             raise SystemExit(f"{name}: exit {code}, expected {expected_exit}")
-        target.write_text(text, encoding="utf-8")
+        target.write_bytes(text.encode("utf-8"))
         print(f"wrote {name}: {target.stat().st_size} bytes")
 
 

@@ -52,6 +52,22 @@ def test_no_module_imports_scipy():
     assert imported == []
 
 
+def test_only_fileio_opens_files():
+    # fileio owns every file format; any other module hands it what to write
+    calls = []
+    for path in sorted(Path(fractalssm.__file__).resolve().parent.glob("*.py")):
+        if path.name == "fileio.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("open", "write_text", "write_bytes"):
+                calls.append(f"{path.name}:{node.lineno} {name}")
+    assert calls == []
+
+
 def scipy_modules_after(code: str, *argv) -> str:
     """The scipy modules loaded after `code` runs in a fresh interpreter."""
     src = str(Path(fractalssm.__file__).resolve().parent.parent)

@@ -41,6 +41,18 @@ class TestMatrixCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["matrix", "--alpha", "0.5", "--n", "4"],
+    ["discretize", "--alpha", "0.5", "--n", "4", "--delta", "0.1"],
+    ["measure", "--alphas", "0.5", "--samples", "4"],
+], ids=lambda argv: argv[0])
+def test_output_directory_is_created(argv, tmp_path, capsys):
+    # the fileio writers, not the commands, create a missing parent directory
+    out = tmp_path / "a" / "b" / "out"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert out.is_file()
+
+
 class TestOptionScope:
     # each subcommand accepts only the options it reads
     @pytest.mark.parametrize("argv", [
@@ -165,6 +177,16 @@ class TestMeasureCommand:
         assert lines[0] == "x,alpha_0,legs,lagt,legt"
         for line in lines[1:]:
             assert float(line.split(",")[1]) == pytest.approx(1.0)
+
+    def test_rows_end_in_crlf(self, tmp_path):
+        # the dialect of every CSV the CLI writes: a csv.writer header, CRLF rows
+        out = tmp_path / "measure.csv"
+        assert run_cli("measure", "--alphas", "0.5,0.9", "--samples", "5",
+                       "--out", str(out)) == 0
+        lines = out.read_bytes().split(b"\r\n")
+        assert lines[0] == b"x,alpha_0.5,alpha_0.9,legs,lagt,legt"
+        assert len(lines) == 7 and lines[-1] == b""
+        assert not any(b"\n" in line or b"\r" in line for line in lines)
 
     def test_columns_monotone_in_alpha_near_present(self, tmp_path):
         out = tmp_path / "measure.csv"

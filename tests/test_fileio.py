@@ -394,6 +394,38 @@ class TestSequenceCsv:
         with pytest.raises(fileio.SchemaError, match=rf"seq\.csv: .*{message}"):
             fileio.read_sequence_csv(path)
 
+    @pytest.mark.parametrize("text, message, cause", [
+        ("t,u_0\n0,1.0\n1,abc\n", "line 3: could not convert string 'abc' to float64",
+         "at row 1, column 2"),
+        ("t,u_0\n0,1.0\n\n1,abc\n", "line 4: could not convert string 'abc' to float64",
+         "at row 1, column 2"),
+        ("t,u_0\n0,1.0\n1,2.0,3.0\n", "line 3: the header requires 2 columns but 3 were found",
+         "at row 2"),
+        ("t,u_0\n\n0,1.0\n1,2.0,3.0\n", "line 4: the header requires 2 columns but 3 were found",
+         "at row 2"),
+        ("t,u_0\n0,1.0\n1,nan\n", "line 3: non-finite value 'nan'", "non-finite values"),
+        ("t,u_0\r\n\r\n0,1.0\r\n\r\n1,-inf\r\n", "line 5: non-finite value '-inf'",
+         "non-finite values"),
+    ], ids=["field", "field-after-empty-line", "ragged", "ragged-after-empty-line", "nan",
+            "inf-after-empty-lines"])
+    def test_error_names_the_file_line(self, tmp_path, text, message, cause):
+        # the header is line 1 and empty lines count; the reader's own error is the cause
+        path = tmp_path / "seq.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(fileio.SchemaError) as excinfo:
+            fileio.read_sequence_csv(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+        assert cause in str(excinfo.value.__cause__)
+
+    def test_error_without_a_line_keeps_the_loadtxt_message(self, tmp_path):
+        # float() reads '1_0' as 10.0, so the re-scan finds no line at fault
+        path = tmp_path / "seq.csv"
+        path.write_text("t,u_0\n0,1_0\n")
+        with pytest.raises(fileio.SchemaError) as excinfo:
+            fileio.read_sequence_csv(path)
+        assert str(excinfo.value) == f"{path}: {excinfo.value.__cause__}"
+        assert "could not convert string '1_0' to float64 at row 0" in str(excinfo.value)
+
     def test_time_field_is_not_parsed(self, tmp_path):
         path = tmp_path / "seq.csv"
         path.write_text('t,u_0\nfirst,1.5\n#2,-2\n"a,b",0.25\n,4\n')
@@ -410,7 +442,26 @@ class TestSequenceCsv:
 
 
 class TestSequenceCsvGolden:
-    """write_sequence_csv byte for byte, and what read_sequence_csv accepts."""
+    """write_table_csv and write_sequence_csv byte for byte, and what
+    read_sequence_csv accepts."""
+
+    def test_table_writer_bytes(self, tmp_path):
+        path = tmp_path / "table.csv"
+        table = np.array([[0.0, -0.0, 5e-324], [0.5, 1e300, 1.0 / 3.0]])
+        fileio.write_table_csv(path, ["x", "a,b", "y"], table.T)
+        assert path.read_bytes() == (b'x,"a,b",y\r\n0.0,-0.0,5e-324\r\n'
+                                     b"0.5,1e+300,0.3333333333333333\r\n")
+
+    @pytest.mark.parametrize("header, columns", [
+        (["t"], [np.arange(2), np.zeros(2)]),
+        (["t", "u_0"], [np.arange(2), np.zeros(3)]),
+        ([], []),
+    ], ids=["names", "lengths", "empty"])
+    def test_table_writer_rejects_mismatch(self, tmp_path, header, columns):
+        path = tmp_path / "table.csv"
+        with pytest.raises(ValueError, match=r"table\.csv: "):
+            fileio.write_table_csv(path, header, columns)
+        assert not path.exists()
 
     # bytes written by the per-row csv.writer the column-wise writer replaced
     @pytest.mark.parametrize("values, prefix, golden", [

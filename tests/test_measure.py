@@ -111,29 +111,30 @@ class TestMassProfiles:
 
 class TestMeasureProfile:
     def test_uniform_column(self):
-        header, rows = measure_profile([0.0], samples=3)
+        header, table = measure_profile([0.0], samples=3)
         col = header.index("alpha_0")
-        assert all(row[col] == pytest.approx(1.0) for row in rows)
+        assert all(row[col] == pytest.approx(1.0) for row in table)
 
     def test_density_agreement(self):
-        header, rows = measure_profile([0.5], samples=16)
+        header, table = measure_profile([0.5], samples=16)
         col = header.index("alpha_0.5")
         m = FractionalMeasure(0.5, 1.0)
-        for row in rows:
+        for row in table:
             assert row[col] == pytest.approx(density(m, row[0]), rel=1e-13)
 
     def test_reference_columns(self):
-        header, rows = measure_profile([0.25], samples=64)
+        header, table = measure_profile([0.25], samples=64)
         assert header[:2] == ["x", "alpha_0.25"]
         assert header[-3:] == ["legs", "lagt", "legt"]
+        assert table.shape == (64, len(header)) and table.dtype == np.float64
         lagt = header.index("lagt")
         legt = header.index("legt")
         # exponential reference reaches e^0 at the (excluded) endpoint
-        assert rows[-1][lagt] == pytest.approx(1.0, abs=1e-5)
-        assert rows[0][lagt] == pytest.approx(math.exp(-1.0), rel=1e-6)
+        assert table[-1, lagt] == pytest.approx(1.0, abs=1e-5)
+        assert table[0, lagt] == pytest.approx(math.exp(-1.0), rel=1e-6)
         # window of width t/2
-        assert rows[0][legt] == 0.0
-        assert rows[-1][legt] == pytest.approx(2.0)
+        assert table[0, legt] == 0.0
+        assert table[-1, legt] == pytest.approx(2.0)
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):

@@ -161,6 +161,17 @@ def test_legs_closed_form_small():
     assert legs_closed_form(1)[0, 0] == 1.0
 
 
+@pytest.mark.parametrize("n", [1, 2, 8, 64, 256])
+def test_legs_closed_form_matches_entrywise_loop(n):
+    # the entry-by-entry construction the whole-matrix form replaced, bit for bit
+    reference = np.zeros((n, n))
+    for row in range(n):
+        reference[row, row] = row + 1
+        for col in range(row):
+            reference[row, col] = np.sqrt((2 * row + 1) * (2 * col + 1))
+    assert np.array_equal(legs_closed_form(n), reference)
+
+
 def _cli(argv, capsys):
     """Run the CLI; a usage error (exit 2) is raised as ValueError with its message."""
     code = cli_main([str(a) for a in argv])
