@@ -105,17 +105,17 @@ def write_operator_file(path, ops: HippoOperators) -> None:
     _dump(path, {
         "schema_version": OPERATOR_SCHEMA,
         "alpha": ops.alpha,
-        "n": ops.n,
         "a": [float(v) for v in ops.a.ravel()],
         "b": [float(v) for v in ops.b],
     })
 
 
 def read_operator_file(path) -> HippoOperators:
-    # older files also carry "quadrature_order"; it describes no part of (A, B)
+    # the length of "b" fixes n; older files also carry "n" and "quadrature_order",
+    # and the reader reads neither
     doc = _load(path, OPERATOR_SCHEMA)
     with _malformed(path, "operator file"):
-        alpha, n = float(doc["alpha"]), int(doc["n"])
+        alpha, n = float(doc["alpha"]), len(doc["b"])
         check_alpha(alpha)
         check_state_dim(n)
         return HippoOperators(alpha=alpha, a=_real_in(doc["a"], (n, n)),
@@ -124,7 +124,6 @@ def read_operator_file(path) -> HippoOperators:
 
 def _init_out(init: SpectralInit) -> dict:
     return {
-        "alpha": init.alpha,
         "lambda": _complex_out(init.eigenvalues),
         "b_tilde": _complex_out(init.b_tilde),
         "cond_v": init.cond_v,
@@ -132,11 +131,10 @@ def _init_out(init: SpectralInit) -> dict:
 
 
 def _init_in(doc: dict, config: FilterBankConfig) -> SpectralInit:
-    # the config fixes the shapes; a model reads none of the keys older channels
-    # also carry: "n", "input_width" and the eigenbasis "v" and "v_inv"
+    # the config fixes the shapes and alpha; a model reads none of the keys older
+    # channels also carry: "alpha", "n", "input_width" and the eigenbasis "v" and "v_inv"
     n = config.block_state
     return SpectralInit(
-        alpha=float(doc["alpha"]),
         eigenvalues=_complex_in(doc["lambda"], (n,)),
         b_tilde=_complex_in(doc["b_tilde"], (n, config.input_width)),
         cond_v=float(doc["cond_v"]),
@@ -149,7 +147,6 @@ def write_model_file(path, config: FilterBankConfig, inits: list[SpectralInit],
     doc = {
         "schema_version": MODEL_SCHEMA,
         "config": {
-            "channels": config.channels,
             "block_state": config.block_state,
             "alphas": list(config.alphas),
             "delta": list(config.delta),
@@ -168,12 +165,13 @@ def write_model_file(path, config: FilterBankConfig, inits: list[SpectralInit],
 
 
 def read_model_file(path):
+    # the alphas fix the channel count; older configs also carry "channels", unread
     doc = _load(path, MODEL_SCHEMA)
     with _malformed(path, "model file"):
         cfg = doc["config"]
+        alphas = tuple(float(a) for a in cfg["alphas"])
         config = FilterBankConfig(
-            channels=int(cfg["channels"]), block_state=int(cfg["block_state"]),
-            alphas=tuple(float(a) for a in cfg["alphas"]),
+            channels=len(alphas), block_state=int(cfg["block_state"]), alphas=alphas,
             delta=tuple(float(d) for d in cfg["delta"]),
             input_width=int(cfg["input_width"]), output_width=int(cfg["output_width"]),
         )
@@ -181,10 +179,6 @@ def read_model_file(path):
         if len(inits) != config.channels:
             raise SchemaError(f"{path}: expected {config.channels} channels, "
                               f"got {len(inits)}")
-        for init, alpha in zip(inits, config.alphas):
-            if init.alpha != alpha:
-                raise SchemaError(f"{path}: channel alpha {init.alpha} does not match "
-                                  f"the config's {alpha}")
         w = doc["weights"]
         m, total = config.output_width, config.total_state
         d_raw = w["d"]
@@ -201,8 +195,6 @@ def read_model_file(path):
 def write_dssm_file(path, ssm: DiscreteDiagonalSSM) -> None:
     _dump(path, {
         "schema_version": DSSM_SCHEMA,
-        "n": ssm.lambda_bar.shape[0],
-        "input_width": ssm.b_bar.shape[1],
         "delta": ssm.delta,
         "lambda_bar": _complex_out(ssm.lambda_bar),
         "b_bar": _complex_out(ssm.b_bar),
@@ -210,17 +202,20 @@ def write_dssm_file(path, ssm: DiscreteDiagonalSSM) -> None:
 
 
 def read_dssm_file(path) -> DiscreteDiagonalSSM:
+    # the array lengths fix the shapes; older files also carry "n" and
+    # "input_width", and the reader reads neither
     doc = _load(path, DSSM_SCHEMA)
     with _malformed(path, "discrete-system file"):
-        n, width = int(doc["n"]), int(doc["input_width"])
-        delta = float(doc["delta"])
+        n, entries = len(doc["lambda_bar"]), len(doc["b_bar"])
         check_state_dim(n)
-        if width < 1:
-            raise ValueError(f"input_width must be >= 1, got {width}")
+        if entries == 0 or entries % n:
+            raise ValueError(f"input_width must be >= 1 and whole: b_bar holds {entries} "
+                             f"entries for n = {n}")
+        delta = float(doc["delta"])
         check_step(delta)
         return DiscreteDiagonalSSM(
             lambda_bar=_complex_in(doc["lambda_bar"], (n,)),
-            b_bar=_complex_in(doc["b_bar"], (n, width)),
+            b_bar=_complex_in(doc["b_bar"], (n, entries // n)),
             delta=delta,
         )
 
@@ -263,10 +258,15 @@ def _bad_line(reader, width: int) -> str | None:
     """The first line of a sequence CSV that is ragged, holds a field float()
     rejects or holds a NaN or an infinity, and why; None if there is none.
     reader is a fresh csv.reader of the file: it counts every line, the header
-    as line 1 and the empty lines np.loadtxt skips too."""
+    as line 1 and the empty lines np.loadtxt skips too.  A record whose quoted
+    field spans lines is named by the line it starts on; reader.line_num is
+    the line it ends on."""
     next(reader)
-    for row in filter(None, reader):
-        where = f"line {reader.line_num}:"
+    start = reader.line_num + 1
+    for row in reader:
+        where, start = f"line {start}:", reader.line_num + 1
+        if not row:
+            continue
         if len(row) != width + 1:
             return f"{where} the header requires {width + 1} columns but {len(row)} were found"
         for field in row[1:]:

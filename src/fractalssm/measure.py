@@ -54,11 +54,13 @@ def density(m: FractionalMeasure, x) -> np.ndarray | float:
 
     Diverges at x = t for alpha > 0; that endpoint is excluded.
     """
-    x_arr = np.asarray(x, dtype=float)
+    # a scalar is evaluated as a 1-element array: numpy's 0-d power rounds through
+    # libm's pow, apart from the array power in about 5% of entries
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all((x_arr >= 0.0) & (x_arr < m.t)):   # a NaN fails both comparisons
         raise ValueError("density is defined on [0, t) only")
     out = (1.0 - m.alpha) / m.t ** (1.0 - m.alpha) * (m.t - x_arr) ** (-m.alpha)
-    return float(out) if np.ndim(x) == 0 else out
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def total_mass(m: FractionalMeasure, order: int = 16) -> float:

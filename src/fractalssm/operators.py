@@ -71,6 +71,8 @@ def _closed_form(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     ld_alpha = _LD(alpha)
     m = np.arange(1, n, dtype=_LD)
     endpoints = np.concatenate(([_LD(1)], np.cumprod((m - ld_alpha) / m)))
+    # specfun.basis_scale computes gamma_k too, on purpose: verify's
+    # galerkin-projection scales by that one, and stays independent of build_A
     gammas = np.sqrt((2 * np.arange(n, dtype=_LD) + 1 - ld_alpha) / (1 - ld_alpha))
     return gammas, endpoints
 

@@ -88,4 +88,6 @@ def basis_scale(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     if n < 0:
         raise ValueError(f"number of degrees must be >= 0, got {n}")
     k = np.arange(n)
+    # operators._closed_form computes gamma_k too, on purpose: verify's
+    # galerkin-projection scales by this one, and stays independent of build_A
     return np.sqrt((2 * k + 1 - alpha) / (1 - alpha)), 2.0 ** (1 - alpha) / (2 * k + 1 - alpha)

@@ -24,7 +24,6 @@ _DISTINCT_TOL = 1e-9
 class SpectralInit:
     """Diagonalized system data: eigenvalues, transformed input V^-1 B, kappa(V)."""
 
-    alpha: float
     eigenvalues: np.ndarray   # complex, Re = -(n+1)
     b_tilde: np.ndarray       # complex, shape (n, input_width)
     cond_v: float             # two-norm condition number of the eigenbasis V
@@ -103,5 +102,4 @@ def spectral_init(alpha: float, n: int, input_width: int = 1) -> SpectralInit:
     phys = v_inv @ b
     b_tilde = np.repeat(phys[:, None], input_width, axis=1).astype(complex)
     b_tilde /= np.sqrt(input_width)
-    return SpectralInit(alpha=alpha, eigenvalues=eigenvalues, b_tilde=b_tilde,
-                        cond_v=condition_number(v))
+    return SpectralInit(eigenvalues=eigenvalues, b_tilde=b_tilde, cond_v=condition_number(v))

@@ -511,9 +511,10 @@ def _check_zoh_limit(grid) -> OracleReport:
 def run_full_suite(alpha_grid, n_max: int, seed: int = 0) -> list[OracleReport]:
     """Execute every oracle over the given singularity-index grid.
 
-    An alpha outside [0, ALPHA_MAX] or an n_max outside [1, N_MAX] raises
-    ValueError before any check runs.  An empty grid yields an empty report
-    list.  Checks never raise on failed claims; inspect the `passed` flags.
+    An alpha outside [0, ALPHA_MAX], an alpha the grid repeats or an n_max
+    outside [1, N_MAX] raises ValueError before any check runs.  An empty
+    grid yields an empty report list.  Checks never raise on failed claims;
+    inspect the `passed` flags.
     A check that raises, for instance because the code under test does,
     yields a failed report under its name with an infinite deviation, no
     tolerance and the detail row {"error": "<Type>: <message>"}, and the
@@ -523,6 +524,8 @@ def run_full_suite(alpha_grid, n_max: int, seed: int = 0) -> list[OracleReport]:
     grid = [float(a) for a in alpha_grid]
     for alpha in grid:
         check_alpha(alpha)
+    if len(set(grid)) != len(grid):   # equal alphas are not increasing; reports would share names
+        raise ValueError(f"alpha grid {grid} repeats an alpha")
     check_state_dim(n_max)
     if not grid:
         return []

@@ -87,6 +87,13 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert "empty alpha grid" in captured.err
 
+    def test_repeated_alpha_is_usage_error(self, capsys):
+        # not an offdiag-monotonicity failure and two ode-consistency[alpha=0.5] reports
+        assert run_cli("verify", "--alpha-grid", "0,0.5,0.5", "--n", "8", "--json") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "repeats an alpha" in captured.err
+
     @pytest.mark.parametrize("n", ["0", "-3", "257"])
     def test_out_of_range_n_rejected_before_any_check(self, n, monkeypatch, capsys):
         def no_check(*args, **kwargs):

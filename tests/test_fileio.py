@@ -65,38 +65,45 @@ class TestOperatorFile:
         ("alpha", 2.0, "singularity index"),
         ("alpha", float("nan"), "singularity index"),
         ("n", 0, "state dimension"),
-        ("n", "three", "invalid literal"),
+        ("n", 257, r"\[1, 256\]"),
+        ("b", 3.0, "has no len"),
     ])
     def test_out_of_range_field_rejected(self, tmp_path, field, value, message):
-        # the bounds build_A enforces: alpha in [0, 0.95], n in [1, 256]
+        # the bounds build_A enforces: alpha in [0, 0.95], n in [1, 256]; n is no
+        # key but the length of b, bounded before a or b is parsed
         path = tmp_path / "op.json"
         fileio.write_operator_file(path, build_operators(0.5, 5))
         doc = json.loads(path.read_text())
-        doc[field] = value
+        if field == "n":
+            doc["b"] = [1.0] * value
+        else:
+            doc[field] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(fileio.SchemaError, match=message):
             fileio.read_operator_file(path)
 
-
     def test_legacy_quadrature_order_ignored(self, tmp_path):
-        # older fractal-op/1 files carry the order of a quadrature assembly
+        # older fractal-op/1 files also state n, which the length of b fixes, and
+        # the order of a quadrature assembly
         ops = build_operators(0.5, 5)
         path = tmp_path / "op.json"
-        path.write_text(json.dumps({
-            "schema_version": "fractal-op/1", "alpha": 0.5, "n": 5,
-            "a": [float(v) for v in ops.a.ravel()], "b": [float(v) for v in ops.b],
-            "quadrature_order": 9}))
+        fileio.write_operator_file(path, ops)
+        doc = json.loads(path.read_text())
+        assert "n" not in doc and "quadrature_order" not in doc
+        doc.update(n=ops.n, quadrature_order=9)
+        path.write_text(json.dumps(doc, indent=1))
         back = fileio.read_operator_file(path)
+        assert back.alpha == ops.alpha
         assert np.array_equal(back.a, ops.a)
         assert np.array_equal(back.b, ops.b)
 
 
 class TestModelFile:
     @staticmethod
-    def build_model(seed=0, alphas=None):
+    def build_model(seed=0):
         rng = np.random.default_rng(seed)
-        config = FilterBankConfig(channels=2, block_state=3, alphas=alphas, input_width=2,
-                                  output_width=2, delta=(0.02, 0.05))
+        config = FilterBankConfig(channels=2, block_state=3, input_width=2, output_width=2,
+                                  delta=(0.02, 0.05))
         inits = build_filter_bank(config)
         total = config.total_state
         weights = LayerWeights(
@@ -113,7 +120,6 @@ class TestModelFile:
         assert config2 == config
         assert len(inits2) == len(inits)
         for a, b in zip(inits, inits2):
-            assert a.alpha == b.alpha
             assert np.array_equal(a.eigenvalues, b.eigenvalues)
             assert np.array_equal(a.b_tilde, b.b_tilde)
             assert a.cond_v == b.cond_v
@@ -126,20 +132,30 @@ class TestModelFile:
         model = self.build_model()
         path = tmp_path / "model.json"
         fileio.write_model_file(path, *model)
-        for channel in json.loads(path.read_text())["channels"]:
-            assert "v" not in channel and "v_inv" not in channel
         self.assert_same_model(model, fileio.read_model_file(path))
 
+    def test_written_keys(self, tmp_path):
+        # each fact once: the alphas fix the channel count and each channel's alpha
+        path = tmp_path / "model.json"
+        fileio.write_model_file(path, *self.build_model())
+        doc = json.loads(path.read_text())
+        assert set(doc["config"]) == {"block_state", "alphas", "delta", "input_width",
+                                      "output_width"}
+        for channel in doc["channels"]:
+            assert set(channel) == {"lambda", "b_tilde", "cond_v"}
+
     def test_legacy_eigenbasis_ignored(self, tmp_path):
-        # older fractal-model/1 files also carry each channel's eigenbasis and
-        # its shape, which the config fixes
+        # older fractal-model/1 files also carry the channel count, each channel's
+        # alpha, eigenbasis and shape, all of which the config fixes
         model = self.build_model()
         config = model[0]
         path = tmp_path / "model.json"
         fileio.write_model_file(path, *model)
         doc = json.loads(path.read_text())
-        for channel in doc["channels"]:
-            _, v, v_inv = eig_triangular(build_A(channel["alpha"], config.block_state))
+        doc["config"]["channels"] = config.channels
+        for channel, alpha in zip(doc["channels"], config.alphas):
+            _, v, v_inv = eig_triangular(build_A(alpha, config.block_state))
+            channel["alpha"] = alpha
             channel["n"] = config.block_state
             channel["input_width"] = config.input_width
             channel["v"] = [float(x) for x in v.ravel()]
@@ -176,7 +192,7 @@ class TestModelFile:
 
     def test_channel_state_must_match_block_state(self, tmp_path):
         config, inits, weights = self.build_model()
-        small = spectral_init(inits[1].alpha, 2, config.input_width)
+        small = spectral_init(config.alphas[1], 2, config.input_width)
         path = tmp_path / "model.json"
         fileio.write_model_file(path, config, [inits[0], small], weights)
         # the config's block_state of 3 fixes the channel's shape
@@ -186,7 +202,7 @@ class TestModelFile:
 
     def test_channel_width_must_match_input_width(self, tmp_path):
         config, inits, weights = self.build_model()
-        narrow = spectral_init(inits[1].alpha, config.block_state, 1)
+        narrow = spectral_init(config.alphas[1], config.block_state, 1)
         path = tmp_path / "model.json"
         fileio.write_model_file(path, config, [inits[0], narrow], weights)
         with pytest.raises(fileio.SchemaError, match=re.escape(
@@ -214,23 +230,14 @@ class TestModelFile:
         assert not path.exists()
 
     @staticmethod
-    def edited(tmp_path, edit, alphas=None):
+    def edited(tmp_path, edit):
         """A model file written by write_model_file, then edited as JSON."""
         path = tmp_path / "model.json"
-        fileio.write_model_file(path, *TestModelFile.build_model(alphas=alphas))
+        fileio.write_model_file(path, *TestModelFile.build_model())
         doc = json.loads(path.read_text())
         edit(doc)
         path.write_text(json.dumps(doc))
         return path
-
-    @pytest.mark.parametrize("alpha", [0.9, 7.5])
-    def test_channel_alpha_must_match_config(self, tmp_path, alpha):
-        def edit(doc):
-            doc["channels"][1]["alpha"] = alpha
-
-        path = self.edited(tmp_path, edit, alphas=(0.1, 0.3))
-        with pytest.raises(fileio.SchemaError, match="channel alpha"):
-            fileio.read_model_file(path)
 
     def test_block_state_bound(self, tmp_path):
         def edit(doc):
@@ -261,28 +268,53 @@ class TestDiscreteSystemFile:
         path = tmp_path / "dssm.json"
         fileio.write_dssm_file(path, zoh_discretize(spectral_init(0.4, 5), 0.01))
         doc = json.loads(path.read_text())
-        del doc["lambda_bar"][-1]
+        del doc["b_bar"][-1]
         path.write_text(json.dumps(doc))
         with pytest.raises(fileio.SchemaError, match=re.escape(
-                f"{path}: malformed discrete-system file (expected 5 complex entries, got 4)")):
+                f"{path}: malformed discrete-system file "
+                "(input_width must be >= 1 and whole: b_bar holds 4 entries for n = 5)")):
             fileio.read_dssm_file(path)
+
+    def test_legacy_shape_ignored(self, tmp_path):
+        # older fractal-dssm/1 files also state n and input_width, which the
+        # lengths of lambda_bar and b_bar fix
+        ssm = zoh_discretize(spectral_init(0.4, 5, input_width=2), 0.01)
+        path = tmp_path / "dssm.json"
+        fileio.write_dssm_file(path, ssm)
+        doc = json.loads(path.read_text())
+        assert "n" not in doc and "input_width" not in doc
+        doc["n"], doc["input_width"] = ssm.b_bar.shape
+        path.write_text(json.dumps(doc, indent=1))
+        back = fileio.read_dssm_file(path)
+        assert back.delta == ssm.delta
+        assert np.array_equal(back.lambda_bar, ssm.lambda_bar)
+        assert np.array_equal(back.b_bar, ssm.b_bar)
 
     @pytest.mark.parametrize("field, value, message", [
         ("delta", -1.0, "timestep"),
         ("delta", 0.0, "timestep"),
         ("delta", float("nan"), "timestep"),
         ("delta", "fast", "could not convert"),
-        ("n", "five", "invalid literal"),
+        ("lambda_bar", 5, "has no len"),
         # the bounds fire before the arrays are parsed, not the shape check
         ("n", 0, r"\[1, 256\]"),
         ("n", 257, r"\[1, 256\]"),
         ("input_width", 0, "input_width must be >= 1"),
+        pytest.param("b_bar", [[1.0, 0.0]] * 7, "input_width must be >= 1 and whole",
+                     id="b_bar-7-input_width must be >= 1 and whole"),
     ])
     def test_out_of_range_field_rejected(self, tmp_path, field, value, message):
+        # n and input_width are no keys: n is the length of lambda_bar and the
+        # width is b_bar's length over n, so a case sets them by resizing the arrays
         path = tmp_path / "dssm.json"
         fileio.write_dssm_file(path, zoh_discretize(spectral_init(0.4, 5), 0.01))
         doc = json.loads(path.read_text())
-        doc[field] = value
+        if field == "n":
+            doc["lambda_bar"] = [[1.0, 0.0]] * value
+        elif field == "input_width":
+            doc["b_bar"] = doc["b_bar"] * value
+        else:
+            doc[field] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(fileio.SchemaError, match=message):
             fileio.read_dssm_file(path)
@@ -406,8 +438,10 @@ class TestSequenceCsv:
         ("t,u_0\n0,1.0\n1,nan\n", "line 3: non-finite value 'nan'", "non-finite values"),
         ("t,u_0\r\n\r\n0,1.0\r\n\r\n1,-inf\r\n", "line 5: non-finite value '-inf'",
          "non-finite values"),
+        ('t,u_0\n0,"1.0\n2"\n', "line 2: could not convert string '1.0\\n2' to float64",
+         "at row 0, column 2"),
     ], ids=["field", "field-after-empty-line", "ragged", "ragged-after-empty-line", "nan",
-            "inf-after-empty-lines"])
+            "inf-after-empty-lines", "field-spanning-lines"])
     def test_error_names_the_file_line(self, tmp_path, text, message, cause):
         # the header is line 1 and empty lines count; the reader's own error is the cause
         path = tmp_path / "seq.csv"

@@ -39,6 +39,14 @@ class TestDensity:
         with pytest.raises(ValueError, match=r"\[0, t\)"):
             density(FractionalMeasure(0.5), x)
 
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.9])
+    def test_scalar_matches_array_bit_for_bit(self, alpha):
+        m = FractionalMeasure(alpha)
+        xs = np.linspace(0.0, 1.0, 10000, endpoint=False)
+        scalars = [density(m, x) for x in xs.tolist()]
+        assert all(type(d) is float for d in scalars)
+        assert np.array_equal(scalars, density(m, xs))
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             FractionalMeasure(1.0, 1.0)

@@ -17,7 +17,7 @@ from fractalssm.verify import _layer_reference, _random_system
 
 
 def toy_init(lam: complex) -> SpectralInit:
-    return SpectralInit(alpha=0.0, eigenvalues=np.array([lam]),
+    return SpectralInit(eigenvalues=np.array([lam]),
                         b_tilde=np.array([[1.0 + 0.0j]]), cond_v=1.0)
 
 
@@ -159,7 +159,9 @@ class TestFilterBank:
         inits = build_filter_bank(config)
         assert len(inits) == 3
         for init, alpha in zip(inits, config.alphas):
-            assert init.alpha == alpha
+            single = spectral_init(alpha, 4, 2)
+            assert np.array_equal(init.eigenvalues, single.eigenvalues)
+            assert np.array_equal(init.b_tilde, single.b_tilde)
             assert init.b_tilde.shape == (4, 2)
 
     def test_validation(self):

@@ -211,6 +211,19 @@ class TestRunFullSuite:
         with pytest.raises(ValueError):
             run_full_suite([0.99], 8)
 
+    @pytest.mark.parametrize("grid", [[0.5, 0.5], [0.0, 0.5, 0.5], [0.0, -0.0]],
+                             ids=["pair", "triple", "signed-zero"])
+    def test_repeated_alpha_rejected_before_any_check(self, grid, monkeypatch):
+        # equal alphas would fail offdiag-monotonicity and repeat a report name
+        def no_check(*args, **kwargs):
+            pytest.fail("a check ran before the grid was validated")
+
+        for name in dir(verify):
+            if name.startswith("_check_") or name == "ode_consistency":
+                monkeypatch.setattr(verify, name, no_check)
+        with pytest.raises(ValueError, match="repeats an alpha"):
+            run_full_suite(grid, 8)
+
     def test_uniform_grid_analytic_checks_pass(self, uniform_suite):
         reports = {r.name: r for r in uniform_suite}
         for name in ("measure-normalization", "scale-invariance",
