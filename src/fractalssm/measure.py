@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import gauss_jacobi
-from .specfun import JacobiParam, check_index
+from .specfun import JacobiParam, check_index, index_label
 
 __all__ = [
     "FractionalMeasure",
@@ -100,14 +100,18 @@ def measure_profile(alphas, samples: int, t: float = 1.0):
     Returns (header, table): header is the CSV column list
     ``x, alpha_<v>..., legs, lagt, legt``; table is a (samples, len(header))
     float64 array, one row per x.  The grid stops at t(1 - 1e-6) because the
-    density diverges at x = t; LegT uses a window of width t/2.
+    density diverges at x = t; LegT uses a window of width t/2.  An alpha
+    the list repeats raises ValueError: its columns would share a name.
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
     check_time(t)
     measures = [FractionalMeasure(float(a), t) for a in alphas]
+    grid = [m.alpha for m in measures]
+    if len(set(grid)) != len(grid):
+        raise ValueError(f"alphas {grid} repeat an alpha")
     xs = np.linspace(0.0, t * (1.0 - 1e-6), samples)
-    header = ["x"] + [f"alpha_{m.alpha:g}" for m in measures] + ["legs", "lagt", "legt"]
+    header = ["x"] + [f"alpha_{index_label(a)}" for a in grid] + ["legs", "lagt", "legt"]
     theta = t / 2.0
     table = np.column_stack([xs, *(density(m, xs) for m in measures),
                              np.full(samples, 1.0 / t), np.exp(-(t - xs)),

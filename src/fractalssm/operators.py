@@ -112,8 +112,7 @@ def build_operators(alpha: float, n: int) -> HippoOperators:
 
 def legs_closed_form(n: int) -> np.ndarray:
     """The uniform-measure (alpha = 0) state matrix: sqrt((2n+1)(2k+1)) below n+1."""
-    if n < 1:
-        raise ValueError(f"state dimension must be >= 1, got {n}")
+    check_state_dim(n)
     odd = 2 * np.arange(n) + 1   # integer products, exact, then one rounding in sqrt
     return np.tril(np.sqrt(np.outer(odd, odd)), -1) + np.diag(np.arange(1.0, n + 1))
 

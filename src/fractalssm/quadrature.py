@@ -10,9 +10,9 @@ recurrence carrying only its last two rows, so it holds O(order) memory.  A
 Newton step acts on each node alone and always rounds the same way, so a
 node that one sweep leaves unchanged would come out of every later sweep
 unchanged too: each sweep runs only on the nodes the previous one moved,
-and the nodes are the same as if every sweep ran on all of them.  The
-refined copies are kept on the rule so that the oracles of `verify` can
-reach their 1e-10 tolerances; the public float64 arrays round them.  The
+and the nodes are the same as if every sweep ran on all of them.  The rule
+keeps its nodes and weights in that extended precision, so that the oracles
+of `verify` reach their 1e-10 tolerances; there is no float64 copy.  The
 module needs only numpy.
 """
 
@@ -33,18 +33,10 @@ _NEWTON_SWEEPS = 3
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Nodes and weights for integrating f against the Jacobi weight."""
+    """Nodes and weights, long double, for integrating f against the Jacobi weight."""
 
-    nodes_hi: np.ndarray = field(repr=False)
-    weights_hi: np.ndarray = field(repr=False)
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self.nodes_hi.astype(float)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.weights_hi.astype(float)
+    nodes: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
 
 
 def weight_mass(param: JacobiParam) -> float:
@@ -137,12 +129,10 @@ def gauss_jacobi(param: JacobiParam, order: int) -> QuadratureRule:
         stepped = _newton_step(d, e, p0, order, before)
         x[moving] = stepped
         moving = moving[stepped != before]
-    rule = QuadratureRule(nodes_hi=x, weights_hi=_christoffel_weights(d, e, p0, order, x))
-    nodes, weights = rule.nodes, rule.weights
-    if (not np.all(np.isfinite(nodes)) or not np.all(np.isfinite(weights))
-            or np.any(np.diff(nodes) <= 0) or np.any(weights <= 0)
-            or np.any(np.abs(nodes) >= 1.0)):
+    w = _christoffel_weights(d, e, p0, order, x)
+    if (not np.all(np.isfinite(x)) or not np.all(np.isfinite(w))
+            or np.any(np.diff(x) <= 0) or np.any(w <= 0) or np.any(np.abs(x) >= 1)):
         raise ArithmeticError(
             f"invalid rule for (a={param.a}, b={param.b}) at order {order}")
-    return rule
+    return QuadratureRule(nodes=x, weights=w)
 

@@ -18,8 +18,10 @@ __all__ = [
     "jacobi_eval_all",
     "basis_scale",
     "check_index",
+    "index_label",
 ]
 
+_LD = np.longdouble
 # evaluation tolerance for the closed interval [-1, 1]
 _DOMAIN_SLACK = 1e-12
 
@@ -38,28 +40,28 @@ class JacobiParam:
             )
 
 
-def jacobi_eval_all(p: JacobiParam, n_max: int, y, dtype=np.float64) -> np.ndarray:
+def jacobi_eval_all(p: JacobiParam, n_max: int, y) -> np.ndarray:
     """Evaluate P_0^(a,b) .. P_{n_max}^(a,b) at y via the three-term recurrence.
 
-    y is a 1-d array; the result has shape (n_max+1, len(y)).  dtype selects
-    the working precision (the oracles of `verify` evaluate in extended
-    precision).
+    y is a 1-d array; the result has shape (n_max+1, len(y)).  The recurrence
+    runs in long double, the precision of the quadrature rules it is paired
+    with in the oracles of `verify`, and the result is long double.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    y = np.asarray(y, dtype=dtype)
+    y = np.asarray(y, dtype=_LD)
     if y.ndim != 1:
         raise ValueError(f"evaluation points must form a 1-d array, got shape {y.shape}")
     if not np.all(np.abs(y) <= 1.0 + _DOMAIN_SLACK):   # a NaN compares False: it fails
         raise ValueError("Jacobi evaluation point outside [-1, 1] or not a number")
-    a = dtype(p.a)
-    b = dtype(p.b)
-    out = np.zeros((n_max + 1, y.size), dtype=dtype)
+    a = _LD(p.a)
+    b = _LD(p.b)
+    out = np.zeros((n_max + 1, y.size), dtype=_LD)
     out[0] = 1.0
     if n_max >= 1:
         out[1] = (a + b + 2) * y / 2 + (a - b) / 2
     for n in range(2, n_max + 1):
-        nn = dtype(n)
+        nn = _LD(n)
         c1 = 2 * nn * (nn + a + b) * (2 * nn + a + b - 2)
         c2 = (2 * nn + a + b - 1) * (2 * nn + a + b) * (2 * nn + a + b - 2)
         c3 = (2 * nn + a + b - 1) * (a * a - b * b)
@@ -73,6 +75,13 @@ def check_index(alpha: float) -> None:
     measure's range; a NaN fails the comparison."""
     if not (0.0 <= alpha < 1.0):
         raise ValueError(f"singularity index must lie in [0, 1), got {alpha}")
+
+
+def index_label(alpha: float) -> str:
+    """alpha as a label for report names and CSV headers: the shortest decimal
+    that reads back as the same float64 ("0", "0.5", "0.1000001"), so
+    distinct alphas get distinct labels."""
+    return np.format_float_positional(alpha, trim="-")
 
 
 def basis_scale(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -153,6 +153,17 @@ class TestMeasureProfile:
             with pytest.raises(ValueError):
                 measure_profile([], samples=3, t=t)
 
+    def test_close_alphas_get_distinct_columns(self):
+        # :g printed both as alpha_0.1
+        header, _ = measure_profile([0.1, 0.1000001], samples=3)
+        assert header[1:3] == ["alpha_0.1", "alpha_0.1000001"]
+
+    @pytest.mark.parametrize("alphas", [[0.5, 0.5], [0.0, 0.5, 0.5], [0.0, -0.0]],
+                             ids=["pair", "triple", "signed-zero"])
+    def test_repeated_alpha_rejected(self, alphas):
+        with pytest.raises(ValueError, match="repeat an alpha"):
+            measure_profile(alphas, samples=3)
+
 
 class TestScaleInvariance:
     def test_constant_signal(self):

@@ -11,7 +11,8 @@ from fractalssm.cli import main as cli_main
 from fractalssm.operators import (ALPHA_MAX, N_MAX, build_A, build_B, build_operators,
                                   legs_closed_form)
 from fractalssm.ssm import FilterBankConfig
-from fractalssm.verify import TABLE_ALPHA0, TABLE_ALPHA05, run_full_suite
+from fractalssm.verify import (TABLE_ALPHA0, TABLE_ALPHA05, check_scale_invariance,
+                               projection_coefficients, run_full_suite)
 
 # A(alpha) and B(alpha) in 50-digit arithmetic, rounded to float64; written by
 # data/make_operator_reference.py
@@ -215,3 +216,23 @@ class TestStateBound:
     def test_both_halves_reject(self, entry, n):
         with pytest.raises(ValueError, match=rf"must lie in \[1, 256\], got {n}"):
             entry(0.5, n)
+
+    # every other entry point that takes a state dimension, at that dimension
+    ENTRY_POINTS = {
+        "legs_closed_form": legs_closed_form,
+        "projection_coefficients": lambda n: projection_coefficients(
+            np.sin, 0.5, n, 2.0, max(2 * n, 2)),
+        "check_scale_invariance": lambda n: check_scale_invariance(0.5, n, 2.0),
+    }
+
+    @pytest.mark.parametrize("n", [0, 257])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_every_entry_point_takes_the_operators_bound(self, entry, n):
+        with pytest.raises(ValueError, match=rf"must lie in \[1, 256\], got {n}"):
+            self.ENTRY_POINTS[entry](n)
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_scale_invariance_beyond_32_states(self, n):
+        # the check once stopped at n = 32; its deviation stays at rounding level
+        assert check_scale_invariance(0.5, n, 2.0) < 1e-12
+        assert projection_coefficients(np.sin, 0.5, n, 2.0, 2 * n).shape == (n,)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalssm.measure import FractionalMeasure
-from fractalssm.specfun import JacobiParam, basis_scale, jacobi_eval_all
+from fractalssm.specfun import JacobiParam, basis_scale, index_label, jacobi_eval_all
 
 
 def endpoint_closed_form(a: float, n: int) -> float:
@@ -39,6 +39,11 @@ class TestJacobiEval:
         y = np.linspace(-1, 1, 7)
         vals = jacobi_eval_all(JacobiParam(-0.2, 0.0), 4, y)
         assert vals.shape == (5, 7)
+        assert vals.dtype == np.longdouble
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
+            jacobi_eval_all(JacobiParam(-0.2, 0.0), -1, [0.5])
 
     def test_domain_error(self):
         with pytest.raises(ValueError, match="outside"):
@@ -117,6 +122,10 @@ class TestBasisScale:
         gammas, hs = basis_scale(0.5, 0)
         assert gammas.shape == hs.shape == (0,)
 
+    def test_negative_degrees_rejected(self):
+        with pytest.raises(ValueError, match="number of degrees must be >= 0, got -1"):
+            basis_scale(0.5, -1)
+
     def test_domain_error(self):
         with pytest.raises(ValueError):
             basis_scale(1.0, 0)
@@ -132,3 +141,17 @@ class TestBasisScale:
             FractionalMeasure(alpha)
         assert str(basis.value) == str(measure.value) == (
             f"singularity index must lie in [0, 1), got {alpha}")
+
+
+class TestIndexLabel:
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9, 0.25])
+    def test_matches_g_where_g_is_exact(self, alpha):
+        # the labels of the golden files, test names and known-red lists
+        assert index_label(alpha) == f"{alpha:g}"
+
+    @pytest.mark.parametrize("alpha", [0.1000001, 0.123456789, 1e-7, 0.95 - 1e-12])
+    def test_reads_back_as_the_same_float(self, alpha):
+        assert float(index_label(alpha)) == alpha
+
+    def test_close_alphas_get_distinct_labels(self):
+        assert index_label(0.1) != index_label(0.1000001)

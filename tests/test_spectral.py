@@ -78,6 +78,11 @@ class TestEigTriangular:
         with pytest.raises(ValueError):
             eig_triangular(a)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValueError, match="must be square"):
+            eig_triangular(np.eye(*shape))
+
     def test_entry_above_diagonal_rejected(self):
         with pytest.raises(ValueError, match="not lower triangular"):
             eig_triangular(np.array([[1.0, 5.0], [1.0, 2.0]]))

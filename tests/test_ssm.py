@@ -105,7 +105,7 @@ class TestScanEquivalence:
         self.assert_paths_agree(ssm, u, length)
         assert np.array_equal(u.values, values)
 
-    def test_scan_holds_one_trajectory(self):
+    def test_convolution_holds_no_trajectory(self):
         # the convolution builds no state trajectory: its peak stays far
         # below the 64 MB a 64-state, 65536-step trajectory would take
         rng = np.random.default_rng(5)
@@ -179,6 +179,17 @@ class TestFilterBank:
             with pytest.raises(ValueError, match=r"\[1, 256\]"):
                 FilterBankConfig(channels=1, block_state=block)
 
+    @pytest.mark.parametrize("widths", [(0, 1), (1, 0)], ids=["input", "output"])
+    def test_width_below_one_rejected(self, widths):
+        with pytest.raises(ValueError, match="widths must be >= 1"):
+            FilterBankConfig(channels=1, block_state=4, input_width=widths[0],
+                             output_width=widths[1])
+
+    @pytest.mark.parametrize("delta", [(0.1,), (0.1, 0.2, 0.3)], ids=["short", "long"])
+    def test_timestep_count_must_match_channels(self, delta):
+        with pytest.raises(ValueError, match="expected 2 timesteps"):
+            FilterBankConfig(channels=2, block_state=4, delta=delta)
+
 
 class TestLayerForward:
     @staticmethod
@@ -229,7 +240,7 @@ class TestLayerForward:
         assert out.values == pytest.approx(expected, rel=1e-12)
         assert _layer_reference(ssms, z_in, weights) == pytest.approx(expected, rel=1e-12)
 
-    def test_scan_and_sequential_paths_agree(self):
+    def test_matches_layer_reference(self):
         config, weights, ssms = self.small_layer(channels=3, width=2, out_width=2, seed=3)
         rng = np.random.default_rng(4)
         z_in = SequenceBatch(rng.standard_normal((64, 2)))
@@ -654,6 +665,10 @@ class TestSequenceBatch:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             SequenceBatch(np.array([[1.0], [np.nan]]))
+
+    def test_three_dimensional_rejected(self):
+        with pytest.raises(ValueError, match="1-d or 2-d"):
+            SequenceBatch(np.zeros((2, 3, 1)))
 
     @pytest.mark.parametrize("values", [np.array([1.0, 2.0 + 0.5j]), np.zeros((3, 2), complex),
                                         [1.0, 2j]], ids=["array", "real-valued", "list"])

@@ -120,6 +120,10 @@ class TestOdeConsistency:
         assert len(report.detail) == 3
         assert report.passed == (report.max_deviation <= report.tolerance)
 
+    def test_close_alphas_get_distinct_names(self):
+        names = [ode_consistency(alpha, 4, np.sin, t=3.0).name for alpha in (0.1, 0.1000001)]
+        assert names == ["ode-consistency[alpha=0.1]", "ode-consistency[alpha=0.1000001]"]
+
     # projections run at t, t + h, t - h, t + h/2 and t - h/2, in that order
     @pytest.mark.parametrize("call", [2, 4, 5], ids=["step-h", "half-step", "half-step-back"])
     def test_nan_in_either_row_fails(self, monkeypatch, call):
@@ -294,6 +298,17 @@ class TestRunFullSuite:
         assert [r.name for r in reports] == [r.name for r in uniform_suite]
         assert all(not r.passed and r.detail == [{"error": "RuntimeError: boom"}]
                    for r in reports)
+
+    def test_close_alphas_keep_distinct_names_when_they_raise(self, monkeypatch):
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        for name in dir(verify):
+            if name.startswith("_check_") or name == "ode_consistency":
+                monkeypatch.setattr(verify, name, crash)
+        # :g named both of these ode-consistency[alpha=0.1]
+        names = [r.name for r in run_full_suite([0.1, 0.1000001], 2)]
+        assert names[-2:] == ["ode-consistency[alpha=0.1]", "ode-consistency[alpha=0.1000001]"]
 
 
 def nan_last(values):
