@@ -22,9 +22,10 @@ print("general-purpose solver deviation at alpha=0.9, 64 states:",
       f"{np.max(np.abs(numeric - np.arange(1, 65))):.2e}")
 
 # --- conditioning ---------------------------------------------------------------
-# kappa(V) of the true triangular eigenbasis grows fast in both n and alpha;
-# kappa(A) of the operator itself grows much more slowly.
-print(f"\n{'n':>4} {'alpha':>6} {'kappa(V)':>12} {'kappa(A)':>12}")
+# kappa_1(V), the one-norm condition number of the true triangular eigenbasis,
+# grows fast in both n and alpha; kappa_1(A) of the operator itself grows much
+# more slowly.
+print(f"\n{'n':>4} {'alpha':>6} {'kappa_1(V)':>12} {'kappa_1(A)':>12}")
 for n in (8, 16):
     for alpha in (0.0, 0.4, 0.8):
         a = build_A(alpha, n)
@@ -40,7 +41,7 @@ init = spectral_init(0.5, 6, input_width=1)
 print("\nspectral initialization at alpha=0.5, six states:")
 print("  eigenvalues:", np.round(init.eigenvalues, 3))
 print("  |b_tilde|:  ", np.round(np.abs(init.b_tilde[:, 0]), 3))
-print("  cond(V):    ", f"{init.cond_v:.3e}")
+print("  kappa_1(V): ", f"{init.cond_v:.3e}")
 
 # round trip: V (V^-1 B) recovers the physical input vector, with V rebuilt
 # from the same exact eigendecomposition spectral_init used

@@ -80,8 +80,8 @@ def check_index(alpha: float) -> None:
 def index_label(alpha: float) -> str:
     """alpha as a label for report names and CSV headers: the shortest decimal
     that reads back as the same float64 ("0", "0.5", "0.1000001"), so
-    distinct alphas get distinct labels."""
-    return np.format_float_positional(alpha, trim="-")
+    distinct alphas get distinct labels.  -0.0 reads "0", as -0.0 == 0.0."""
+    return np.format_float_positional(alpha + 0.0, trim="-")
 
 
 def basis_scale(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -26,7 +26,7 @@ class SpectralInit:
 
     eigenvalues: np.ndarray   # complex, Re = -(n+1)
     b_tilde: np.ndarray       # complex, shape (n, input_width)
-    cond_v: float             # two-norm condition number of the eigenbasis V
+    cond_v: float             # one-norm condition number of the eigenbasis V
 
 
 def eig_triangular(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -75,15 +75,44 @@ def eig_triangular(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return diag, v, v_inv
 
 
-def condition_number(v: np.ndarray) -> float:
-    """Two-norm condition number sigma_max / sigma_min."""
-    v = np.asarray(v, dtype=float)
-    if not np.isfinite(v).all():   # LAPACK would report only that the SVD did not converge
+def condition_number(m: np.ndarray) -> float:
+    """One-norm condition number ||m||_1 ||m^-1||_1 of a lower-triangular matrix.
+
+    The inverse x is built row by row by forward substitution, each row
+    written in place on x = diag(1 / diag(m)):
+    x[i, :i] = -(m[i, :i] @ x[:i, :i]) / m[i, i].  The one-norm is the
+    largest absolute column sum.  It brackets the two-norm condition number,
+    kappa_2 / N <= kappa_1 <= N kappa_2, with equality for a diagonal matrix.
+
+    For the unit-column eigenbasis V of A(alpha) from eig_triangular this
+    lies within 5e-14 relative of kappa_1 of a 100-digit eigenbasis at
+    N <= 16, 4e-10 at N = 32 and 2e-3 at N = 64.  From N = 96 the float64 V
+    is itself far worse conditioned than the exact one (kappa_1 of 3e76
+    against 1.3e72 at N = 96, alpha = 0; 4e274 against 2e196 at N = 256,
+    alpha = 0.9), and this value lies within a factor of 0.5 to 12 of the
+    exact kappa_1 of that float64 V.  A matrix that is not square, not
+    finite or not lower triangular, or has a zero on its diagonal, raises
+    ValueError.
+    """
+    m = np.asarray(m, dtype=float)
+    n = m.shape[0]
+    if m.shape != (n, n):
+        raise ValueError("matrix must be square")
+    if not np.isfinite(m).all():
         raise ValueError("matrix is non-finite")
-    s = np.linalg.svd(v, compute_uv=False)
-    if s[-1] == 0.0 or not np.isfinite(s[-1]):
+    if np.triu(m, 1).any():
+        raise ValueError("matrix is not lower triangular")
+    diag = m.diagonal()
+    if not diag.all():
         raise ValueError("matrix is singular")
-    return float(s[0] / s[-1])
+    x = np.diag(1.0 / diag)
+    for i in range(1, n):
+        row = x[i, :i]
+        np.matmul(m[i, :i], x[:i, :i], out=row)
+        np.divide(row, -diag[i], out=row)
+    norm = np.abs(m).sum(axis=0).max()
+    norm_inv = np.abs(x).sum(axis=0).max()
+    return float(norm * norm_inv)
 
 
 def spectral_init(alpha: float, n: int, input_width: int = 1) -> SpectralInit:

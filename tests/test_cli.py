@@ -94,6 +94,11 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert "repeats an alpha" in captured.err
 
+    def test_negative_zero_alpha_is_named_zero(self, capsys):
+        run_cli("verify", "--alpha-grid=-0", "--n", "2", "--json")
+        names = {r["name"] for r in json.loads(capsys.readouterr().out)["reports"]}
+        assert "ode-consistency[alpha=0]" in names
+
     @pytest.mark.parametrize("n", ["0", "-3", "257"])
     def test_out_of_range_n_rejected_before_any_check(self, n, monkeypatch, capsys):
         def no_check(*args, **kwargs):
@@ -135,8 +140,9 @@ class TestVerifyCommand:
         assert code == 1
 
     def test_json_is_strict(self, monkeypatch, capsys):
-        # condition-growth's infinite deviation and a crashed check's NaN
-        # tolerance are written as null, never as Infinity or NaN
+        # a crashed check's infinite deviation and NaN tolerance are written
+        # as null, never as Infinity or NaN; condition-growth's worst ratio
+        # against its table is finite, as its kappa(V) is monotone
         def crash(*args, **kwargs):
             raise RuntimeError("boom")
 
@@ -147,7 +153,8 @@ class TestVerifyCommand:
         assert run_cli("verify", "--alpha-grid", "0", "--n", "4", "--json") == 1
         payload = json.loads(capsys.readouterr().out, parse_constant=no_constant)
         by_name = {r["name"]: r for r in payload["reports"]}
-        assert by_name["condition-growth"]["max_deviation"] is None
+        growth = by_name["condition-growth"]["max_deviation"]
+        assert isinstance(growth, float) and np.isfinite(growth)
         assert by_name["zoh-limit"]["max_deviation"] is None
         assert by_name["zoh-limit"]["tolerance"] is None
         assert by_name["legs-recovery"]["max_deviation"] >= 0.0
@@ -184,6 +191,11 @@ class TestMeasureCommand:
         assert lines[0] == "x,alpha_0,legs,lagt,legt"
         for line in lines[1:]:
             assert float(line.split(",")[1]) == pytest.approx(1.0)
+
+    def test_negative_zero_alpha_column(self, tmp_path):
+        out = tmp_path / "measure.csv"
+        assert run_cli("measure", "--alphas=-0", "--samples", "4", "--out", str(out)) == 0
+        assert out.read_text().splitlines()[0] == "x,alpha_0,legs,lagt,legt"
 
     def test_rows_end_in_crlf(self, tmp_path):
         # the dialect of every CSV the CLI writes: a csv.writer header, CRLF rows

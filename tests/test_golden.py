@@ -26,13 +26,14 @@ make_golden = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(make_golden)
 
 # Re-running eig_triangular's recurrence with its dot products summed in
-# another order moved b_bar by up to 6e-14 and kappa_v by up to 7e-6.  An
-# SVD may move kappa_v by eps * kappa_v, 1.4e-4 at alpha = 0.9, n = 16.
+# another order moved b_bar by up to 6e-14 and kappa_v by up to 9e-14.
+# Summing condition_number's row inverse in another order (reversed,
+# math.fsum) moved kappa_v by up to 6e-14 and kappa_a by up to 1.1e-15.
 # Re-summing each oracle projection's dot products in another order (forward,
 # reversed, math.fsum, pairwise) moved max_deviation and convergence_ratio by
 # up to 3e-13: a central difference over 2h = 6e-4 magnifies their rounding.
 BOUNDS = {
-    "kappa_v": 1e-3,
+    "kappa_v": 1e-11,
     "kappa_a": 1e-12,
     "lambda_bar": 1e-14,
     "b_bar": 1e-12,

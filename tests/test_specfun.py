@@ -155,3 +155,6 @@ class TestIndexLabel:
 
     def test_close_alphas_get_distinct_labels(self):
         assert index_label(0.1) != index_label(0.1000001)
+
+    def test_negative_zero_is_zero(self):
+        assert index_label(-0.0) == index_label(0.0) == "0"

@@ -1,12 +1,25 @@
 """Triangular eigendecomposition and spectral initialization tests."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fractalssm.operators import build_A, build_B
 from fractalssm.spectral import condition_number, eig_triangular, spectral_init
+from fractalssm.verify import CONDITION_TABLE
+
+# kappa_1 of A(alpha)'s unit-column eigenbasis in 100-digit arithmetic, rounded
+# to float64; written by data/make_kappa_reference.py
+KAPPA_REFERENCE = json.loads((Path(__file__).resolve().parent / "data" / "kappa_reference.json")
+                             .read_text(encoding="utf-8"))["kappa"]
+# Relative distance from the reference, by N.  With eig_triangular's and the
+# row inverse's dot products summed in another order (reversed, math.fsum) it
+# reached 3e-15 at N = 8, 9e-14 at 16, 3.3e-10 at 32 and 4.6e-3 at 64; the
+# bounds leave a factor of 10 or more for other BLAS builds.
+KAPPA_BOUNDS = {8: 1e-13, 16: 1e-11, 32: 1e-8, 64: 5e-2}
 
 
 class TestEigTriangular:
@@ -145,14 +158,40 @@ class TestConditionNumber:
         with pytest.raises(ValueError, match="non-finite"):
             condition_number(v)
 
+    def test_non_triangular_rejected(self):
+        with pytest.raises(ValueError, match="not lower triangular"):
+            condition_number(np.array([[1.0, 1e-300], [0.0, 1.0]]))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            condition_number(np.ones((3, 2)))
+
+    def test_lower_triangular_one_norm(self):
+        # inverse [[1, 0], [-3, 1]]: column sums 4 and 1 on both sides
+        assert condition_number(np.array([[1.0, 0.0], [3.0, 1.0]])) == 16.0
+
+    @pytest.mark.parametrize("row", KAPPA_REFERENCE,
+                             ids=lambda row: f"a{row['alpha']}-n{row['n']}")
+    def test_eigenbasis_against_reference(self, row):
+        _, v, _ = eig_triangular(build_A(row["alpha"], row["n"]))
+        got = condition_number(v)
+        assert abs(got / row["kappa_1"] - 1.0) <= KAPPA_BOUNDS[row["n"]]
+
+    def test_finite_at_largest_size(self):
+        # the row inverse does not overflow at N_MAX, and its value stays
+        # above kappa_1 at N = 64 (2.3e49)
+        _, v, _ = eig_triangular(build_A(0.95, 256))
+        assert 1e49 < condition_number(v) < np.inf
+
     def test_growth_in_size_and_index(self):
-        # conditioning worsens with both state count and singularity index
-        kappas_n = [condition_number(eig_triangular(build_A(0.3, n))[1])
-                    for n in (4, 8, 16)]
-        assert kappas_n[0] < kappas_n[1] < kappas_n[2]
-        kappas_a = [condition_number(eig_triangular(build_A(alpha, 8))[1])
-                    for alpha in (0.0, 0.4, 0.8)]
-        assert kappas_a[0] < kappas_a[1] < kappas_a[2]
+        # conditioning worsens with both state count and singularity index,
+        # strictly, over the grid of verify's condition-growth check
+        sizes = sorted({n for n, _ in CONDITION_TABLE})
+        alphas = sorted({a for _, a in CONDITION_TABLE})
+        kappa = np.array([[condition_number(eig_triangular(build_A(alpha, n))[1])
+                           for alpha in alphas] for n in sizes])
+        assert np.all(np.diff(kappa, axis=0) > 0.0)
+        assert np.all(np.diff(kappa, axis=1) > 0.0)
 
 
 class TestSpectralInit:
