@@ -40,6 +40,12 @@ _LD = np.longdouble
 ALPHA_MAX = 0.95
 N_MAX = 256
 
+# rows per block of build_A's long-double coupling: 16 x N_MAX entries, 64 kB;
+# the mask picks the part of a diagonal block above the diagonal
+_ROW_BLOCK = 16
+_BLOCK_UPPER = ~np.tri(_ROW_BLOCK, dtype=bool)
+_BLOCK_UPPER.setflags(write=False)
+
 
 @dataclass(frozen=True, eq=False)
 class HippoOperators:
@@ -93,12 +99,24 @@ def build_A(alpha: float, n: int) -> np.ndarray:
     evaluated in long double and rounded once; diagonal entries are
     assigned their exact value n+1; entries above the diagonal are zero.
     No entry depends on n, so A(alpha, m) is the leading block of A(alpha, n).
+
+    The lower triangle is filled in row blocks of _ROW_BLOCK rows, each over
+    the columns up to its last row, so no n x n long-double array is made
+    and nothing above the diagonal block is computed.
     """
     check_alpha(alpha)
     check_state_dim(n)
     gammas, endpoints = _closed_form(alpha, n)
-    coupling = (1 - _LD(alpha)) * np.outer(gammas / endpoints, gammas * endpoints)
-    a = np.tril(coupling, -1).astype(float)
+    u = gammas / endpoints
+    b = gammas * endpoints
+    weight = 1 - _LD(alpha)
+    a = np.zeros((n, n))
+    for start in range(0, n, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, n)
+        # (1-alpha) (u_i B_j) in long double, rounded once as it is written
+        np.multiply(weight, u[start:stop, None] * b[:stop], out=a[start:stop, :stop])
+        size = stop - start
+        a[start:stop, start:stop][_BLOCK_UPPER[:size, :size]] = 0.0
     np.fill_diagonal(a, np.arange(1.0, n + 1))
     if not np.all(np.isfinite(a)):
         raise ArithmeticError(f"non-finite entry in A({alpha}) at n={n}")

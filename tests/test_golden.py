@@ -19,6 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fractalssm.spectral import spectral_init
+
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 _spec = importlib.util.spec_from_file_location("make_golden", GOLDEN / "make_golden.py")
@@ -74,16 +76,30 @@ def _compare_bounded(got, want, bound: float, path: str) -> None:
         f"{path}: relative deviation {deviation / scale:.2e} > {bound:.0e}"
 
 
+def compare_output(name: str, text: str, golden: str) -> None:
+    """Raise AssertionError unless `text` matches the golden file `name` holds as `golden`."""
+    if name.endswith(".csv"):
+        _compare_csv(text, golden, name)
+    else:
+        _compare(json.loads(text), json.loads(golden), name)
+
+
 @pytest.mark.parametrize("name,argv,expected_exit", make_golden.CASES,
                          ids=[case[0] for case in make_golden.CASES])
 def test_cli_output_matches_golden(name, argv, expected_exit, tmp_path):
     code, text = make_golden.run_case(argv, tmp_path / name)
     assert code == expected_exit
-    golden = (GOLDEN / name).read_text(encoding="utf-8")
-    if name.endswith(".csv"):
-        _compare_csv(text, golden, name)
-    else:
-        _compare(json.loads(text), json.loads(golden), name)
+    compare_output(name, text, (GOLDEN / name).read_text(encoding="utf-8"))
+
+
+def test_run_model_cond_v_is_current():
+    # read_model_file takes each cond_v as written, so only this sees a stale one
+    model = json.loads(make_golden.RUN_MODEL.read_text(encoding="utf-8"))
+    config = model["config"]
+    for alpha, channel in zip(config["alphas"], model["channels"], strict=True):
+        init = spectral_init(alpha, config["block_state"], config["input_width"])
+        _compare_bounded(channel["cond_v"], init.cond_v, BOUNDS["kappa_v"],
+                         f"cond_v at alpha={alpha}")
 
 
 def _compare_csv(got: str, want: str, path: str) -> None:

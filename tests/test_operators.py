@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from fractalssm.cli import main as cli_main
-from fractalssm.operators import (ALPHA_MAX, N_MAX, build_A, build_B, build_operators,
-                                  legs_closed_form)
+from fractalssm.operators import (ALPHA_MAX, N_MAX, _closed_form, build_A, build_B,
+                                  build_operators, legs_closed_form)
 from fractalssm.ssm import FilterBankConfig
 from fractalssm.verify import (TABLE_ALPHA0, TABLE_ALPHA05, check_scale_invariance,
                                projection_coefficients, run_full_suite)
@@ -117,6 +117,22 @@ def test_assembly_pinned_bit_for_bit(alpha, n):
     # the largest one, which TestReference bounds against the reference
     assert np.array_equal(build_A(alpha, n), build_A(alpha, N_MAX)[:n, :n])
     assert np.array_equal(build_B(alpha, n), build_B(alpha, N_MAX)[:n])
+
+
+def whole_matrix_formula(alpha, n):
+    """The whole-matrix long-double expression that build_A evaluates in row blocks."""
+    gammas, endpoints = _closed_form(alpha, n)
+    coupling = (1 - np.longdouble(alpha)) * np.outer(gammas / endpoints, gammas * endpoints)
+    a = np.tril(coupling, -1).astype(float)
+    np.fill_diagonal(a, np.arange(1.0, n + 1))
+    return a
+
+
+@pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 33, 255, 256])
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 0.9, 0.95])
+def test_row_blocks_match_whole_matrix_formula(alpha, n):
+    # sizes on both sides of every 16-row block boundary, and a partial last block
+    assert build_A(alpha, n).tobytes() == whole_matrix_formula(alpha, n).tobytes()
 
 
 class TestPublishedHalfIndexTable:

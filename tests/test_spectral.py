@@ -87,9 +87,12 @@ class TestEigTriangular:
         assert np.max(np.abs(v_inv - ref_inv)) <= 1e-10 * np.max(np.abs(ref_inv))
 
     def test_coincident_diagonal_rejected(self):
-        a = np.array([[1.0, 0.0], [0.5, 1.0 + 1e-12]])
-        with pytest.raises(ValueError):
-            eig_triangular(a)
+        adjacent = np.array([[1.0, 0.0], [0.5, 1.0 + 1e-12]])
+        # the coincident pair is not adjacent on the diagonal, only once sorted
+        apart = np.tril(np.full((4, 4), 0.5), -1) + np.diag([1.0, 3.0, 2.0, 1.0 + 1e-12])
+        for a in (adjacent, apart):
+            with pytest.raises(ValueError, match="coincide"):
+                eig_triangular(a)
 
     @pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
     def test_non_square_rejected(self, shape):
@@ -119,6 +122,17 @@ class TestEigTriangular:
         a = np.tril(rng.standard_normal((n, n)), -1)
         a[np.diag_indices(n)] = rng.permutation(n) + rng.uniform(0.1, 0.9, n)
         assert_same_bits(eig_triangular(a), row_formula(a))
+
+
+@pytest.mark.parametrize("function", [eig_triangular, condition_number],
+                         ids=lambda f: f.__name__)
+def test_read_only_argument_left_alone(function):
+    # both write into buffers of their own, never into the argument
+    a = build_A(0.5, 33)
+    a.setflags(write=False)
+    before = a.tobytes()
+    function(a)
+    assert a.tobytes() == before
 
 
 def row_formula(a):
