@@ -65,11 +65,15 @@ def _real_in(values, shape) -> np.ndarray:
     return arr.reshape(shape)
 
 
+def _non_finite(literal):   # NaN, Infinity or -Infinity: not strict JSON, never written
+    raise ValueError(f"non-finite number {literal}")
+
+
 def _load(path, expected_schema: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+            doc = json.load(fh, parse_constant=_non_finite)
+        except ValueError as exc:
             raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     if doc.get("schema_version") != expected_schema:
         raise SchemaError(
@@ -122,6 +126,13 @@ def read_operator_file(path) -> HippoOperators:
                               b=_real_in(doc["b"], (n,)))
 
 
+def _count(doc: dict, key: str) -> int:
+    """doc[key] if it is a JSON integer, as counts are written; else ValueError."""
+    if type(doc[key]) is not int:   # not a float, a string or a bool
+        raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
+    return doc[key]
+
+
 def _init_out(init: SpectralInit) -> dict:
     return {
         "lambda": _complex_out(init.eigenvalues),
@@ -171,9 +182,9 @@ def read_model_file(path):
         cfg = doc["config"]
         alphas = tuple(float(a) for a in cfg["alphas"])
         config = FilterBankConfig(
-            channels=len(alphas), block_state=int(cfg["block_state"]), alphas=alphas,
+            channels=len(alphas), block_state=_count(cfg, "block_state"), alphas=alphas,
             delta=tuple(float(d) for d in cfg["delta"]),
-            input_width=int(cfg["input_width"]), output_width=int(cfg["output_width"]),
+            input_width=_count(cfg, "input_width"), output_width=_count(cfg, "output_width"),
         )
         inits = [_init_in(ch, config) for ch in doc["channels"]]
         if len(inits) != config.channels:

@@ -29,36 +29,45 @@ class SpectralInit:
     cond_v: float             # one-norm condition number of the eigenbasis V
 
 
+def _lower_triangular(m) -> np.ndarray:
+    """m as float64; ValueError unless it is square, finite and lower triangular."""
+    m = np.asarray(m, dtype=float)
+    if m.shape != (len(m), len(m)):
+        raise ValueError("matrix must be square")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has a non-finite entry")
+    if m.any(where=~np.tri(len(m), dtype=bool)):
+        raise ValueError("matrix is not lower triangular")
+    return m
+
+
+def _unit_lower_inverse(c: np.ndarray) -> np.ndarray:
+    """Inverse x of the unit-lower-triangular W = I - tril(c, -1) by forward
+    substitution, one product a row in place: x[i, :i] = c[i, :i] @ x[:i, :i]."""
+    x = np.eye(len(c))
+    for i in range(1, len(c)):
+        np.matmul(c[i, :i], x[:i, :i], out=x[i, :i])
+    return x
+
+
 def eig_triangular(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact eigendecomposition of a lower-triangular matrix.
 
-    Eigenvalues are the diagonal entries.  Eigenvector k has a unit pivot
-    at row k and follows by forward substitution; one vectorized step per
-    row i fills row i of every eigenvector at once,
-    v[i, :i] = -(a[i, :i] @ v[:i, :i]) / (a[i, i] - diag[:i]), and the
-    inverse of the unit-lower-triangular V is built row by row the same
-    way, v_inv[i, :i] = -(v[i, :i] @ v_inv[:i, :i]).  Columns are then
-    rescaled to unit Euclidean norm (and the inverse consistently).
-    Requires a finite, lower-triangular matrix whose diagonal entries are
-    pairwise distinct; anything else raises ValueError.
-
-    The loop carries U = -V, written in place row by row: the product
-    a[i, :i] @ U[:i, :i] divided by diag[:i] - a[i, i] is U's row, and
-    U[i, :i] @ v_inv[:i, :i] is the inverse's row, so no row is negated;
-    U is negated once at the end.  Negating an operand negates a product
-    or a quotient exactly, so every value equals the row formula's; only
-    the sign of a zero can differ (below the diagonal of a diagonal input
-    the row formula gives -0.0 and this gives +0.0), which np.array_equal
-    does not see.
+    Eigenvalues are the diagonal entries.  Eigenvector k has a unit pivot at
+    row k and follows by forward substitution, row i of every eigenvector at
+    once: v[i, :i] = -(a[i, :i] @ v[:i, :i]) / (a[i, i] - diag[:i]).  The
+    loop carries U = -V in place, two calls a row and no negation, and
+    _unit_lower_inverse(U) is V^-1.  U is negated once at the end, and the
+    columns of V are rescaled to unit Euclidean norm (the rows of V^-1
+    consistently).  Negating an operand negates a product or a quotient
+    exactly, so every value equals the row formula's; only the sign of a
+    zero can differ (a diagonal input gets +0.0 below its diagonal where the
+    row formula gives -0.0), which np.array_equal does not see.  A matrix
+    that is not finite or lower triangular, or whose diagonal entries are
+    not pairwise distinct, raises ValueError.
     """
-    a = np.asarray(a, dtype=float)
+    a = _lower_triangular(a)
     n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix has a non-finite entry")
-    if a.any(where=~np.tri(n, dtype=bool)):
-        raise ValueError("matrix is not lower triangular")
     diag = a.diagonal().copy()
     # the closest pair of diagonal entries is a neighbouring pair once sorted
     if n > 1 and np.diff(np.sort(diag)).min() < _DISTINCT_TOL:
@@ -66,12 +75,11 @@ def eig_triangular(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     gap = diag - diag[:, None]   # gap[i, k] = diag[k] - diag[i]
     u = np.diag(np.full(n, -1.0))
-    v_inv = np.eye(n)
     for i in range(1, n):
         row = u[i, :i]
         np.matmul(a[i, :i], u[:i, :i], out=row)
         np.divide(row, gap[i, :i], out=row)
-        np.matmul(row, v_inv[:i, :i], out=v_inv[i, :i])
+    v_inv = _unit_lower_inverse(u)
 
     scale = np.sqrt(np.multiply(u, u, out=gap).sum(axis=0))
     v = np.subtract(0.0, u, out=u)   # 0 - u, not -u: the zeros above the diagonal stay +0.0
@@ -83,12 +91,10 @@ def eig_triangular(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def condition_number(m: np.ndarray) -> float:
     """One-norm condition number ||m||_1 ||m^-1||_1 of a lower-triangular matrix.
 
-    m is factored as D W, D its diagonal and W unit lower triangular.  The
-    inverse x of W is built row by row by forward substitution, each row
-    written in place with one product on c = -m / diag[:, None] = -W:
-    x[i, :i] = c[i, :i] @ x[:i, :i].  Since m^-1 = x D^-1, the column sums
-    of |m^-1| are those of |x| divided by |diag|.  The one-norm is the
-    largest absolute column sum.  It brackets the two-norm condition number,
+    m = D W, D its diagonal and W unit lower triangular, so W^-1 is
+    _unit_lower_inverse(-m / diag[:, None]), and the column sums of
+    |m^-1| = |W^-1 D^-1|, the largest of which is ||m^-1||_1, are those of
+    |W^-1| over |diag|.  kappa_1 brackets the two-norm condition number,
     kappa_2 / N <= kappa_1 <= N kappa_2, with equality for a diagonal matrix.
 
     For the unit-column eigenbasis V of A(alpha) from eig_triangular this
@@ -102,21 +108,12 @@ def condition_number(m: np.ndarray) -> float:
     matrix that is not square, not finite or not lower triangular, or has a
     zero on its diagonal, raises ValueError.
     """
-    m = np.asarray(m, dtype=float)
-    n = m.shape[0]
-    if m.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix is non-finite")
-    if m.any(where=~np.tri(n, dtype=bool)):
-        raise ValueError("matrix is not lower triangular")
+    m = _lower_triangular(m)
     diag = m.diagonal()
     if not diag.all():
         raise ValueError("matrix is singular")
     c = m / -diag[:, None]
-    x = np.eye(n)
-    for i in range(1, n):
-        np.matmul(c[i, :i], x[:i, :i], out=x[i, :i])
+    x = _unit_lower_inverse(c)
     norm = np.abs(m, out=c).sum(axis=0).max()
     norm_inv = (np.abs(x, out=x).sum(axis=0) / np.abs(diag)).max()
     return float(norm * norm_inv)

@@ -315,7 +315,7 @@ def layer_forward(config: FilterBankConfig, weights: LayerWeights,
     any channel runs; a non-finite output raises ArithmeticError.
 
     scan=True is the only accepted value; the keyword stays only until the next
-    benchmark change (ROADMAP.md, item 4) drops it from perfbench's `stream`.
+    benchmark change (ROADMAP.md, item 6) drops it from perfbench's `stream`.
     """
     if not scan:
         raise ValueError("the per-step layer path was removed; scan must be True")

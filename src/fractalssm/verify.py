@@ -365,30 +365,20 @@ _BANK_LAYERS = ((1, 2, 1000), (2, 1, 4096), (2, 3, 17), (3, 2, 4096), (3, 3, 100
 def _carry_scan(x: np.ndarray, decay: np.ndarray) -> None:
     """Run x[j] = decay x[j-1] + x[j], j = 1 .. len(x)-1, in place along axis 0.
 
-    A work-efficient up-sweep / down-sweep scan (Blelloch, "Prefix sums and
-    their applications", 1990) over floor(log2(len(x))) levels, O(len(x))
-    work, for any length.  The up-sweep leaves at index i the sum of the
-    block of 2^d rows ending there, 2^d the largest power of two dividing
-    i+1; the down-sweep then completes, level by level from the top, the
-    rows whose block has a finished prefix on its left.  Level d multiplies
-    by decay^(2^d), one squaring of the level below; a real or imaginary
-    part below finfo.tiny is flushed to zero, so no power goes subnormal
-    and the scan runs no subnormal arithmetic.
+    A doubling scan (Hillis & Steele, "Data parallel algorithms", 1986):
+    ceil(log2(len(x))) levels, O(len(x) log len(x)) work.  The level at shift
+    s = 1, 2, 4, ... adds decay^s times row j - s to every row j, writing the
+    products into one buffer; decay^s is one squaring of the level below, and
+    a real or imaginary part of it below finfo.tiny is flushed to zero, so
+    the scan runs no subnormal arithmetic.
     """
-    tiny = np.finfo(float).tiny
-    powers, stride = [], 2
     power = np.array(decay, dtype=complex)
-    while stride <= len(x):
+    product, shift = np.empty_like(x), 1
+    while shift < len(x):
         parts = power.view(float)
-        parts[np.abs(parts) < tiny] = 0.0
-        right = x[stride - 1::stride]
-        right += power * x[stride // 2 - 1::stride][:len(right)]
-        powers.append(power)
-        power, stride = power * power, 2 * stride
-    for power in reversed(powers):   # level d: stride 2^(d+1), blocks of 2^d
-        stride //= 2
-        right = x[stride + stride // 2 - 1::stride]
-        right += power * x[stride - 1::stride][:len(right)]
+        parts[np.abs(parts) < np.finfo(float).tiny] = 0.0
+        x[shift:] += np.multiply(power, x[:-shift], out=product[shift:])
+        power, shift = power * power, 2 * shift
 
 
 def _layer_reference(ssms: list[DiscreteDiagonalSSM], u: SequenceBatch,
@@ -402,14 +392,14 @@ def _layer_reference(ssms: list[DiscreteDiagonalSSM], u: SequenceBatch,
     with the taps k_m[o, i] = Re sum_n c_on b_ni lambda_bar_n^m, m < T.  The
     state h_j carried into chunk j obeys h_j = lambda_bar^T h_{j-1} + (end of
     chunk j-1), h_0 = 0, which _carry_scan solves in place over the chunk ends
-    in log2(chunks) levels, O(chunks) work in place of a Python step per chunk;
-    its powers lambda_bar^(T 2^k) are flushed to zero below finfo.tiny, since a
-    subnormal operand slows every product it enters and adds nothing above
-    rounding.  Step s of chunk j adds Re(c_o lambda_bar^(s+1) h_j).
-    The chunk ends and the carried terms are real matmuls on the float views
-    of the complex factors, so no real block is cast up to complex.  The output
-    is w_out (Re(c x) + d u) * g / (1 + exp(-g)), g = w_gate u, a scalar d
-    standing for d I.
+    by doubling, in ceil(log2(chunks)) levels and O(chunks log chunks) work
+    rather than a Python step per chunk; its powers lambda_bar^(T 2^k) are
+    flushed to zero below finfo.tiny, since a subnormal operand slows every
+    product it enters and adds nothing above rounding.  Step s of chunk j adds
+    Re(c_o lambda_bar^(s+1) h_j).  The chunk ends and the carried terms are real
+    matmuls on the float views of the complex factors, so no real block is cast
+    up to complex.  The output is w_out (Re(c x) + d u) * g / (1 + exp(-g)),
+    g = w_gate u, a scalar d standing for d I.
     """
     t = _LAYER_CHUNK
     lam = np.concatenate([ssm.lambda_bar for ssm in ssms])

@@ -63,10 +63,18 @@ class TestOperatorFile:
 
     @pytest.mark.parametrize("field, value, message", [
         ("alpha", 2.0, "singularity index"),
-        ("alpha", float("nan"), "singularity index"),
+        # json.dumps writes the NaN, Infinity and -Infinity literals, which the
+        # writers never write and the reader refuses before it reads a field
+        ("alpha", float("nan"), "non-finite number NaN"),
         ("n", 0, "state dimension"),
         ("n", 257, r"\[1, 256\]"),
         ("b", 3.0, "has no len"),
+        pytest.param("a", [float("nan")] * 25, "non-finite number NaN",
+                     id="a-nan-non-finite number NaN"),
+        pytest.param("b", [1.0, 2.0, float("inf"), 4.0, 5.0], "non-finite number Infinity",
+                     id="b-inf-non-finite number Infinity"),
+        pytest.param("b", [float("-inf")] * 5, "non-finite number -Infinity",
+                     id="b--inf-non-finite number -Infinity"),
     ])
     def test_out_of_range_field_rejected(self, tmp_path, field, value, message):
         # the bounds build_A enforces: alpha in [0, 0.95], n in [1, 256]; n is no
@@ -246,6 +254,28 @@ class TestModelFile:
         with pytest.raises(fileio.SchemaError, match=r"\[1, 256\]"):
             fileio.read_model_file(self.edited(tmp_path, edit))
 
+    @pytest.mark.parametrize("value", [3.7, 3.0, "3", True], ids=repr)
+    @pytest.mark.parametrize("key", ["block_state", "input_width", "output_width"])
+    def test_count_must_be_an_integer(self, tmp_path, key, value):
+        # the writer writes each count as a JSON integer, and int() would take
+        # 3.7 and "3" as 3
+        def edit(doc):
+            doc["config"][key] = value
+
+        path = self.edited(tmp_path, edit)
+        with pytest.raises(fileio.SchemaError, match=re.escape(
+                f"{path}: malformed model file ({key} must be an integer, got {value!r})")):
+            fileio.read_model_file(path)
+
+    def test_non_finite_literal_rejected(self, tmp_path):
+        def edit(doc):
+            doc["channels"][1]["cond_v"] = float("nan")
+
+        path = self.edited(tmp_path, edit)
+        with pytest.raises(fileio.SchemaError, match=re.escape(
+                f"{path}: not valid JSON (non-finite number NaN)")):
+            fileio.read_model_file(path)
+
     def test_unknown_schema(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"schema_version": "other/9"}))
@@ -293,7 +323,7 @@ class TestDiscreteSystemFile:
     @pytest.mark.parametrize("field, value, message", [
         ("delta", -1.0, "timestep"),
         ("delta", 0.0, "timestep"),
-        ("delta", float("nan"), "timestep"),
+        ("delta", float("nan"), "non-finite number NaN"),
         ("delta", "fast", "could not convert"),
         ("lambda_bar", 5, "has no len"),
         # the bounds fire before the arrays are parsed, not the shape check
@@ -302,6 +332,10 @@ class TestDiscreteSystemFile:
         ("input_width", 0, "input_width must be >= 1"),
         pytest.param("b_bar", [[1.0, 0.0]] * 7, "input_width must be >= 1 and whole",
                      id="b_bar-7-input_width must be >= 1 and whole"),
+        pytest.param("lambda_bar", [[0.5, float("nan")]] * 5, "non-finite number NaN",
+                     id="lambda_bar-nan-non-finite number NaN"),
+        pytest.param("b_bar", [[float("inf"), 0.0]] * 5, "non-finite number Infinity",
+                     id="b_bar-inf-non-finite number Infinity"),
     ])
     def test_out_of_range_field_rejected(self, tmp_path, field, value, message):
         # n and input_width are no keys: n is the length of lambda_bar and the

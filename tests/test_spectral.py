@@ -153,7 +153,32 @@ def assert_same_bits(got, want):
         assert np.array_equal(g, w), f"{name} differs from the row formula"
 
 
+def substitution_formula(m):
+    """The allocating forward substitution that condition_number computes in place:
+    m = D W, W unit lower triangular, W^-1 row by row, m^-1 = W^-1 D^-1."""
+    n = m.shape[0]
+    diag = np.diag(m)
+    w = m / diag[:, None]
+    w_inv = np.eye(n)
+    for i in range(1, n):
+        w_inv[i, :i] = -(w[i, :i] @ w_inv[:i, :i])
+    norm_inv = (np.abs(w_inv).sum(axis=0) / np.abs(diag)).max()
+    return float(np.abs(m).sum(axis=0).max() * norm_inv)
+
+
 class TestConditionNumber:
+    @pytest.mark.parametrize("n", [1, 2, 8, 64, 256])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.95])
+    def test_bit_identical_to_substitution_formula(self, alpha, n):
+        a = build_A(alpha, n)
+        for m in (eig_triangular(a)[1], a):
+            assert condition_number(m) == substitution_formula(m)
+
+    def test_bit_identical_to_substitution_formula_random(self):
+        rng = np.random.default_rng(11)
+        m = np.tril(rng.standard_normal((48, 48)))
+        assert condition_number(m) == substitution_formula(m)
+
     def test_identity(self):
         assert condition_number(np.eye(7)) == pytest.approx(1.0)
 

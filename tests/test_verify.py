@@ -592,11 +592,14 @@ class TestChunkedReference:
         assert ref.shape == seq.shape == (length, out_width)
         assert np.max(np.abs(ref - seq)) <= 1e-13 * np.max(np.abs(seq))
 
-    # chunk counts on both sides of 64 and 1024, where the scan's tree is whole
+    # chunk counts around 64 and 1024: the carried rows, one fewer than the
+    # chunks, reach a power of two at 65 and 1025, where the doubling scan's
+    # last level adds half of them
     @pytest.mark.parametrize("chunks", [1, 2, 3, 63, 64, 65, 1023, 1024, 1025])
     def test_carry_scan_matches_per_chunk_recurrence(self, chunks):
         rng = np.random.default_rng(chunks)
-        radius = np.repeat([0.05, 0.5, 0.995], 4)
+        # radius 0 stops the state at once, radius 1 keeps it undamped
+        radius = np.repeat([0.0, 0.05, 0.5, 0.995, 1.0], 4)
         lam = radius * np.exp(1j * rng.uniform(-np.pi, np.pi, radius.size))
         decay = lam ** verify._LAYER_CHUNK
         ends = (rng.standard_normal((chunks, radius.size))
