@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
@@ -51,15 +52,28 @@ def _complex_out(z: np.ndarray) -> list:
     return [[float(c.real), float(c.imag)] for c in z.ravel()]
 
 
-def _complex_in(pairs, shape) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in pairs])
+def _number(value, key: str) -> float:
+    """A JSON number as the writers write it, as a finite float; else ValueError
+    naming key.  Refuses strings ("nan", "0.5"), bools and literals past the
+    float range (1e999, which json parses to inf), all of which float() takes."""
+    try:
+        number = float(value) if type(value) in (int, float) else None
+    except OverflowError:   # an integer literal past the float range
+        number = None
+    if number is None or not math.isfinite(number):
+        raise ValueError(f"{key}: could not convert {value!r} to a finite number")
+    return number
+
+
+def _complex_in(pairs, shape, key: str) -> np.ndarray:
+    flat = np.array([complex(_number(re, key), _number(im, key)) for re, im in pairs])
     if flat.size != int(np.prod(shape)):
         raise ValueError(f"expected {int(np.prod(shape))} complex entries, got {flat.size}")
     return flat.reshape(shape)
 
 
-def _real_in(values, shape) -> np.ndarray:
-    arr = np.asarray([float(v) for v in values])
+def _real_in(values, shape, key: str) -> np.ndarray:
+    arr = np.asarray([_number(v, key) for v in values])
     if arr.size != int(np.prod(shape)):
         raise ValueError(f"expected {int(np.prod(shape))} entries, got {arr.size}")
     return arr.reshape(shape)
@@ -119,11 +133,11 @@ def read_operator_file(path) -> HippoOperators:
     # and the reader reads neither
     doc = _load(path, OPERATOR_SCHEMA)
     with _malformed(path, "operator file"):
-        alpha, n = float(doc["alpha"]), len(doc["b"])
+        alpha, n = _number(doc["alpha"], "alpha"), len(doc["b"])
         check_alpha(alpha)
         check_state_dim(n)
-        return HippoOperators(alpha=alpha, a=_real_in(doc["a"], (n, n)),
-                              b=_real_in(doc["b"], (n,)))
+        return HippoOperators(alpha=alpha, a=_real_in(doc["a"], (n, n), "a"),
+                              b=_real_in(doc["b"], (n,), "b"))
 
 
 def _count(doc: dict, key: str) -> int:
@@ -146,9 +160,9 @@ def _init_in(doc: dict, config: FilterBankConfig) -> SpectralInit:
     # channels also carry: "alpha", "n", "input_width" and the eigenbasis "v" and "v_inv"
     n = config.block_state
     return SpectralInit(
-        eigenvalues=_complex_in(doc["lambda"], (n,)),
-        b_tilde=_complex_in(doc["b_tilde"], (n, config.input_width)),
-        cond_v=float(doc["cond_v"]),
+        eigenvalues=_complex_in(doc["lambda"], (n,), "lambda"),
+        b_tilde=_complex_in(doc["b_tilde"], (n, config.input_width), "b_tilde"),
+        cond_v=_number(doc["cond_v"], "cond_v"),
     )
 
 
@@ -180,10 +194,10 @@ def read_model_file(path):
     doc = _load(path, MODEL_SCHEMA)
     with _malformed(path, "model file"):
         cfg = doc["config"]
-        alphas = tuple(float(a) for a in cfg["alphas"])
+        alphas = tuple(_number(a, "alphas") for a in cfg["alphas"])
         config = FilterBankConfig(
             channels=len(alphas), block_state=_count(cfg, "block_state"), alphas=alphas,
-            delta=tuple(float(d) for d in cfg["delta"]),
+            delta=tuple(_number(d, "delta") for d in cfg["delta"]),
             input_width=_count(cfg, "input_width"), output_width=_count(cfg, "output_width"),
         )
         inits = [_init_in(ch, config) for ch in doc["channels"]]
@@ -194,11 +208,11 @@ def read_model_file(path):
         m, total = config.output_width, config.total_state
         d_raw = w["d"]
         weights = LayerWeights(
-            c_tilde=_complex_in(w["c_tilde"], (m, total)),
-            w_out=_real_in(w["w_out"], (m, m)),
-            w_gate=_real_in(w["w_gate"], (m, config.input_width)),
-            d=float(d_raw) if np.isscalar(d_raw) else _real_in(
-                d_raw, (m, config.input_width)),
+            c_tilde=_complex_in(w["c_tilde"], (m, total), "c_tilde"),
+            w_out=_real_in(w["w_out"], (m, m), "w_out"),
+            w_gate=_real_in(w["w_gate"], (m, config.input_width), "w_gate"),
+            d=_number(d_raw, "d") if np.isscalar(d_raw) else _real_in(
+                d_raw, (m, config.input_width), "d"),
         )
     return config, inits, weights
 
@@ -222,11 +236,11 @@ def read_dssm_file(path) -> DiscreteDiagonalSSM:
         if entries == 0 or entries % n:
             raise ValueError(f"input_width must be >= 1 and whole: b_bar holds {entries} "
                              f"entries for n = {n}")
-        delta = float(doc["delta"])
+        delta = _number(doc["delta"], "delta")
         check_step(delta)
         return DiscreteDiagonalSSM(
-            lambda_bar=_complex_in(doc["lambda_bar"], (n,)),
-            b_bar=_complex_in(doc["b_bar"], (n, entries // n)),
+            lambda_bar=_complex_in(doc["lambda_bar"], (n,), "lambda_bar"),
+            b_bar=_complex_in(doc["b_bar"], (n, entries // n), "b_bar"),
             delta=delta,
         )
 

@@ -12,6 +12,7 @@ an exact chunked recurrence that shares no code with this module.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -168,7 +169,10 @@ def _state_taps(radius: np.ndarray, taps: int) -> np.ndarray:
 
     That is t = ceil(log(eps (1 - r)) / log r) for a radius 0 < r < 1, capped
     at taps; a state at r = 0 keeps one tap and one at r >= 1 keeps all taps.
-    The state's dropped tail sum_{j >= t} r^j is then at most eps.
+    An uncapped state's dropped tail sum_{j >= t} r^j is then at most eps.  A
+    state capped at taps, which the slowest state sets so that r^taps <= eps,
+    drops r^taps / (1 - r) <= eps / (1 - r): at r = e^-0.01 its own cut is
+    4066, the cap 3605, and it drops about 100 eps.
     """
     decaying = (radius > 0.0) & (radius < 1.0)
     r = np.where(decaying, radius, 0.5)  # any radius with a finite logarithm
@@ -181,9 +185,9 @@ def _output_kernel(ssms: list[DiscreteDiagonalSSM], c_tilde: np.ndarray,
     """Output kernel K[j, out, in] = Re sum_n c_n b_bar_n lambda_bar_n^j of the bank.
 
     The kernel stops at taps = min(length, ceil(log(eps) / log(max|lambda_bar|))):
-    past it every state has decayed by more than eps, so the dropped tail
-    sum_n |c_n b_bar_n| |lambda_bar_n|^j / (1 - |lambda_bar_n|) is below the
-    rounding error the recurrence itself makes.  A bank with
+    past it every state has decayed by more than eps, so the tail it drops,
+    sum_n |c_n b_bar_n| |lambda_bar_n|^taps / (1 - |lambda_bar_n|), is at most
+    eps sum_n |c_n b_bar_n| / (1 - |lambda_bar_n|).  A bank with
     max|lambda_bar| >= 1 does not decay and keeps all `length` taps.
 
     The powers are never tabulated taps x n.  With B = ceil(sqrt(taps)),
@@ -192,8 +196,10 @@ def _output_kernel(ssms: list[DiscreteDiagonalSSM], c_tilde: np.ndarray,
     by cumprod, and each out x in column of the kernel is the complex matmul
     (scale * c_n b_bar_n) @ head^T, read row by row and cut to taps.  Each
     state also stops at its own cut (see `_state_taps`): the cumprod
-    multipliers are zero from there on, so no power underflows, and the taps
-    a state drops sum to at most eps |c_n b_bar_n|.
+    multipliers are zero from there on, so no power underflows.  The taps a
+    state drops sum to at most eps |c_n b_bar_n| where its own cut stops it,
+    and to at most eps / (1 - |lambda_bar_n|) |c_n b_bar_n| where it is
+    capped at taps.
     """
     lam = np.concatenate([ssm.lambda_bar for ssm in ssms])
     radius = np.abs(lam)
@@ -227,6 +233,65 @@ def _output_kernel(ssms: list[DiscreteDiagonalSSM], c_tilde: np.ndarray,
 _BATCH_POINTS = 1 << 16
 
 
+# (length, cost): the 5-smooth FFT lengths on the measured cost frontier, each
+# with the time of one rfft + irfft pair in a batch of max(1, _BATCH_POINTS //
+# length) rows, relative to the pair at the longest length; every longer length
+# costs more, so the costs ascend.  One host's measurement (2-core x86-64,
+# numpy 2.4, one BLAS thread, pinned), printed by tests/data/make_fft_lengths.py
+_FFT_LENGTHS = (
+    (8, 1.212e-05), (9, 1.303e-05), (10, 1.367e-05), (12, 1.539e-05), (16, 1.778e-05),
+    (20, 2.166e-05), (24, 2.713e-05), (25, 2.779e-05), (32, 3.392e-05), (36, 4.219e-05),
+    (40, 4.369e-05), (48, 4.866e-05), (50, 5.643e-05), (54, 5.948e-05), (60, 6.623e-05),
+    (64, 6.807e-05), (72, 7.664e-05), (80, 8.61e-05), (81, 9.468e-05), (90, 0.0001024),
+    (96, 0.0001078), (100, 0.0001121), (108, 0.000122), (120, 0.0001289), (128, 0.0001317),
+    (144, 0.0001494), (160, 0.0001716), (180, 0.0001949), (192, 0.0002016),
+    (200, 0.0002187), (216, 0.0002467), (256, 0.0002569), (288, 0.0003281),
+    (320, 0.0003382), (324, 0.0003935), (360, 0.0004103), (384, 0.0004284),
+    (400, 0.0004497), (432, 0.0005025), (480, 0.0005536), (512, 0.0005761),
+    (576, 0.0006507), (600, 0.0007191), (640, 0.0007545), (648, 0.0008192),
+    (720, 0.0008454), (768, 0.0008756), (800, 0.0009707), (810, 0.001043), (864, 0.001086),
+    (960, 0.001129), (1024, 0.001217), (1080, 0.0014), (1200, 0.00152), (1280, 0.001594),
+    (1296, 0.001711), (1350, 0.001954), (1440, 0.002004), (1600, 0.002161),
+    (1620, 0.002335), (1728, 0.00268), (1800, 0.002822), (1920, 0.003041), (2000, 0.003159),
+    (2025, 0.003282), (2160, 0.003597), (2250, 0.004021), (2500, 0.004153),
+    (2560, 0.004567), (2700, 0.004746), (2880, 0.005112), (3125, 0.005346),
+    (3200, 0.005609), (3375, 0.006206), (3600, 0.006481), (4000, 0.007091),
+    (4500, 0.008325), (4800, 0.00893), (5000, 0.00968), (5120, 0.01001), (6000, 0.01112),
+    (6400, 0.01195), (6480, 0.01322), (7500, 0.01441), (8000, 0.0151), (9375, 0.01774),
+    (10000, 0.01857), (10125, 0.02194), (10800, 0.02309), (11520, 0.02651),
+    (12500, 0.02782), (13500, 0.02981), (15625, 0.03157), (16000, 0.03537),
+    (16200, 0.03859), (16384, 0.04048), (16875, 0.0464), (18000, 0.0481), (19200, 0.04985),
+    (20480, 0.05347), (24000, 0.05544), (25000, 0.05855), (25600, 0.06211),
+    (25920, 0.06376), (27000, 0.06896), (28125, 0.07189), (28800, 0.07731), (29160, 0.1043),
+    (34560, 0.1221), (36864, 0.1278), (40960, 0.139), (46080, 0.1557), (49152, 0.1661),
+    (51200, 0.1873), (51840, 0.2034), (55296, 0.2099), (61440, 0.2221), (62208, 0.2897),
+    (65536, 0.3693), (69120, 0.4118), (73728, 0.4374), (76800, 0.4477), (81920, 0.4697),
+    (82944, 0.5119), (86400, 0.5377), (92160, 0.5638), (96000, 0.5808), (102400, 0.6051),
+    (103680, 0.6442), (110592, 0.7039), (115200, 0.7403), (122880, 0.7767),
+    (128000, 0.8851), (129600, 0.9793), (131072, 1.0),
+)
+_FFT_SIZES = tuple(size for size, _ in _FFT_LENGTHS)
+
+
+def _block_length(taps: int, length: int) -> int:
+    """Transform length of `_causal_convolve` for a kernel of taps on length steps.
+
+    Several blocks run at the _FFT_LENGTHS entry of least cost per output
+    step, cost / (size - taps + 1), among the lengths >= 2 taps, so the
+    length depends on the kernel alone.  An input whose length + taps - 1
+    points fit in that length goes as one block at the shortest table length
+    that holds them.  Past the table, where 2 taps exceed its longest length
+    (a bank that does not decay keeps all `length` taps), the length is the
+    smallest power of two >= min(4 taps, length + taps - 1).
+    """
+    need = length + taps - 1
+    first = bisect.bisect_left(_FFT_SIZES, 2 * taps)
+    if first == len(_FFT_SIZES):
+        return 1 << (min(4 * taps, need) - 1).bit_length()
+    size = min(_FFT_LENGTHS[first:], key=lambda entry: entry[1] / (entry[0] - taps + 1))[0]
+    return _FFT_SIZES[bisect.bisect_left(_FFT_SIZES, need)] if need <= size else size
+
+
 def _silu_gate(z: np.ndarray, w_gate: np.ndarray) -> np.ndarray:
     """silu(W_gate z) for the rows of z, shape (output_width, rows).
 
@@ -243,10 +308,10 @@ def _causal_convolve(kernel: np.ndarray, u: np.ndarray, w_gate: np.ndarray) -> n
     """y[k, out] = silu(W_gate u[k])[out] sum_j sum_in K[j, out, in] u[k - j, in].
 
     The convolution covers the first len(u) steps by overlap-save in blocks
-    sized to the kernel: the transform length is the smallest power of two
-    >= min(4 * taps, len(u) + taps - 1), so the overlap is at most a quarter
-    of each transform, and an input shorter than that goes through as one
-    block.  Every block's window reaches taps - 1 steps back into the
+    of the transform length `_block_length` takes from a measured table: the
+    length of least FFT cost per output step for the kernel, or for an input
+    that fits in it, one block at the shortest table length that holds it.
+    Every block's window reaches taps - 1 steps back into the
     zero-padded input and keeps its last hop = size - taps + 1 outputs,
     which the circular wrap-around does not touch.  The kernel is
     transformed once at the block length; the windows go through batched
@@ -261,7 +326,7 @@ def _causal_convolve(kernel: np.ndarray, u: np.ndarray, w_gate: np.ndarray) -> n
     taps, out_width = kernel.shape[:2]
     if length == 0:
         return np.zeros((0, out_width))
-    size = 1 << (min(4 * taps, length + taps - 1) - 1).bit_length()
+    size = _block_length(taps, length)
     hop = size - taps + 1
     blocks = -(-length // hop)
     batch = max(1, _BATCH_POINTS // size)
@@ -308,7 +373,7 @@ def layer_forward(config: FilterBankConfig, weights: LayerWeights,
     where max|lambda_bar|^j falls below eps (see `_output_kernel`), with
     W_out and D folded in: K'[j] = W_out K[j] and K'[0] += W_out D, where a
     scalar D stands for D I.  The convolution runs by overlap-save in FFT
-    blocks of about four kernel lengths (see `_causal_convolve`), which
+    blocks of a measured length for the kernel (see `_causal_convolve`), which
     multiplies each batch of outputs by its rows' gate as it writes them; no
     state trajectory is built, and besides per-batch buffers the layer
     allocates only its output.  Every weight's shape is checked before

@@ -19,6 +19,28 @@ from fractalssm.ssm import (FilterBankConfig, LayerWeights, SequenceBatch,
                             build_filter_bank, zoh_discretize)
 
 
+def with_literal(path, doc, text):
+    """Write doc as JSON to path with its "@" placeholder replaced by the raw
+    JSON text, so a case can hold literals json.dumps never writes (1e999)."""
+    path.write_text(json.dumps(doc).replace('"@"', text))
+    return path
+
+
+# values float() takes but no writer writes: strings, bools, and number
+# literals past the float range, which json parses to inf or a huge int
+NOT_NUMBERS = {"string-nan": '"nan"', "string-0.5": '"0.5"', "1e999": "1e999",
+               "-1e999": "-1e999", "true": "true", "1e400-integer": "1" + "0" * 400}
+NOT_A_NUMBER = pytest.mark.parametrize("text", list(NOT_NUMBERS.values()),
+                                       ids=list(NOT_NUMBERS))
+
+
+def refused(path, what, key, text):
+    """pytest.raises for the SchemaError that names the file and the key."""
+    return pytest.raises(fileio.SchemaError, match=re.escape(
+        f"{path}: malformed {what} ({key}: could not convert {json.loads(text)!r} "
+        "to a finite number)"))
+
+
 class TestOperatorFile:
     def test_round_trip_bit_exact(self, tmp_path):
         ops = build_operators(0.5, 5)
@@ -89,6 +111,23 @@ class TestOperatorFile:
         path.write_text(json.dumps(doc))
         with pytest.raises(fileio.SchemaError, match=message):
             fileio.read_operator_file(path)
+
+    @pytest.mark.parametrize("field, index, text", [
+        pytest.param("a", 0, '"nan"', id="a-string-nan"),
+        pytest.param("b", 1, "1e999", id="b-1e999"),
+        pytest.param("alpha", None, '"0.5"', id="alpha-string-0.5"),
+        *[pytest.param("b", 2, text, id=f"b-2-{name}") for name, text in NOT_NUMBERS.items()]])
+    def test_number_must_be_a_finite_json_number(self, tmp_path, field, index, text):
+        # float() reads "nan" as nan, 1e999 as inf and "0.5" as 0.5
+        path = tmp_path / "op.json"
+        fileio.write_operator_file(path, build_operators(0.5, 5))
+        doc = json.loads(path.read_text())
+        if index is None:
+            doc[field] = "@"
+        else:
+            doc[field][index] = "@"
+        with refused(path, "operator file", field, text):
+            fileio.read_operator_file(with_literal(path, doc, text))
 
     def test_legacy_quadrature_order_ignored(self, tmp_path):
         # older fractal-op/1 files also state n, which the length of b fixes, and
@@ -267,6 +306,23 @@ class TestModelFile:
                 f"{path}: malformed model file ({key} must be an integer, got {value!r})")):
             fileio.read_model_file(path)
 
+    @NOT_A_NUMBER
+    @pytest.mark.parametrize("key", ["alphas", "delta", "cond_v", "d", "lambda"])
+    def test_number_must_be_a_finite_json_number(self, tmp_path, key, text):
+        path = tmp_path / "model.json"
+        fileio.write_model_file(path, *self.build_model())
+        doc = json.loads(path.read_text())
+        if key in ("alphas", "delta"):
+            doc["config"][key][1] = "@"
+        elif key == "cond_v":
+            doc["channels"][1][key] = "@"
+        elif key == "lambda":
+            doc["channels"][0][key][2][1] = "@"
+        else:
+            doc["weights"][key] = "@"   # a scalar feedthrough
+        with refused(path, "model file", key, text):
+            fileio.read_model_file(with_literal(path, doc, text))
+
     def test_non_finite_literal_rejected(self, tmp_path):
         def edit(doc):
             doc["channels"][1]["cond_v"] = float("nan")
@@ -319,6 +375,19 @@ class TestDiscreteSystemFile:
         assert back.delta == ssm.delta
         assert np.array_equal(back.lambda_bar, ssm.lambda_bar)
         assert np.array_equal(back.b_bar, ssm.b_bar)
+
+    @NOT_A_NUMBER
+    @pytest.mark.parametrize("key", ["delta", "b_bar"])
+    def test_number_must_be_a_finite_json_number(self, tmp_path, key, text):
+        path = tmp_path / "dssm.json"
+        fileio.write_dssm_file(path, zoh_discretize(spectral_init(0.4, 5), 0.01))
+        doc = json.loads(path.read_text())
+        if key == "delta":
+            doc[key] = "@"
+        else:
+            doc[key][4][0] = "@"
+        with refused(path, "discrete-system file", key, text):
+            fileio.read_dssm_file(with_literal(path, doc, text))
 
     @pytest.mark.parametrize("field, value, message", [
         ("delta", -1.0, "timestep"),

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalssm.spectral import SpectralInit, spectral_init
-from fractalssm.ssm import (DiscreteDiagonalSSM, FilterBankConfig, LayerWeights,
-                            SequenceBatch, _output_kernel, build_filter_bank, layer_forward,
-                            silu, zoh_discretize)
+from fractalssm.ssm import (_FFT_LENGTHS, _FFT_SIZES, DiscreteDiagonalSSM, FilterBankConfig,
+                            LayerWeights, SequenceBatch, _block_length, _output_kernel,
+                            build_filter_bank, layer_forward, silu, zoh_discretize)
 from fractalssm.verify import _layer_reference, _random_system
 
 
@@ -359,6 +359,32 @@ class TestOutputKernel:
             kernel = _output_kernel(ssms, c_tilde, 10000)
         assert kernel.shape[0] > 2000 and np.all(np.isfinite(kernel))
 
+    def test_stream_bank_truncation_bound(self):
+        # the 4 x 8 bank at delta = 0.01 (perfbench's `stream`), one output per
+        # state with c_n = conj(b_n) / |b_n|: a state's taps are zero from its
+        # `stop` on, so it drops at most |b_n| r_n^stop / (1 - r_n)
+        config = FilterBankConfig(channels=4, block_state=8, delta=0.01)
+        ssms = [zoh_discretize(init, 0.01) for init in build_filter_bank(config)]
+        b_bar = np.concatenate([ssm.b_bar for ssm in ssms])[:, 0]
+        b, r = np.abs(b_bar), np.abs(np.concatenate([ssm.lambda_bar for ssm in ssms]))
+        kernel = _output_kernel(ssms, np.diag(np.conj(b_bar) / b), 2 ** 18)[:, :, 0]
+        taps = kernel.shape[0]
+        assert taps == 3605
+        stop = np.array([np.flatnonzero(column)[-1] + 1 for column in kernel.T])
+        dropped = b * r ** stop / (1 - r)
+        eps = np.finfo(float).eps
+        own = np.ceil(np.log(eps * (1 - r)) / np.log(r))
+        capped = own > taps
+        assert np.all(stop[capped] == taps)
+        assert np.all(dropped[~capped] <= (1 + 1e-9) * eps * b[~capped])
+        assert np.all(dropped[capped] <= eps / (1 - r[capped]) * b[capped])
+        # the slowest states, at r = e^-0.01, would stop at 4066 taps: capped
+        # at 3605 they drop about 100 eps |b_n|, beyond an uncapped state's eps
+        slowest = r == np.max(r)
+        assert np.all(own[slowest] == 4066) and np.all(capped[slowest])
+        ratio = dropped[slowest] / (eps * b[slowest])
+        assert np.all((99 < ratio) & (ratio < 100))
+
     def test_builds_no_power_table(self):
         # one 64-state system at 7191 taps: the taps x n table of powers alone
         # would take 7.4 MB
@@ -376,6 +402,40 @@ class TestOutputKernel:
         taps = kernel.shape[0]
         assert taps == 7191
         assert peak < 0.25 * taps * 64 * 16
+
+
+class TestBlockLength:
+    """_block_length's transform lengths against the rule written out on the table."""
+
+    @staticmethod
+    def rule(taps, length):
+        need = length + taps - 1
+        several = [(cost / (s - taps + 1), s) for s, cost in _FFT_LENGTHS if s >= 2 * taps]
+        if not several:
+            return 1 << (min(4 * taps, need) - 1).bit_length()
+        block = min(several)[1]
+        return min([s for s in _FFT_SIZES if need <= s <= block], default=block)
+
+    def test_table_is_an_ascending_five_smooth_frontier(self):
+        sizes, costs = zip(*_FFT_LENGTHS)
+        assert sizes == _FFT_SIZES and list(sizes) == sorted(set(sizes))
+        for size in sizes:
+            for p in (2, 3, 5):
+                while size % p == 0:
+                    size //= p
+            assert size == 1
+        # the cost frontier: a length costing no less than a longer one is never worth it
+        assert all(c > 0 for c in costs) and all(a < b for a, b in zip(costs, costs[1:]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(taps=st.integers(1, 2 * 10 ** 5), length=st.integers(1, 4 * 10 ** 5))
+    def test_pure_and_never_below_taps(self, taps, length):
+        size = _block_length(taps, length)
+        assert size == _block_length(taps, length) == self.rule(taps, length)
+        assert size >= taps
+        if size < length + taps - 1:   # several blocks: the kernel alone sets their length
+            assert size >= 2 * taps
+            assert size == _block_length(taps, 10 ** 7)
 
 
 # the scan-parametrized cases pass scan=True, as perfbench's `stream` workload
@@ -494,17 +554,50 @@ class TestConvolutionPath:
         size = 2 * (inverse_batches.pop()[-1] - 1)
         return size - taps + 1
 
-    @pytest.mark.parametrize("length, size", [(3000, 4096), (1000, 2048)])
-    def test_single_block_power_of_two(self, length, size, inverse_batches):
-        # min(4 * taps, length + taps - 1) rounded up to a power of two: one block
+    @pytest.mark.parametrize("length", [3000, 1000])
+    def test_single_block_shortest_table_length(self, length, inverse_batches):
+        # length + taps - 1 fits in the kernel's block: one block at the
+        # shortest table length that holds it (4000 and 1728 in the committed table)
         ssms = self.bank(0.05, width=2)
         assert self.taps(ssms, length) == 721
+        size = min(s for s in _FFT_SIZES if s >= length + 720)
         rng = np.random.default_rng(16)
         config, weights = self.layer(ssms, width=2, out_width=3, seed=8,
                                      d=rng.standard_normal((3, 2)))
         self.assert_paths_agree(config, weights, ssms,
                                 SequenceBatch(rng.standard_normal((length, 2))))
         assert inverse_batches == [(3, 1, size // 2 + 1)]
+
+    @pytest.mark.parametrize("extra, blocks", [(0, 1), (1, 2)])
+    def test_one_or_two_blocks_at_the_boundary(self, extra, blocks, inverse_batches):
+        # length + taps - 1 = size fills the kernel's block exactly; one more
+        # step takes a second block of the same length
+        ssms = self.bank(0.2, width=2)
+        taps = self.taps(ssms, 10 ** 6)
+        hop = self.block_hop(ssms, taps, inverse_batches)
+        size = hop + taps - 1
+        rng = np.random.default_rng(20 + extra)
+        config, weights = self.layer(ssms, width=2, out_width=3, seed=12 + extra,
+                                     d=rng.standard_normal((3, 2)))
+        self.assert_paths_agree(config, weights, ssms,
+                                SequenceBatch(rng.standard_normal((hop + extra, 2))))
+        assert inverse_batches == [(3, blocks, size // 2 + 1)]
+
+    def test_power_of_two_past_the_table(self, inverse_batches):
+        # a bank at |lambda_bar| = 1 keeps all its taps, so on one step more than
+        # the table's longest length 2 taps lie past the table: one block at the
+        # smallest power of two >= length + taps - 1
+        rng = np.random.default_rng(19)
+        ssms = [DiscreteDiagonalSSM(lambda_bar=np.exp(1j * rng.uniform(-np.pi, np.pi, 2)),
+                                    b_bar=rng.standard_normal((2, 1))
+                                    + 1j * rng.standard_normal((2, 1)), delta=1.0)]
+        length = _FFT_SIZES[-1] + 1
+        assert self.taps(ssms, length) == length
+        size = 1 << (2 * length - 2).bit_length()
+        config, weights = self.layer(ssms, seed=19, d=0.3)
+        self.assert_paths_agree(config, weights, ssms,
+                                SequenceBatch(rng.standard_normal((length, 1))))
+        assert inverse_batches == [(1, 1, size // 2 + 1)]
 
     def test_many_blocks_multi_width(self, inverse_batches):
         ssms = self.bank(0.2, width=2)

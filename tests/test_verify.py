@@ -617,6 +617,14 @@ class TestChunkedReference:
         error = np.max(np.abs(carried - h[1:]), axis=0, initial=0.0)
         assert np.all(error <= 1e-13 * np.max(np.abs(h), axis=0, initial=0.0))
 
+    def test_carry_scan_flushes_subnormal_powers(self):
+        # decay^2 = 1e-320 is below finfo.tiny, so the level at shift 2 adds
+        # nothing: x[2] stays exactly 0 where the recurrence gives 1e-320
+        x = np.array([[1.0], [0.0], [0.0]], dtype=complex)
+        verify._carry_scan(x, np.array([1e-160]))
+        assert x[1, 0] == 1e-160
+        assert x[2, 0] == 0.0
+
     def test_nan_fails_its_row_alone(self, monkeypatch):
         def poison(values):
             values[4096 + 7, 0] = np.nan
