@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .operators import HippoOperators, check_alpha, check_state_dim
-from .spectral import SpectralInit
+from .spectral import SpectralInit, spectral_init
 from .ssm import (DiscreteDiagonalSSM, FilterBankConfig, LayerWeights, SequenceBatch,
                   check_step)
 
@@ -151,18 +151,18 @@ def _init_out(init: SpectralInit) -> dict:
     return {
         "lambda": _complex_out(init.eigenvalues),
         "b_tilde": _complex_out(init.b_tilde),
-        "cond_v": init.cond_v,
     }
 
 
-def _init_in(doc: dict, config: FilterBankConfig) -> SpectralInit:
+def _init_in(doc: dict, config: FilterBankConfig, alpha: float) -> SpectralInit:
     # the config fixes the shapes and alpha; a model reads none of the keys older
-    # channels also carry: "alpha", "n", "input_width" and the eigenbasis "v" and "v_inv"
+    # channels also carry: "alpha", "n", "input_width", the eigenbasis "v" and
+    # "v_inv", and "cond_v", which alpha and n fix: spectral_init recomputes it
     n = config.block_state
     return SpectralInit(
         eigenvalues=_complex_in(doc["lambda"], (n,), "lambda"),
         b_tilde=_complex_in(doc["b_tilde"], (n, config.input_width), "b_tilde"),
-        cond_v=_number(doc["cond_v"], "cond_v"),
+        cond_v=spectral_init(alpha, n).cond_v,
     )
 
 
@@ -200,10 +200,11 @@ def read_model_file(path):
             delta=tuple(_number(d, "delta") for d in cfg["delta"]),
             input_width=_count(cfg, "input_width"), output_width=_count(cfg, "output_width"),
         )
-        inits = [_init_in(ch, config) for ch in doc["channels"]]
-        if len(inits) != config.channels:
+        channels = doc["channels"]
+        if len(channels) != config.channels:
             raise SchemaError(f"{path}: expected {config.channels} channels, "
-                              f"got {len(inits)}")
+                              f"got {len(channels)}")
+        inits = [_init_in(ch, config, alpha) for ch, alpha in zip(channels, alphas)]
         w = doc["weights"]
         m, total = config.output_width, config.total_state
         d_raw = w["d"]

@@ -25,7 +25,7 @@ import numpy as np
 
 from .specfun import JacobiParam
 
-__all__ = ["QuadratureRule", "gauss_jacobi", "weight_mass"]
+__all__ = ["QuadratureRule", "gauss_jacobi"]
 
 _LD = np.longdouble
 _NEWTON_SWEEPS = 3
@@ -39,7 +39,7 @@ class QuadratureRule:
     weights: np.ndarray = field(repr=False)
 
 
-def weight_mass(param: JacobiParam) -> float:
+def _weight_mass(param: JacobiParam) -> float:
     """Total mass of the weight: 2^(a+b+1) Gamma(a+1) Gamma(b+1) / Gamma(a+b+2)."""
     a, b = param.a, param.b
     return math.exp((a + b + 1) * math.log(2.0) + math.lgamma(a + 1.0)
@@ -118,7 +118,7 @@ def gauss_jacobi(param: JacobiParam, order: int) -> QuadratureRule:
         seed = _seed_nodes(d, e)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ArithmeticError(f"tridiagonal eigen-solve failed at order {order}") from exc
-    p0 = 1 / np.sqrt(_LD(weight_mass(param)))
+    p0 = 1 / np.sqrt(_LD(_weight_mass(param)))
     x = seed.astype(_LD)
     # a step is elementwise and deterministic, so a node the last sweep left
     # unchanged is a fixed point of the later sweeps: sweep only the rest

@@ -27,7 +27,6 @@ __all__ = [
     "FilterBankConfig",
     "LayerWeights",
     "SequenceBatch",
-    "silu",
     "check_step",
     "zoh_discretize",
     "build_filter_bank",
@@ -123,23 +122,6 @@ class SequenceBatch:
     @property
     def width(self) -> int:
         return self.values.shape[1]
-
-
-def silu(x):
-    """SiLU activation x * sigmoid(x), computed as x * (1 / (1 + exp(-x))).
-
-    Every step after the negation runs in place in one temporary, so the
-    call allocates a single array of x's size and leaves x unmodified.
-    """
-    x = np.asarray(x, dtype=float)
-    t = np.negative(x, out=np.empty_like(x))
-    # exp(-x) overflows to inf below x = -709, where the sigmoid is exactly 0
-    with np.errstate(over="ignore"):
-        np.exp(t, out=t)
-    t += 1.0
-    np.divide(1.0, t, out=t)
-    np.multiply(x, t, out=t)
-    return t[()]  # a scalar for a scalar x, else the array t itself
 
 
 def check_step(delta: float) -> None:
@@ -296,12 +278,20 @@ def _silu_gate(z: np.ndarray, w_gate: np.ndarray) -> np.ndarray:
     """silu(W_gate z) for the rows of z, shape (output_width, rows).
 
     W_gate z is a sum of broadcast products w_gate[:, i] z[:, i], one per
-    input column, so no (rows, in) @ (in, out) matmul runs.
+    input column, so no (rows, in) @ (in, out) matmul runs.  SiLU is
+    g * sigmoid(g), computed as g * (1 / (1 + exp(-g))): every step after the
+    negation runs in place in one temporary, which is returned.
     """
     gate = w_gate[:, :1] * z[:, 0]
     for i in range(1, z.shape[1]):
         gate += w_gate[:, i:i + 1] * z[:, i]
-    return silu(gate)
+    t = np.negative(gate)
+    # exp(-g) overflows to inf below g = -709, where the sigmoid is exactly 0
+    with np.errstate(over="ignore"):
+        np.exp(t, out=t)
+    t += 1.0
+    np.divide(1.0, t, out=t)
+    return np.multiply(gate, t, out=t)
 
 
 def _causal_convolve(kernel: np.ndarray, u: np.ndarray, w_gate: np.ndarray) -> np.ndarray:
@@ -380,7 +370,7 @@ def layer_forward(config: FilterBankConfig, weights: LayerWeights,
     any channel runs; a non-finite output raises ArithmeticError.
 
     scan=True is the only accepted value; the keyword stays only until the next
-    benchmark change (ROADMAP.md, item 6) drops it from perfbench's `stream`.
+    benchmark change (ROADMAP.md, item 8) drops it from perfbench's `stream`.
     """
     if not scan:
         raise ValueError("the per-step layer path was removed; scan must be True")

@@ -7,9 +7,11 @@ hook around one in-process run of the tier-1 suite (pytest.main on tests/),
 so code that runs only in a subprocess of a test is reported as unexecuted.
 A compound statement (if, for, def, ...) counts as executed when its header
 or any statement of its body runs; an `if __name__ == "__main__":` block,
-which runs only as a script, is left out.  Needs only the standard library
-and pytest; run from anywhere, it prints the pytest summary, then one line
-per module and the source line of each unexecuted statement:
+which runs only as a script, is left out, and so is a statement or an except
+clause whose first line carries a `# pragma: no cover` comment, with its body.
+Needs only the standard library and pytest; run from anywhere, it prints the
+pytest summary, then one line per module and the source line of each
+unexecuted statement, and exits 1 if there is one, else 0:
 
     python tests/data/src_lines.py
 """
@@ -51,16 +53,26 @@ def code_lines(source: str, tree: ast.Module) -> int:
     return len(lines - docstring_lines(tree))
 
 
+def pragma_lines(source: str) -> set[int]:
+    """The lines whose comment holds `pragma: no cover`."""
+    return {token.start[0] for token in tokenize.generate_tokens(io.StringIO(source).readline)
+            if token.type == tokenize.COMMENT and "pragma: no cover" in token.string}
+
+
 def is_main_guard(node: ast.stmt) -> bool:
     return isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
 
 
-def unexecuted(tree: ast.Module, hits: set[int]) -> list[int]:
-    """First lines of the statements, docstrings aside, that no hit line reaches."""
+def unexecuted(tree: ast.Module, hits: set[int], excluded: set[int]) -> list[int]:
+    """First lines of the statements that no hit line reaches.  Docstrings are
+    left out, and so is a statement or an except clause that starts on an
+    excluded line, with its body."""
     docs = docstring_lines(tree)
     missed = []
 
     def executed(node: ast.stmt) -> bool:
+        if node.lineno in excluded:
+            return True
         compound = isinstance(getattr(node, "body", None), list)
         first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
         last = max(first, node.body[0].lineno - 1) if compound else node.end_lineno
@@ -71,7 +83,7 @@ def unexecuted(tree: ast.Module, hits: set[int]) -> list[int]:
             for child in getattr(node, field, []):
                 if isinstance(child, ast.stmt):
                     executed(child)
-                else:   # an except clause: its body
+                elif child.lineno not in excluded:   # an except clause: its body
                     for grandchild in child.body:
                         executed(grandchild)
         if not ran and node.lineno not in docs:
@@ -108,7 +120,7 @@ def run_tier1() -> dict[str, set[int]]:
     return hits
 
 
-def main() -> None:
+def main() -> int:
     hits = run_tier1()
     total_lines = total_missed = 0
     report = []
@@ -116,7 +128,7 @@ def main() -> None:
         source = path.read_text(encoding="utf-8")
         tree = ast.parse(source)
         count = code_lines(source, tree)
-        missed = unexecuted(tree, hits.get(str(path), set()))
+        missed = unexecuted(tree, hits.get(str(path), set()), pragma_lines(source))
         total_lines += count
         total_missed += len(missed)
         report.append(f"{path.name:16s} {count:5d} code lines, {len(missed)} unexecuted")
@@ -124,7 +136,8 @@ def main() -> None:
         report += [f"    {path.name}:{line}: {text[line - 1].strip()}" for line in missed]
     print("\n".join(report))
     print(f"{'total':16s} {total_lines:5d} code lines, {total_missed} unexecuted")
+    return 1 if total_missed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

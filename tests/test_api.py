@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import runpy
@@ -14,7 +15,8 @@ import pytest
 
 import fractalssm
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+REPO = Path(__file__).resolve().parent.parent
+DEMOS = sorted((REPO / "demos").glob("*.py"))
 
 
 def test_exported_names_resolve():
@@ -23,6 +25,29 @@ def test_exported_names_resolve():
     missing = [f"{module.__name__}.{name}" for module in modules
                for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+def test_every_exported_function_has_a_caller():
+    # a name or an attribute in another module of the package, a demo or the
+    # benchmark; the __init__ re-export, comments and strings do not count, and
+    # the record classes are what these functions return
+    package = Path(fractalssm.__file__).resolve().parent
+    files = ([path for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
+             + DEMOS + sorted((REPO / "perfbench").glob("*.py")))
+    used = {}
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used[path] = ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+                      | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+    uncalled = []
+    for name in fractalssm.__all__:
+        function = getattr(fractalssm, name)
+        if not inspect.isfunction(function):
+            continue
+        home = Path(inspect.getfile(function)).resolve()
+        if not any(name in names for path, names in used.items() if path != home):
+            uncalled.append(name)
+    assert uncalled == []
 
 
 def test_no_private_names_imported_across_modules():

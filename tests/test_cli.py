@@ -308,7 +308,7 @@ class TestRunCommand:
     def test_impulse_response_closed_form(self, model_path, tmp_path):
         # single uniform-measure channel on a unit impulse: the state is
         # lambda_bar^k * b_bar, so the gated output is Re(C x_k) * silu(u_k)
-        from fractalssm.ssm import silu, zoh_discretize
+        from fractalssm.ssm import zoh_discretize
         from fractalssm.spectral import spectral_init
 
         length = 12
@@ -325,7 +325,7 @@ class TestRunCommand:
         ssm = zoh_discretize(spectral_init(0.0, 4), config.delta[0])
         powers = ssm.lambda_bar[None, :] ** np.arange(length)[:, None]
         states = powers * ssm.b_bar[:, 0]
-        expected = (states @ weights.c_tilde.T).real[:, 0] * silu(u[:, 0])
+        expected = (states @ weights.c_tilde.T).real[:, 0] * u[:, 0] / (1.0 + np.exp(-u[:, 0]))
         assert got == pytest.approx(expected, abs=1e-12)
 
 

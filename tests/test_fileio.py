@@ -5,6 +5,7 @@ import csv
 import json
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from fractalssm.operators import build_A, build_operators
 from fractalssm.spectral import eig_triangular, spectral_init
 from fractalssm.ssm import (FilterBankConfig, LayerWeights, SequenceBatch,
                             build_filter_bank, zoh_discretize)
+
+GOLDEN_MODEL = Path(__file__).resolve().parent / "data" / "golden" / "run_model_4x8_w2.json"
 
 
 def with_literal(path, doc, text):
@@ -189,11 +192,26 @@ class TestModelFile:
         assert set(doc["config"]) == {"block_state", "alphas", "delta", "input_width",
                                       "output_width"}
         for channel in doc["channels"]:
-            assert set(channel) == {"lambda", "b_tilde", "cond_v"}
+            assert set(channel) == {"lambda", "b_tilde"}
+
+    def test_golden_model_reads_with_current_cond_v(self, tmp_path):
+        # the committed model predates the reader that ignores cond_v and still
+        # stores it; the value read is spectral_init's, whatever the file holds
+        doc = json.loads(GOLDEN_MODEL.read_text(encoding="utf-8"))
+        assert all("cond_v" in channel for channel in doc["channels"])
+        for channel in doc["channels"]:
+            channel["cond_v"] = 1.0
+        stale = tmp_path / "stale.json"
+        stale.write_text(json.dumps(doc, indent=1))
+        for path in (GOLDEN_MODEL, stale):
+            config, inits, _ = fileio.read_model_file(path)
+            assert (config.block_state, config.input_width) == (8, 2)
+            for alpha, init in zip(config.alphas, inits, strict=True):
+                assert init.cond_v == spectral_init(alpha, 8, 2).cond_v
 
     def test_legacy_eigenbasis_ignored(self, tmp_path):
         # older fractal-model/1 files also carry the channel count, each channel's
-        # alpha, eigenbasis and shape, all of which the config fixes
+        # alpha, eigenbasis, shape and kappa_1(V), all of which the config fixes
         model = self.build_model()
         config = model[0]
         path = tmp_path / "model.json"
@@ -207,6 +225,7 @@ class TestModelFile:
             channel["input_width"] = config.input_width
             channel["v"] = [float(x) for x in v.ravel()]
             channel["v_inv"] = [float(x) for x in v_inv.ravel()]
+            channel["cond_v"] = 1.0   # stale: the reader recomputes it
         legacy = tmp_path / "legacy.json"
         legacy.write_text(json.dumps(doc, indent=1))
         self.assert_same_model(model, fileio.read_model_file(legacy))
@@ -307,15 +326,13 @@ class TestModelFile:
             fileio.read_model_file(path)
 
     @NOT_A_NUMBER
-    @pytest.mark.parametrize("key", ["alphas", "delta", "cond_v", "d", "lambda"])
+    @pytest.mark.parametrize("key", ["alphas", "delta", "d", "lambda"])
     def test_number_must_be_a_finite_json_number(self, tmp_path, key, text):
         path = tmp_path / "model.json"
         fileio.write_model_file(path, *self.build_model())
         doc = json.loads(path.read_text())
         if key in ("alphas", "delta"):
             doc["config"][key][1] = "@"
-        elif key == "cond_v":
-            doc["channels"][1][key] = "@"
         elif key == "lambda":
             doc["channels"][0][key][2][1] = "@"
         else:
@@ -325,7 +342,7 @@ class TestModelFile:
 
     def test_non_finite_literal_rejected(self, tmp_path):
         def edit(doc):
-            doc["channels"][1]["cond_v"] = float("nan")
+            doc["channels"][1]["b_tilde"][0][0] = float("nan")
 
         path = self.edited(tmp_path, edit)
         with pytest.raises(fileio.SchemaError, match=re.escape(

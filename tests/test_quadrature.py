@@ -11,8 +11,8 @@ from scipy.linalg import eigh_tridiagonal
 
 from fractalssm import quadrature
 from fractalssm.quadrature import (QuadratureRule, _christoffel_weights, _newton_step,
-                                   _recurrence_coeffs, _seed_nodes, gauss_jacobi,
-                                   weight_mass)
+                                   _recurrence_coeffs, _seed_nodes, _weight_mass,
+                                   gauss_jacobi)
 from fractalssm.specfun import JacobiParam
 
 
@@ -44,7 +44,7 @@ class TestRuleConstruction:
         for a, b in [(0.0, 0.0), (-0.9, 0.0), (0.7, 0.3)]:
             param = JacobiParam(a, b)
             rule = gauss_jacobi(param, 12)
-            assert np.sum(rule.weights) == pytest.approx(weight_mass(param), rel=1e-10)
+            assert np.sum(rule.weights) == pytest.approx(_weight_mass(param), rel=1e-10)
 
     def test_high_even_moment(self):
         rule = gauss_jacobi(JacobiParam(0.0, 0.0), 8)
@@ -107,7 +107,7 @@ def table_rule(param: JacobiParam, order: int):
     ld = np.longdouble
     d, e = _recurrence_coeffs(param, order)
     seed = _seed_nodes(d, e)
-    mu = weight_mass(param)
+    mu = _weight_mass(param)
 
     def table(x):
         p = np.zeros((order + 1, x.size), dtype=ld)
@@ -145,7 +145,7 @@ class TestRulesPinned:
         order = 1024
         param = JacobiParam(-0.9, 0.0)
         d, e = _recurrence_coeffs(param, order)
-        p0 = 1 / np.sqrt(np.longdouble(weight_mass(param)))
+        p0 = 1 / np.sqrt(np.longdouble(_weight_mass(param)))
         x = gauss_jacobi(param, order).nodes
         row = order * np.dtype(np.longdouble).itemsize
         for one_pass in (_newton_step, _christoffel_weights):

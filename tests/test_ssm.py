@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from fractalssm.spectral import SpectralInit, spectral_init
 from fractalssm.ssm import (_FFT_LENGTHS, _FFT_SIZES, DiscreteDiagonalSSM, FilterBankConfig,
                             LayerWeights, SequenceBatch, _block_length, _output_kernel,
-                            build_filter_bank, layer_forward, silu, zoh_discretize)
+                            _silu_gate, build_filter_bank, layer_forward, zoh_discretize)
 from fractalssm.verify import _layer_reference, _random_system
 
 
@@ -771,10 +771,16 @@ class TestSequenceBatch:
             SequenceBatch(values)
 
 
+def silu(x: np.ndarray) -> np.ndarray:
+    # the layer's gate with W_gate = [[1]] on one input column: 1.0 * x is x
+    return _silu_gate(x[:, None], np.ones((1, 1)))[0]
+
+
 def test_silu_values():
-    assert silu(0.0) == pytest.approx(0.0)
-    assert silu(1.0) == pytest.approx(1.0 / (1.0 + math.exp(-1.0)))
-    assert silu(np.array([-50.0]))[0] == pytest.approx(0.0, abs=1e-20)
+    y = silu(np.array([0.0, 1.0, -50.0]))
+    assert y[0] == pytest.approx(0.0)
+    assert y[1] == pytest.approx(1.0 / (1.0 + math.exp(-1.0)))
+    assert y[2] == pytest.approx(0.0, abs=1e-20)
 
 
 def test_silu_bit_for_bit_in_one_buffer():
