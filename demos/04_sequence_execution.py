@@ -47,7 +47,8 @@ weights = LayerWeights(
 z_out = layer_forward(config, weights, ssms, z_in)
 
 # the layer convolves with its truncated output kernel, W_out and D folded in,
-# in overlap-save FFT blocks of about four kernel lengths; the kernel is one
+# by overlap-save in FFT blocks whose length comes from a measured table: for
+# this bank's 1803 taps, 10000 points at 16384 and 65536 steps; the kernel is one
 # matmul of blocked powers lambda^(B k) and lambda^m, B = ceil(sqrt(taps)), each
 # state cut once its tail is below eps, and each batch of FFT blocks is gated
 # as it is written to the output (`fractal verify`'s layer-equivalence check

@@ -1,10 +1,13 @@
 """The brute-force verification suite, and what it does and does not confirm.
 
 Every analytic property is re-derived by an independent numerical route:
-quadrature projections, finite differences, dense eigensolvers.  At
-alpha = 0 every check passes.  For alpha > 0 two checks fail against the
-published reference data by construction of that data (condition-number
-grid, update-law consistency); the suite reports rather than hides this.
+quadrature projections, finite differences, dense eigensolvers.  One
+check fails at every alpha: condition-growth evaluates its fixed reference
+grid whatever grid it is given, and that grid does not describe this
+operator's eigenvectors.  Over {0, 0.5} two more fail, both at alpha = 0.5:
+table-alpha05, whose printed entry (4, 3) = 8.50 the closed form misses by
+1e-4, and ode-consistency[alpha=0.5], the update-law inconsistency for
+alpha > 0.  The suite reports these rather than hides them.
 """
 
 import numpy as np

@@ -12,11 +12,9 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import fileio
 from .measure import measure_profile
-from .operators import build_operators, check_alpha
+from .operators import build_A, build_operators, check_alpha
 from .spectral import condition_number, eig_triangular, spectral_init
 from .ssm import check_step, layer_forward, zoh_discretize
 from .verify import SIGNALS, ode_consistency, run_full_suite
@@ -89,10 +87,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    ops = build_operators(args.alpha, args.n)
-    eigenvalues, v, _ = eig_triangular(ops.a)
+    a = build_A(args.alpha, args.n)
+    eigenvalues, v, _ = eig_triangular(a)
     kappa_v = condition_number(v)
-    kappa_a = condition_number(ops.a)
+    kappa_a = condition_number(a)
     payload = {"alpha": args.alpha, "n": args.n,
                "eigenvalues": [float(e) for e in eigenvalues],
                "kappa_v": kappa_v, "kappa_a": kappa_a}
@@ -220,7 +218,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:   # fileio.SchemaError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+    except ArithmeticError as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 1
 

@@ -135,11 +135,14 @@ def zoh_discretize(init: SpectralInit, delta: float) -> DiscreteDiagonalSSM:
 
     lambda_bar = exp(delta * lambda); b_bar = expm1(delta * lambda)/lambda * b_tilde,
     where expm1 keeps the digits that lambda_bar - 1 cancels at a small step.
+    At lambda = 0 (an integrator) b_bar is the limit delta * b_tilde.
     """
     check_step(delta)
     lam = init.eigenvalues
     lambda_bar = np.exp(delta * lam)
-    b_bar = (np.expm1(delta * lam) / lam)[:, None] * init.b_tilde
+    gain = np.divide(np.expm1(delta * lam), lam, out=np.full(lam.shape, delta, complex),
+                     where=lam != 0)
+    b_bar = gain[:, None] * init.b_tilde
     return DiscreteDiagonalSSM(lambda_bar=lambda_bar, b_bar=b_bar, delta=float(delta))
 
 

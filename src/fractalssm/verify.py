@@ -94,9 +94,16 @@ def _worst(deviations) -> float:
 def _projector(alpha: float, n: int, order: int):
     """The map (u, t) -> projection_coefficients(u, alpha, n, t, order).
 
-    The rule, its nodes on [0, 1], the basis table and the scale are built
-    once, so the projections of one check share them.
+    The one owner of a projection oracle's inputs: alpha must lie in the
+    operators' [0, ALPHA_MAX], not only the measure's [0, 1) that basis_scale
+    takes, n in [1, N_MAX], and the order must be at least 2n.  The rule,
+    its nodes on [0, 1], the basis table and the scale are built once, so
+    the projections of one check share them.
     """
+    check_alpha(alpha)
+    check_state_dim(n)
+    if order < 2 * n:
+        raise ValueError(f"quadrature order must be >= 2n = {2 * n}, got {order}")
     param = JacobiParam(-alpha, 0.0)
     rule = gauss_jacobi(param, order)
     # the signal is sampled at float64 times; the table and sums stay long double
@@ -119,12 +126,10 @@ def projection_coefficients(u, alpha: float, n: int, t: float, order: int) -> np
 
     Evaluates x_k(t) = (1-alpha) gamma_k int_0^1 u(t xi) P_k(2 xi - 1)
     (1-xi)^(-alpha) d xi by Gauss-Jacobi quadrature in the dimensionless
-    variable; u must be callable on [0, t].
+    variable; u must be callable on [0, t].  alpha must lie in [0, ALPHA_MAX]
+    and n in [1, N_MAX], as for the operator pair, and order must be >= 2n.
     """
     measure_mod.check_time(t)
-    check_state_dim(n)
-    if order < 2 * n:
-        raise ValueError(f"quadrature order must be >= 2n = {2 * n}, got {order}")
     return _projector(alpha, n, order)(u, t)
 
 
@@ -139,7 +144,6 @@ def check_scale_invariance(alpha: float, n: int, dilation: float,
     measure_mod.check_time(t)
     if not (np.isfinite(dilation) and dilation > 0.0):
         raise ValueError(f"dilation must be finite and positive, got {dilation}")
-    check_state_dim(n)
     project = _projector(alpha, n, max(2 * n, 32))
     lam = float(dilation)
     x_direct = project(u, t)
@@ -501,8 +505,9 @@ def run_full_suite(alpha_grid, n_max: int, seed: int = 0) -> list[OracleReport]:
 
     An alpha outside [0, ALPHA_MAX], an alpha the grid repeats or an n_max
     outside [1, N_MAX] raises ValueError before any check runs.  An empty
-    grid yields an empty report list.  Checks never raise on failed claims;
-    inspect the `passed` flags.
+    grid yields an empty report list.  table-alpha0 and table-alpha05 run
+    only when 0.0 or 0.5 itself is in the grid.  Checks never raise on
+    failed claims; inspect the `passed` flags.
     A check that raises, for instance because the code under test does,
     yields a failed report under its name with an infinite deviation, no
     tolerance and the detail row {"error": "<Type>: <message>"}, and the
@@ -528,7 +533,7 @@ def run_full_suite(alpha_grid, n_max: int, seed: int = 0) -> list[OracleReport]:
     checks += [(name, functools.partial(_check_table, alpha, table, name))
                for alpha, table, name in ((0.0, TABLE_ALPHA0, "table-alpha0"),
                                           (0.5, TABLE_ALPHA05, "table-alpha05"))
-               if any(abs(a - alpha) < 1e-12 for a in grid)]
+               if alpha in grid]
     checks += [
         ("eigenvalue-invariance", lambda: _check_eigenvalue_invariance(grid, n_max)),
         ("condition-growth", _check_condition_growth),

@@ -7,6 +7,7 @@ import pytest
 
 from fractalssm import fileio, quadrature, verify
 from fractalssm.cli import main
+from fractalssm.spectral import SpectralInit
 from fractalssm.ssm import FilterBankConfig, LayerWeights, SequenceBatch, build_filter_bank
 
 
@@ -327,6 +328,25 @@ class TestRunCommand:
         states = powers * ssm.b_bar[:, 0]
         expected = (states @ weights.c_tilde.T).real[:, 0] * u[:, 0] / (1.0 + np.exp(-u[:, 0]))
         assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_zero_eigenvalue_integrates(self, tmp_path):
+        # lambda = [0, -1]: state 0 is an integrator, x_k = x_{k-1} + delta b u_k,
+        # which the reader accepts and ZOH discretizes at its limit
+        delta, b = 0.05, 0.5
+        config = FilterBankConfig(channels=1, block_state=2, alphas=(0.5,), delta=delta)
+        init = SpectralInit(eigenvalues=np.array([0.0j, -1.0 + 0.0j]),
+                            b_tilde=np.array([[b + 0.0j], [2.0 + 0.0j]]), cond_v=1.0)
+        model = tmp_path / "integrator.json"
+        fileio.write_model_file(model, config, [init], LayerWeights(
+            c_tilde=np.array([[1.0 + 0.0j, 0.0j]]), w_out=np.eye(1), w_gate=np.eye(1)))
+        u = np.random.default_rng(11).standard_normal(3000)
+        seq, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        fileio.write_sequence_csv(seq, SequenceBatch(u))
+        assert run_cli("run", "--model", str(model), "--input", str(seq),
+                       "--out", str(out)) == 0
+        expected = delta * b * np.cumsum(u) * u / (1.0 + np.exp(-u))
+        got = fileio.read_sequence_csv(out).values[:, 0]
+        assert np.max(np.abs(got - expected)) <= 1e-10
 
 
 class TestBenchCommand:

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fractalssm import fileio
 from fractalssm.cli import main
-from fractalssm.operators import build_A, build_operators
-from fractalssm.spectral import eig_triangular, spectral_init
-from fractalssm.ssm import (FilterBankConfig, LayerWeights, SequenceBatch,
+from fractalssm.operators import ALPHA_MAX, HippoOperators, build_A, build_operators
+from fractalssm.spectral import SpectralInit, eig_triangular, spectral_init
+from fractalssm.ssm import (DiscreteDiagonalSSM, FilterBankConfig, LayerWeights, SequenceBatch,
                             build_filter_bank, zoh_discretize)
 
 GOLDEN_MODEL = Path(__file__).resolve().parent / "data" / "golden" / "run_model_4x8_w2.json"
@@ -438,6 +439,69 @@ class TestDiscreteSystemFile:
         path.write_text(json.dumps(doc))
         with pytest.raises(fileio.SchemaError, match=message):
             fileio.read_dssm_file(path)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+ALPHAS = st.floats(0.0, ALPHA_MAX)
+STEPS = st.floats(0.0, exclude_min=True, allow_infinity=False)
+STATES, WIDTHS = st.integers(1, 8), st.integers(1, 3)
+
+
+def real_arrays(*shape):
+    return hnp.arrays(float, shape, elements=FINITE)
+
+
+def complex_arrays(*shape):
+    return hnp.arrays(complex, shape, elements=st.complex_numbers(allow_nan=False,
+                                                                   allow_infinity=False))
+
+
+@st.composite
+def operator_records(draw):
+    n = draw(STATES)
+    return (HippoOperators(alpha=draw(ALPHAS), a=draw(real_arrays(n, n)),
+                           b=draw(real_arrays(n))),)
+
+
+@st.composite
+def model_records(draw):
+    channels, n, width, out = draw(WIDTHS), draw(STATES), draw(WIDTHS), draw(WIDTHS)
+    config = FilterBankConfig(
+        channels=channels, block_state=n, input_width=width, output_width=out,
+        alphas=draw(st.lists(ALPHAS, min_size=channels, max_size=channels)),
+        delta=draw(st.lists(STEPS, min_size=channels, max_size=channels)))
+    inits = [SpectralInit(eigenvalues=draw(complex_arrays(n)),
+                          b_tilde=draw(complex_arrays(n, width)), cond_v=1.0)
+             for _ in range(channels)]
+    weights = LayerWeights(c_tilde=draw(complex_arrays(out, channels * n)),
+                           w_out=draw(real_arrays(out, out)),
+                           w_gate=draw(real_arrays(out, width)),
+                           d=draw(FINITE | real_arrays(out, width)))
+    return config, inits, weights
+
+
+@st.composite
+def dssm_records(draw):
+    n, width = draw(STATES), draw(WIDTHS)
+    return (DiscreteDiagonalSSM(lambda_bar=draw(complex_arrays(n)),
+                                b_bar=draw(complex_arrays(n, width)), delta=draw(STEPS)),)
+
+
+@pytest.mark.parametrize("write, read, records", [
+    (fileio.write_operator_file, fileio.read_operator_file, operator_records()),
+    (fileio.write_model_file, fileio.read_model_file, model_records()),
+    (fileio.write_dssm_file, fileio.read_dssm_file, dssm_records()),
+], ids=[fileio.OPERATOR_SCHEMA, fileio.MODEL_SCHEMA, fileio.DSSM_SCHEMA])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_json_round_trip_any_record(tmp_path_factory, write, read, records, data):
+    # write -> read -> write repeats the bytes: every written value reads back
+    # bit for bit, signed zeros and subnormals included
+    first, second = (tmp_path_factory.mktemp("json") / name for name in ("a.json", "b.json"))
+    write(first, *data.draw(records))
+    back = read(first)
+    write(second, *(back if isinstance(back, tuple) else (back,)))
+    assert second.read_bytes() == first.read_bytes()
 
 
 def key_paths(node, prefix=()):

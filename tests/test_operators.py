@@ -10,9 +10,10 @@ import pytest
 from fractalssm.cli import main as cli_main
 from fractalssm.operators import (ALPHA_MAX, N_MAX, _closed_form, build_A, build_B,
                                   build_operators, legs_closed_form)
+from fractalssm.spectral import spectral_init
 from fractalssm.ssm import FilterBankConfig
 from fractalssm.verify import (TABLE_ALPHA0, TABLE_ALPHA05, check_scale_invariance,
-                               projection_coefficients, run_full_suite)
+                               ode_consistency, projection_coefficients, run_full_suite)
 
 # A(alpha) and B(alpha) in 50-digit arithmetic, rounded to float64; written by
 # data/make_operator_reference.py
@@ -204,14 +205,29 @@ ALPHA_ENTRY_POINTS = {
     "build_B": lambda alpha, tmp, capsys: build_B(alpha, 2),
     "FilterBankConfig": lambda alpha, tmp, capsys: FilterBankConfig(
         channels=1, block_state=2, alphas=(alpha,)),
+    "spectral_init": lambda alpha, tmp, capsys: spectral_init(alpha, 2),
+    "projection_coefficients": lambda alpha, tmp, capsys: projection_coefficients(
+        np.sin, alpha, 2, 1.0, 4),
+    "check_scale_invariance": lambda alpha, tmp, capsys: check_scale_invariance(alpha, 2, 2.0),
+    "ode_consistency": lambda alpha, tmp, capsys: ode_consistency(alpha, 2, np.sin, 3.0),
     "run_full_suite": lambda alpha, tmp, capsys: run_full_suite([alpha], 2),
+    # the = form, since argparse reads a bare -1e-12 as an option
     "cli matrix": lambda alpha, tmp, capsys: _cli(
         ["matrix", f"--alpha={alpha!r}", "--n", 2, "--out", tmp / "op.json"], capsys),
+    "cli spectrum": lambda alpha, tmp, capsys: _cli(
+        ["spectrum", f"--alpha={alpha!r}", "--n", 2], capsys),
+    "cli discretize": lambda alpha, tmp, capsys: _cli(
+        ["discretize", f"--alpha={alpha!r}", "--n", 2, "--delta", 0.01,
+         "--out", tmp / "dssm.json"], capsys),
+    "cli oracle": lambda alpha, tmp, capsys: _cli(
+        ["oracle", f"--alpha={alpha!r}", "--n", 2], capsys),
+    "cli measure": lambda alpha, tmp, capsys: _cli(
+        ["measure", f"--alphas={alpha!r}", "--samples", 2, "--out", tmp / "m.csv"], capsys),
     "cli verify": lambda alpha, tmp, capsys: _cli(
         ["verify", "--alpha-grid", f"0,{alpha!r}", "--n", 2], capsys),
 }
 # run_full_suite and verify take seconds on an admissible grid
-CHEAP_ENTRY_POINTS = ["build_A", "build_B", "FilterBankConfig", "cli matrix"]
+CHEAP_ENTRY_POINTS = sorted(set(ALPHA_ENTRY_POINTS) - {"run_full_suite", "cli verify"})
 
 
 class TestAlphaBound:

@@ -69,6 +69,19 @@ class TestZohDiscretize:
         rel = np.abs(ssm.b_bar[:, 0] / init.b_tilde[:, 0] - series) / np.abs(series)
         assert np.max(rel) <= 1e-15
 
+    def test_zero_eigenvalue_takes_the_limit(self):
+        # an integrator: expm1(delta lambda) / lambda -> delta as lambda -> 0
+        init = SpectralInit(eigenvalues=np.array([0.0, -1.0 + 0.5j]),
+                            b_tilde=np.array([[0.3 - 2.0j], [1.5 + 0.25j]]), cond_v=1.0)
+        delta = 0.1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ssm = zoh_discretize(init, delta)
+        assert ssm.b_bar[0, 0] == delta * init.b_tilde[0, 0]
+        lam = init.eigenvalues[1]
+        assert ssm.b_bar[1, 0] == (np.expm1(delta * lam) / lam) * init.b_tilde[1, 0]
+        assert np.array_equal(ssm.lambda_bar, np.exp(delta * init.eigenvalues))
+
 
 class TestScanEquivalence:
     """layer_forward's convolution against verify's chunked recurrence,

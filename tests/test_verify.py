@@ -14,7 +14,7 @@ import pytest
 from scipy.signal import lfilter
 
 from fractalssm import ssm as ssm_mod
-from fractalssm import verify
+from fractalssm import measure, verify
 from fractalssm.quadrature import gauss_jacobi
 from fractalssm.specfun import JacobiParam, basis_scale, jacobi_eval_all
 from fractalssm.ssm import (DiscreteDiagonalSSM, FilterBankConfig, LayerWeights, SequenceBatch,
@@ -54,6 +54,13 @@ class TestProjectionCoefficients:
         with pytest.raises(ValueError):
             projection_coefficients(np.sin, 0.3, 8, 1.0, order=8)
 
+    def test_bounds_come_before_the_order_floor(self):
+        # the order floor 2n means nothing for an n or alpha out of range
+        with pytest.raises(ValueError, match=r"\[1, 256\], got 300"):
+            projection_coefficients(np.sin, 0.5, 300, 1.0, order=10)
+        with pytest.raises(ValueError, match=r"\[0, 0\.95\]"):
+            projection_coefficients(np.sin, 0.97, 4, 1.0, order=2)
+
     @pytest.mark.parametrize("t", [-1.0, 0.0, math.nan, math.inf])
     def test_time_must_be_finite_and_positive(self, t):
         with pytest.raises(ValueError, match="current time"):
@@ -62,6 +69,16 @@ class TestProjectionCoefficients:
     def test_nonfinite_signal(self):
         with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(ValueError):
             projection_coefficients(lambda s: 1.0 / (s - s), 0.3, 2, 1.0, order=8)
+
+    def test_operators_alpha_bound_not_the_measures(self):
+        # the oracles take the pair's [0, 0.95]; the measure and basis keep [0, 1)
+        with pytest.raises(ValueError, match=r"\[0, 0\.95\]"):
+            projection_coefficients(np.sin, 0.97, 4, 1.0, 8)
+        with pytest.raises(ValueError, match=r"\[0, 0\.95\]"):
+            check_scale_invariance(0.97, 4, 2.0)
+        gammas, _ = basis_scale(0.99, 8)
+        assert np.all(np.isfinite(gammas))
+        assert np.isfinite(measure.density(measure.FractionalMeasure(0.99), 0.5))
 
 
 class TestRuleReuse:
@@ -242,6 +259,16 @@ class TestRunFullSuite:
         reports = {r.name for r in run_full_suite([0.5], 6, seed=1)}
         assert "table-alpha05" in reports
         assert "table-alpha0" not in reports
+
+    @pytest.mark.parametrize("grid, tables", [
+        ([1e-13], set()),
+        ([0.5 + 1e-13], set()),
+        ([0.0, 0.5], {"table-alpha0", "table-alpha05"}),
+    ], ids=["near-0", "near-0.5", "both"])
+    def test_table_checks_need_their_alpha_exactly(self, grid, tables):
+        # the tables print A(0) and A(0.5): an alpha 1e-13 away is not theirs
+        names = {r.name for r in run_full_suite(grid, 2)}
+        assert {name for name in names if name.startswith("table-")} == tables
 
     def test_reports_are_consistent_records(self, uniform_suite):
         for report in uniform_suite:
