@@ -3,9 +3,11 @@
 A filter bank stacks channels with distinct singularity indices, each a
 diagonal recurrence x_k = lambda_bar * x_{k-1} + b_bar u_k; the layer
 output is gated by a SiLU-activated branch of the input.  The layer never
-builds the state trajectory: it convolves the input with the bank's output
+builds the state trajectory.  Its kernel step transforms the bank's output
 kernel, truncated once every state has decayed below eps (`_output_kernel`),
-by overlap-save in FFT blocks that it gates as it writes them
+at the FFT block length, and keeps that spectrum for the next call on the
+same bank (`_kernel_spectrum`); its convolution step convolves the input with
+the spectrum by overlap-save in FFT blocks that it gates as it writes them
 (`_causal_convolve`).  `verify`'s layer-equivalence oracle checks it against
 an exact chunked recurrence that shares no code with this module.
 """
@@ -165,35 +167,48 @@ def _state_taps(radius: np.ndarray, taps: int) -> np.ndarray:
     return np.where(decaying, np.minimum(cut, taps), np.where(radius == 0.0, 1, taps))
 
 
+def _kernel_taps(radius: np.ndarray, length: int) -> int:
+    """Taps of the output kernel on length steps, for states of these radii.
+
+    taps = min(length, ceil(log(eps) / log(max radius))): past it every
+    state has decayed by more than eps.  A bank whose states all sit at 0
+    keeps one tap, and one with max radius >= 1 does not decay and keeps all
+    `length` taps.
+    """
+    slowest = float(np.max(radius))
+    if slowest == 0.0:
+        return min(length, 1)
+    if slowest < 1.0:
+        return min(length, math.ceil(math.log(_EPS) / math.log(slowest)))
+    return length
+
+
 def _output_kernel(ssms: list[DiscreteDiagonalSSM], c_tilde: np.ndarray,
                    length: int) -> np.ndarray:
     """Output kernel K[j, out, in] = Re sum_n c_n b_bar_n lambda_bar_n^j of the bank.
 
-    The kernel stops at taps = min(length, ceil(log(eps) / log(max|lambda_bar|))):
-    past it every state has decayed by more than eps, so the tail it drops,
-    sum_n |c_n b_bar_n| |lambda_bar_n|^taps / (1 - |lambda_bar_n|), is at most
-    eps sum_n |c_n b_bar_n| / (1 - |lambda_bar_n|).  A bank with
-    max|lambda_bar| >= 1 does not decay and keeps all `length` taps.
+    The kernel stops at taps = min(length, ceil(log(eps) / log(max|lambda_bar|)))
+    (`_kernel_taps`): past it every state has decayed by more than eps, so
+    the tail it drops, sum_n |c_n b_bar_n| |lambda_bar_n|^taps / (1 - |lambda_bar_n|),
+    is at most eps sum_n |c_n b_bar_n| / (1 - |lambda_bar_n|).  A bank with
+    max|lambda_bar| >= 1 does not decay and keeps all `length` taps, so the
+    output of `length` steps sees every tap.
 
     The powers are never tabulated taps x n.  With B = ceil(sqrt(taps)),
     lambda^(B k + m) = (lambda^B)^k lambda^m, so the bank's n states build
     head[m] = lambda^m (B x n) and scale[k] = lambda^(B k) (ceil(taps / B) x n)
     by cumprod, and each out x in column of the kernel is the complex matmul
     (scale * c_n b_bar_n) @ head^T, read row by row and cut to taps.  Each
-    state also stops at its own cut (see `_state_taps`): the cumprod
-    multipliers are zero from there on, so no power underflows.  The taps a
-    state drops sum to at most eps |c_n b_bar_n| where its own cut stops it,
-    and to at most eps / (1 - |lambda_bar_n|) |c_n b_bar_n| where it is
-    capped at taps.
+    state also stops at its own cut (see `_state_taps`), rounded up to the
+    end of the block of B taps that holds it: its head multipliers are zero
+    from the cut on, and its scale multipliers from the first block that
+    starts at or past it, so no power underflows.  The taps a state drops
+    sum to at most eps |c_n b_bar_n| where its own cut stops it, and to at
+    most eps / (1 - |lambda_bar_n|) |c_n b_bar_n| where it is capped at taps.
     """
     lam = np.concatenate([ssm.lambda_bar for ssm in ssms])
     radius = np.abs(lam)
-    slowest = float(np.max(radius))
-    taps = length
-    if slowest == 0.0:
-        taps = min(length, 1)
-    elif slowest < 1.0:
-        taps = min(length, math.ceil(math.log(_EPS) / math.log(slowest)))
+    taps = _kernel_taps(radius, length)
     block = math.isqrt(max(taps, 1) - 1) + 1  # ceil(sqrt(taps))
     rows = -(-taps // block)
     n = lam.shape[0]
@@ -277,6 +292,42 @@ def _block_length(taps: int, length: int) -> int:
     return _FFT_SIZES[bisect.bisect_left(_FFT_SIZES, need)] if need <= size else size
 
 
+# [(key, spectrum)] of the last bank `_kernel_spectrum` transformed, or [None]:
+# one slot, replaced whole, so a call in another thread never pairs a key
+# with another bank's spectrum
+_spectrum_memo = [None]
+
+
+def _kernel_spectrum(ssms: list[DiscreteDiagonalSSM], c_tilde: np.ndarray, w_out: np.ndarray,
+                     d: np.ndarray, length: int) -> tuple[int, int, np.ndarray]:
+    """The kernel step: taps, block length and spectrum of the folded kernel.
+
+    The folded kernel is the bank's output kernel (`_output_kernel`) with
+    W_out and D folded in, K'[j] = W_out K[j] and K'[0] += W_out D.  Its
+    spectrum, shape (out, in, size // 2 + 1), is one rfft at the block length
+    `_block_length` takes for its taps on length steps.  One entry is kept
+    for the next call.  Its key is the exact bytes, shape and dtype of every
+    array the kernel reads (each channel's lambda_bar and b_bar, c_tilde,
+    W_out and the matrix D), with the taps and the block length: a call that
+    matches it reuses the stored spectrum, which is bit for bit what it would
+    recompute, and any other call, one after an in-place edit of a weight
+    included, recomputes the spectrum and replaces the entry.
+    """
+    taps = _kernel_taps(np.abs(np.concatenate([ssm.lambda_bar for ssm in ssms])), length)
+    size = _block_length(taps, length)
+    arrays = [a for ssm in ssms for a in (ssm.lambda_bar, ssm.b_bar)] + [c_tilde, w_out, d]
+    key = (taps, size, *((a.dtype.str, a.shape, a.tobytes()) for a in arrays))
+    entry = _spectrum_memo[0]
+    if entry is not None and entry[0] == key:
+        return taps, size, entry[1]
+    kernel = w_out @ _output_kernel(ssms, c_tilde, length)
+    kernel[:1] += w_out @ d  # a slice: zero-length input has no taps
+    spectrum = np.fft.rfft(kernel, size, axis=0).transpose(1, 2, 0)
+    spectrum.flags.writeable = False  # the entry must stay what it was computed as
+    _spectrum_memo[0] = (key, spectrum)
+    return taps, size, spectrum
+
+
 def _silu_gate(z: np.ndarray, w_gate: np.ndarray) -> np.ndarray:
     """silu(W_gate z) for the rows of z, shape (output_width, rows).
 
@@ -297,33 +348,32 @@ def _silu_gate(z: np.ndarray, w_gate: np.ndarray) -> np.ndarray:
     return np.multiply(gate, t, out=t)
 
 
-def _causal_convolve(kernel: np.ndarray, u: np.ndarray, w_gate: np.ndarray) -> np.ndarray:
+def _causal_convolve(kernel_f: np.ndarray, taps: int, size: int, u: np.ndarray,
+                     w_gate: np.ndarray) -> np.ndarray:
     """y[k, out] = silu(W_gate u[k])[out] sum_j sum_in K[j, out, in] u[k - j, in].
 
-    The convolution covers the first len(u) steps by overlap-save in blocks
-    of the transform length `_block_length` takes from a measured table: the
-    length of least FFT cost per output step for the kernel, or for an input
-    that fits in it, one block at the shortest table length that holds it.
-    Every block's window reaches taps - 1 steps back into the
-    zero-padded input and keeps its last hop = size - taps + 1 outputs,
-    which the circular wrap-around does not touch.  The kernel is
-    transformed once at the block length; the windows go through batched
-    real FFTs of about _BATCH_POINTS points each, whose spectra are
-    multiplied by the kernel's one input column at a time.  An interior
-    batch reads its windows straight from u; only a batch that reaches
-    before step 0 or past the end copies its span into a zero-padded
-    segment.  Each batch's inverse transform is multiplied by the gate of
-    its rows (`_silu_gate`) into its slot of the output, in one pass.
+    The convolution step: it takes the kernel as its spectrum kernel_f, shape
+    (out, in, size // 2 + 1), from the kernel step (`_kernel_spectrum`), which
+    transforms a kernel of taps steps once at the block length size and
+    reuses it across calls on one bank.  The convolution covers the first
+    len(u) steps by overlap-save in blocks of that length: every block's
+    window reaches taps - 1 steps back into the zero-padded input and keeps
+    its last hop = size - taps + 1 outputs, which the circular wrap-around
+    does not touch.  The windows go through batched real FFTs of about
+    _BATCH_POINTS points each, whose spectra are multiplied by the kernel's
+    one input column at a time.  An interior batch reads its windows
+    straight from u; only a batch that reaches before step 0 or past the end
+    copies its span into a zero-padded segment.  Each batch's inverse
+    transform is multiplied by the gate of its rows (`_silu_gate`) into its
+    slot of the output, in one pass.
     """
     length, width = u.shape
-    taps, out_width = kernel.shape[:2]
+    out_width = kernel_f.shape[0]
     if length == 0:
         return np.zeros((0, out_width))
-    size = _block_length(taps, length)
     hop = size - taps + 1
     blocks = -(-length // hop)
     batch = max(1, _BATCH_POINTS // size)
-    kernel_f = np.fft.rfft(kernel, size, axis=0).transpose(1, 2, 0)  # (out, in, freq)
     y = np.empty((out_width, blocks * hop))
     for first in range(0, blocks, batch):
         count = min(batch, blocks - first)
@@ -365,12 +415,18 @@ def layer_forward(config: FilterBankConfig, weights: LayerWeights,
     W_out y is the input convolved with the bank's output kernel, truncated
     where max|lambda_bar|^j falls below eps (see `_output_kernel`), with
     W_out and D folded in: K'[j] = W_out K[j] and K'[0] += W_out D, where a
-    scalar D stands for D I.  The convolution runs by overlap-save in FFT
-    blocks of a measured length for the kernel (see `_causal_convolve`), which
-    multiplies each batch of outputs by its rows' gate as it writes them; no
-    state trajectory is built, and besides per-batch buffers the layer
-    allocates only its output.  Every weight's shape is checked before
-    any channel runs; a non-finite output raises ArithmeticError.
+    scalar D stands for D I.  The layer runs in two steps, split at the
+    kernel: after every weight's shape is checked, the kernel step
+    (`_kernel_spectrum`) returns the folded kernel's taps, FFT block length
+    and spectrum, and the convolution step (`_causal_convolve`) convolves the
+    input with that spectrum by overlap-save, multiplying each batch of
+    outputs by its rows' gate as it writes them.  The kernel step keeps the
+    last bank's spectrum: a call whose lambda_bar, b_bar, C_tilde, W_out and
+    D are byte for byte those of the previous call, at a length of the same
+    taps and block length, reuses it, and any other call recomputes it.  No
+    state trajectory is built, and besides per-batch buffers and the kept
+    spectrum the layer allocates only its output.  A non-finite output
+    raises ArithmeticError, on every call.
 
     scan=True is the only accepted value; the keyword stays only until the next
     benchmark change (ROADMAP.md, item 8) drops it from perfbench's `stream`.
@@ -398,9 +454,9 @@ def layer_forward(config: FilterBankConfig, weights: LayerWeights,
         d = d * np.eye(config.output_width, config.input_width)
     elif np.shape(d) != (config.output_width, config.input_width):
         raise ValueError("feedthrough shape does not match the layer widths")
-    kernel = weights.w_out @ _output_kernel(ssms, weights.c_tilde, z_in.length)
-    kernel[:1] += weights.w_out @ d  # a slice: zero-length input has no taps
-    z_out = _causal_convolve(kernel, z_in.values, np.asarray(weights.w_gate))
+    taps, size, kernel_f = _kernel_spectrum(ssms, weights.c_tilde, np.asarray(weights.w_out),
+                                            np.asarray(d), z_in.length)
+    z_out = _causal_convolve(kernel_f, taps, size, z_in.values, np.asarray(weights.w_gate))
     try:
         return SequenceBatch(values=z_out)  # its finiteness check is the layer's
     except ValueError as exc:

@@ -487,6 +487,15 @@ def dssm_records(draw):
                                 b_bar=draw(complex_arrays(n, width)), delta=draw(STEPS)),)
 
 
+@pytest.fixture(scope="module")
+def json_pair(tmp_path_factory):
+    """The two files of the JSON round trip, in one directory for every
+    example: each example overwrites them, so a shrinking run makes no
+    directory per example."""
+    folder = tmp_path_factory.mktemp("json")
+    return folder / "a.json", folder / "b.json"
+
+
 @pytest.mark.parametrize("write, read, records", [
     (fileio.write_operator_file, fileio.read_operator_file, operator_records()),
     (fileio.write_model_file, fileio.read_model_file, model_records()),
@@ -494,10 +503,10 @@ def dssm_records(draw):
 ], ids=[fileio.OPERATOR_SCHEMA, fileio.MODEL_SCHEMA, fileio.DSSM_SCHEMA])
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
-def test_json_round_trip_any_record(tmp_path_factory, write, read, records, data):
+def test_json_round_trip_any_record(json_pair, write, read, records, data):
     # write -> read -> write repeats the bytes: every written value reads back
     # bit for bit, signed zeros and subnormals included
-    first, second = (tmp_path_factory.mktemp("json") / name for name in ("a.json", "b.json"))
+    first, second = json_pair
     write(first, *data.draw(records))
     back = read(first)
     write(second, *(back if isinstance(back, tuple) else (back,)))
@@ -724,14 +733,18 @@ class TestSequenceCsvGolden:
         back = fileio.read_sequence_csv(path)
         assert np.array_equal(back.values, [[1.5, -2.0], [0.003, 4.0]])
 
+    @pytest.fixture(scope="class")
+    def csv_path(self, tmp_path_factory):
+        """The file of the CSV round trip, which every example overwrites."""
+        return tmp_path_factory.mktemp("csv") / "seq.csv"
+
     @settings(max_examples=50, deadline=None)
     @given(rows=st.integers(1, 20).flatmap(lambda width: st.lists(
         st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=width,
                  max_size=width), min_size=1, max_size=30)))
-    def test_round_trip_any_finite_values(self, tmp_path_factory, rows):
-        path = tmp_path_factory.mktemp("csv") / "seq.csv"
+    def test_round_trip_any_finite_values(self, csv_path, rows):
         batch = SequenceBatch(np.array(rows, dtype=float))
-        fileio.write_sequence_csv(path, batch)
-        back = fileio.read_sequence_csv(path).values
+        fileio.write_sequence_csv(csv_path, batch)
+        back = fileio.read_sequence_csv(csv_path).values
         assert np.array_equal(back, batch.values)
         assert np.array_equal(np.signbit(back), np.signbit(batch.values))

@@ -1,6 +1,8 @@
 """Discretization, the output kernel, and the gated layer against its chunked reference."""
 
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fractalssm.ssm as ssm_mod
 from fractalssm.spectral import SpectralInit, spectral_init
 from fractalssm.ssm import (_FFT_LENGTHS, _FFT_SIZES, DiscreteDiagonalSSM, FilterBankConfig,
                             LayerWeights, SequenceBatch, _block_length, _output_kernel,
@@ -272,7 +275,9 @@ class TestLayerForward:
             layer_forward(config, weights, ssms, SequenceBatch(np.zeros((4, 3))))
         with pytest.raises(ValueError):
             layer_forward(config, weights, ssms[:1], SequenceBatch(np.zeros((4, 1))))
-        # the output map is checked before any channel runs
+        # the output map is checked before any channel runs, with the same
+        # bank's spectrum kept from a call on valid weights
+        layer_forward(config, weights, ssms, SequenceBatch(np.zeros((4, 1))))
         monkeypatch.setattr("fractalssm.ssm._output_kernel",
                             lambda *_: pytest.fail("channels ran"))
         narrow = LayerWeights(c_tilde=weights.c_tilde[:, 1:], w_out=weights.w_out,
@@ -372,18 +377,28 @@ class TestOutputKernel:
             kernel = _output_kernel(ssms, c_tilde, 10000)
         assert kernel.shape[0] > 2000 and np.all(np.isfinite(kernel))
 
-    def test_stream_bank_truncation_bound(self):
-        # the 4 x 8 bank at delta = 0.01 (perfbench's `stream`), one output per
-        # state with c_n = conj(b_n) / |b_n|: a state's taps are zero from its
-        # `stop` on, so it drops at most |b_n| r_n^stop / (1 - r_n)
+    @staticmethod
+    def kept_taps(ssms, c, length):
+        """The kernel's taps and the taps each state keeps, with C = diag(c):
+        column n of the kernel is state n alone, zero from its last kept tap on."""
+        kernel = _output_kernel(ssms, np.diag(c), length)[:, :, 0]
+        kept = np.array([np.flatnonzero(column)[-1] + 1 for column in kernel.T])
+        return kernel.shape[0], kept
+
+    @staticmethod
+    def stream_bank():
+        # the 4 x 8 bank at delta = 0.01 (perfbench's `stream`)
         config = FilterBankConfig(channels=4, block_state=8, delta=0.01)
-        ssms = [zoh_discretize(init, 0.01) for init in build_filter_bank(config)]
+        return [zoh_discretize(init, 0.01) for init in build_filter_bank(config)]
+
+    def test_stream_bank_truncation_bound(self):
+        # one output per state with c_n = conj(b_n) / |b_n|: a state's taps are
+        # zero from its `stop` on, so it drops at most |b_n| r_n^stop / (1 - r_n)
+        ssms = self.stream_bank()
         b_bar = np.concatenate([ssm.b_bar for ssm in ssms])[:, 0]
         b, r = np.abs(b_bar), np.abs(np.concatenate([ssm.lambda_bar for ssm in ssms]))
-        kernel = _output_kernel(ssms, np.diag(np.conj(b_bar) / b), 2 ** 18)[:, :, 0]
-        taps = kernel.shape[0]
+        taps, stop = self.kept_taps(ssms, np.conj(b_bar) / b, 2 ** 18)
         assert taps == 3605
-        stop = np.array([np.flatnonzero(column)[-1] + 1 for column in kernel.T])
         dropped = b * r ** stop / (1 - r)
         eps = np.finfo(float).eps
         own = np.ceil(np.log(eps * (1 - r)) / np.log(r))
@@ -397,6 +412,49 @@ class TestOutputKernel:
         assert np.all(own[slowest] == 4066) and np.all(capped[slowest])
         ratio = dropped[slowest] / (eps * b[slowest])
         assert np.all((99 < ratio) & (ratio < 100))
+
+    @pytest.mark.parametrize("bank", ["stream-4x8", "random-64", "non-decaying"])
+    def test_dropped_tail_within_stated_bound(self, bank):
+        # the bound `_output_kernel` states: a state that keeps t_n taps drops
+        # sum_{j >= t_n} |c_n b_bar_n| r^j = |c_n b_bar_n| r^t_n / (1 - r), at most
+        # eps |c_n b_bar_n| where its own cut stops it and eps / (1 - r) |c_n b_bar_n|
+        # where it is capped at taps
+        rng = np.random.default_rng(27)
+        if bank == "stream-4x8":
+            ssms, length = self.stream_bank(), 2 ** 18
+        elif bank == "random-64":
+            ssm = _random_system(rng, 64)
+            ssms = [DiscreteDiagonalSSM(lambda_bar=np.concatenate([[0.995], ssm.lambda_bar[1:]]),
+                                        b_bar=ssm.b_bar, delta=1.0)]
+            length = 10000
+        else:
+            # two states of modulus exactly 1 keep every tap of the 5000 steps,
+            # so the output sees no truncation; the others stop at their own cut
+            lambda_bar = np.array([1.0, 1j, 0.9, -0.5, 0.99j, 0.2])
+            ssms = [DiscreteDiagonalSSM(
+                lambda_bar=lambda_bar[3 * k:3 * k + 3],
+                b_bar=rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1)), delta=1.0)
+                for k in range(2)]
+            length = 5000
+        lam = np.concatenate([ssm.lambda_bar for ssm in ssms])
+        b_bar = np.concatenate([ssm.b_bar for ssm in ssms])[:, 0]
+        c = rng.standard_normal(lam.size) + 1j * rng.standard_normal(lam.size)
+        taps, kept = self.kept_taps(ssms, c, length)
+        r, cb = np.abs(lam), np.abs(c * b_bar)
+        decaying = r < 1.0
+        assert np.all(kept[~decaying] == taps) and (taps == length) == (not np.all(decaying))
+        r, cb, kept = r[decaying], cb[decaying], kept[decaying]
+        eps = np.finfo(float).eps
+        own = np.ceil(np.log(eps * (1 - r)) / np.log(r))
+        capped = own > taps
+        # a state keeps at least its own cut: from the block of B = ceil(sqrt(taps))
+        # taps that holds the cut on, its powers are zero
+        assert np.all((own[~capped] <= kept[~capped]) & (kept[~capped] <= taps))
+        assert np.all(kept[capped] == taps)
+        dropped = cb * r ** kept / (1 - r)
+        assert np.all(dropped[~capped] <= (1 + 1e-9) * eps * cb[~capped])
+        assert np.all(dropped[capped] <= (1 + 1e-9) * eps / (1 - r[capped]) * cb[capped])
+        assert np.any(capped) == (bank != "non-decaying")
 
     def test_builds_no_power_table(self):
         # one 64-state system at 7191 taps: the taps x n table of powers alone
@@ -759,6 +817,155 @@ class TestConvolutionPath:
             with pytest.raises(ValueError, match="channel systems"):
                 layer_forward(bad_config, weights, ssms,
                               SequenceBatch(np.zeros((4, bad_config.input_width))))
+
+
+class TestSpectrumMemo:
+    """The kernel step's one kept spectrum: the same bank reuses it, any other recomputes it."""
+
+    @staticmethod
+    def cleared(config, weights, ssms, z_in):
+        """The layer's output with no spectrum kept, so its kernel is computed afresh."""
+        ssm_mod._spectrum_memo[0] = None
+        return layer_forward(config, weights, ssms, z_in).values
+
+    @pytest.fixture
+    def kernel_lengths(self, monkeypatch):
+        """The length of every `_output_kernel` call, in order."""
+        lengths = []
+        output_kernel = ssm_mod._output_kernel
+
+        def spy(ssms, c_tilde, length):
+            lengths.append(length)
+            return output_kernel(ssms, c_tilde, length)
+
+        monkeypatch.setattr(ssm_mod, "_output_kernel", spy)
+        return lengths
+
+    @staticmethod
+    def layer(seed, channels=2, delta=0.05):
+        """A 2-in, 3-out layer with a matrix feedthrough on a bank of 721 taps at delta 0.05."""
+        ssms = TestConvolutionPath.bank(delta, channels=channels, width=2)
+        rng = np.random.default_rng(seed)
+        config, weights = TestConvolutionPath.layer(ssms, width=2, out_width=3, seed=seed,
+                                                    d=rng.standard_normal((3, 2)))
+        return config, weights, ssms
+
+    def test_repeated_call_reuses_the_spectrum(self, kernel_lengths):
+        config, weights, ssms = self.layer(30)
+        rng = np.random.default_rng(30)
+        z_in = SequenceBatch(rng.standard_normal((3000, 2)))
+        first = self.cleared(config, weights, ssms, z_in)
+        assert np.array_equal(layer_forward(config, weights, ssms, z_in).values, first)
+        # a fresh input of the same length reuses it too
+        fresh = SequenceBatch(rng.standard_normal((3000, 2)))
+        out = layer_forward(config, weights, ssms, fresh).values
+        assert kernel_lengths == [3000]
+        assert np.array_equal(out, self.cleared(config, weights, ssms, fresh))
+
+    @pytest.mark.parametrize("edit", ["lambda_bar", "b_bar", "c_tilde", "w_out", "d"])
+    def test_in_place_edit_recomputes(self, edit, kernel_lengths):
+        config, weights, ssms = self.layer(31)
+        z_in = SequenceBatch(np.random.default_rng(31).standard_normal((3000, 2)))
+        before = self.cleared(config, weights, ssms, z_in)
+        array = {"lambda_bar": ssms[1].lambda_bar, "b_bar": ssms[0].b_bar,
+                 "c_tilde": weights.c_tilde, "w_out": weights.w_out, "d": weights.d}[edit]
+        # a phase turn keeps every radius, so the taps and block length stay
+        array.flat[1] *= np.exp(0.3j) if edit == "lambda_bar" else 0.5
+        after = layer_forward(config, weights, ssms, z_in).values
+        assert kernel_lengths == [3000, 3000]
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, self.cleared(config, weights, ssms, z_in))
+
+    def test_two_banks_in_turn(self, kernel_lengths):
+        rng = np.random.default_rng(32)
+        layers = [self.layer(32), self.layer(33, channels=3, delta=0.04)]
+        inputs = [SequenceBatch(rng.standard_normal((3000, 2))) for _ in layers]
+        expected = [self.cleared(*layer, z_in) for layer, z_in in zip(layers, inputs)]
+        for _ in range(2):
+            for layer, z_in, out in zip(layers, inputs, expected):
+                assert np.array_equal(layer_forward(*layer, z_in).values, out)
+        assert len(kernel_lengths) == 6
+
+    def test_equal_bytes_in_other_shapes_do_not_collide(self):
+        # one channel of 4 states and two of 2 whose lambda_bar, b_bar pairs
+        # run through the same 8 values in the same order: joined, the arrays'
+        # bytes are equal, but the systems differ
+        rng = np.random.default_rng(34)
+        values = rng.uniform(0.3, 0.9, 8) * np.exp(1j * rng.uniform(-np.pi, np.pi, 8))
+        one = [DiscreteDiagonalSSM(lambda_bar=values[:4], b_bar=values[4:, None], delta=1.0)]
+        two = [DiscreteDiagonalSSM(lambda_bar=values[4 * k:4 * k + 2],
+                                   b_bar=values[4 * k + 2:4 * k + 4, None], delta=1.0)
+               for k in range(2)]
+        assert b"".join(a.tobytes() for s in one for a in (s.lambda_bar, s.b_bar)) == \
+            b"".join(a.tobytes() for s in two for a in (s.lambda_bar, s.b_bar))
+        weights = LayerWeights(c_tilde=rng.standard_normal((1, 4)) + 0j, w_out=np.eye(1),
+                               w_gate=np.eye(1))
+        configs = [FilterBankConfig(channels=1, block_state=4, delta=1.0),
+                   FilterBankConfig(channels=2, block_state=2, delta=1.0)]
+        z_in = SequenceBatch(rng.standard_normal((200, 1)))
+        expected = [self.cleared(config, weights, ssms, z_in)
+                    for config, ssms in zip(configs, (one, two))]
+        assert not np.array_equal(*expected)
+        for config, ssms, out in zip(configs, (one, two), expected):
+            assert np.array_equal(layer_forward(config, weights, ssms, z_in).values, out)
+
+    def test_lengths_below_and_above_the_taps(self, kernel_lengths):
+        # 700 and 720 steps keep all their taps, in one block of 1440 points
+        # each; 3000 and 3001 steps keep 721 taps in one block of 4000, and
+        # 100000 steps run several blocks of the kernel's length
+        config, weights, ssms = self.layer(35)
+        assert _block_length(700, 700) == _block_length(720, 720) == 1440
+        rng = np.random.default_rng(35)
+        inputs = {length: SequenceBatch(rng.standard_normal((length, 2)))
+                  for length in (700, 720, 3000, 3001, 100000)}
+        expected = {length: self.cleared(config, weights, ssms, z_in)
+                    for length, z_in in inputs.items()}
+        kernel_lengths.clear()
+        for length in (700, 720, 3000, 3001, 700, 100000, 3000):
+            out = layer_forward(config, weights, ssms, inputs[length]).values
+            assert np.array_equal(out, expected[length])
+        # 3001 steps reuse the spectrum of 3000: the same taps and block length
+        assert kernel_lengths == [700, 720, 3000, 700, 100000, 3000]
+
+    def test_threads_share_the_kept_spectrum(self):
+        # more threads than cores, switching often, two on each of two banks
+        # of one block length: each hit must pair its own bank's key with its
+        # spectrum, while the other bank's misses replace the entry
+        rng = np.random.default_rng(36)
+        layers = [self.layer(36), self.layer(37, channels=3, delta=0.04)]
+        z_in = SequenceBatch(rng.standard_normal((3000, 2)))
+        expected = [self.cleared(*layer, z_in) for layer in layers]
+        wrong = []
+
+        def worker(bank):
+            for k in range(20):
+                if not np.array_equal(layer_forward(*layers[bank], z_in).values,
+                                      expected[bank]):
+                    wrong.append((bank, k))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(bank,)) for bank in (0, 1, 0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_every_call_checks_finiteness(self, kernel_lengths):
+        ssms = [DiscreteDiagonalSSM(lambda_bar=np.array([1.5 + 0j, 0.5 + 0j]),
+                                    b_bar=np.ones((2, 1), dtype=complex), delta=1.0)]
+        config, weights = TestConvolutionPath.layer(ssms)
+        ssm_mod._spectrum_memo[0] = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(2):
+                with pytest.raises(ArithmeticError):
+                    layer_forward(config, weights, ssms, SequenceBatch(np.ones((4096, 1))))
+        assert kernel_lengths == [4096]   # the second call reuses the spectrum
 
 
 class TestSequenceBatch:
