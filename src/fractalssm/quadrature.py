@@ -93,14 +93,14 @@ def _newton_step(d, e, p0, m, x):
 
 
 def _christoffel_weights(d, e, p0, m, x):
-    """Christoffel weights 1 / sum_{j<m} p_j(x)^2, accumulated row by row."""
-    p_prev = np.full_like(x, p0)
-    total = p_prev ** 2
-    if m == 1:
-        return 1.0 / total
-    p = (x - d[0]) * p_prev / e[0]
-    total += p ** 2
-    for j in range(1, m - 1):
+    """Christoffel weights 1 / sum_{j<m} p_j(x)^2, accumulated row by row.
+
+    The recurrence starts from p_{-1} = 0, so its first step reads e[-1]
+    only to multiply it by zero.
+    """
+    p_prev, p = np.zeros_like(x), np.full_like(x, p0)
+    total = p ** 2
+    for j in range(m - 1):
         p_prev, p = p, ((x - d[j]) * p - e[j - 1] * p_prev) / e[j]
         total += p ** 2
     return 1.0 / total

@@ -3,13 +3,14 @@
 A filter bank stacks channels with distinct singularity indices, each a
 diagonal recurrence x_k = lambda_bar * x_{k-1} + b_bar u_k; the layer
 output is gated by a SiLU-activated branch of the input.  The layer never
-builds the state trajectory.  Its kernel step transforms the bank's output
-kernel, truncated once every state has decayed below eps (`_output_kernel`),
-at the FFT block length, and keeps that spectrum for the next call on the
-same bank (`_kernel_spectrum`); its convolution step convolves the input with
-the spectrum by overlap-save in FFT blocks that it gates as it writes them
-(`_causal_convolve`).  `verify`'s layer-equivalence oracle checks it against
-an exact chunked recurrence that shares no code with this module.
+builds the state trajectory.  Its kernel step stacks the bank's poles and
+residues, transforms their output kernel, truncated once every state has
+decayed below eps (`_output_kernel`), at the FFT block length, and keeps
+that spectrum for the next call on the same bank (`_kernel_spectrum`); its
+convolution step convolves the input with the spectrum by overlap-save in
+FFT blocks that it gates as it writes them (`_causal_convolve`).  `verify`'s
+layer-equivalence oracle checks it against an exact chunked recurrence that
+shares no code with this module.
 """
 
 from __future__ import annotations
@@ -151,22 +152,6 @@ def zoh_discretize(init: SpectralInit, delta: float) -> DiscreteDiagonalSSM:
 _EPS = np.finfo(float).eps
 
 
-def _state_taps(radius: np.ndarray, taps: int) -> np.ndarray:
-    """Taps each state keeps: the least t with |lambda_bar|^t / (1 - |lambda_bar|) <= eps.
-
-    That is t = ceil(log(eps (1 - r)) / log r) for a radius 0 < r < 1, capped
-    at taps; a state at r = 0 keeps one tap and one at r >= 1 keeps all taps.
-    An uncapped state's dropped tail sum_{j >= t} r^j is then at most eps.  A
-    state capped at taps, which the slowest state sets so that r^taps <= eps,
-    drops r^taps / (1 - r) <= eps / (1 - r): at r = e^-0.01 its own cut is
-    4066, the cap 3605, and it drops about 100 eps.
-    """
-    decaying = (radius > 0.0) & (radius < 1.0)
-    r = np.where(decaying, radius, 0.5)  # any radius with a finite logarithm
-    cut = np.ceil(np.log(_EPS * (1.0 - r)) / np.log(r))
-    return np.where(decaying, np.minimum(cut, taps), np.where(radius == 0.0, 1, taps))
-
-
 def _kernel_taps(radius: np.ndarray, length: int) -> int:
     """Taps of the output kernel on length steps, for states of these radii.
 
@@ -183,46 +168,50 @@ def _kernel_taps(radius: np.ndarray, length: int) -> int:
     return length
 
 
-def _output_kernel(ssms: list[DiscreteDiagonalSSM], c_tilde: np.ndarray,
-                   length: int) -> np.ndarray:
-    """Output kernel K[j, out, in] = Re sum_n c_n b_bar_n lambda_bar_n^j of the bank.
+def _output_kernel(poles: np.ndarray, residues: np.ndarray, taps: int) -> np.ndarray:
+    """Output kernel K[j, out, in] = Re sum_n residues[out, in, n] poles_n^j, j < taps.
 
-    The kernel stops at taps = min(length, ceil(log(eps) / log(max|lambda_bar|)))
-    (`_kernel_taps`): past it every state has decayed by more than eps, so
-    the tail it drops, sum_n |c_n b_bar_n| |lambda_bar_n|^taps / (1 - |lambda_bar_n|),
-    is at most eps sum_n |c_n b_bar_n| / (1 - |lambda_bar_n|).  A bank with
-    max|lambda_bar| >= 1 does not decay and keeps all `length` taps, so the
-    output of `length` steps sees every tap.
+    The provider of the diagonal bank.  The kernel step stacks the bank for
+    it: the poles are every channel's lambda_bar, the residues are
+    c_n b_bar_n, and the taps are min(length, ceil(log(eps) / log(max|lambda_bar|)))
+    (`_kernel_taps`), past which every state has decayed by more than eps.  A
+    bank with max|lambda_bar| >= 1 does not decay and keeps all `length`
+    taps, so the output of `length` steps sees every tap.
 
     The powers are never tabulated taps x n.  With B = ceil(sqrt(taps)),
-    lambda^(B k + m) = (lambda^B)^k lambda^m, so the bank's n states build
+    lambda^(B k + m) = (lambda^B)^k lambda^m, so the n poles build
     head[m] = lambda^m (B x n) and scale[k] = lambda^(B k) (ceil(taps / B) x n)
     by cumprod, and each out x in column of the kernel is the complex matmul
-    (scale * c_n b_bar_n) @ head^T, read row by row and cut to taps.  Each
-    state also stops at its own cut (see `_state_taps`), rounded up to the
-    end of the block of B taps that holds it: its head multipliers are zero
-    from the cut on, and its scale multipliers from the first block that
-    starts at or past it, so no power underflows.  The taps a state drops
-    sum to at most eps |c_n b_bar_n| where its own cut stops it, and to at
-    most eps / (1 - |lambda_bar_n|) |c_n b_bar_n| where it is capped at taps.
+    (scale * residues) @ head^T, read row by row and cut to taps.  Each state
+    also stops at its own cut, the least t with r^t / (1 - r) <= eps for its
+    radius r = |lambda_bar_n|: t = ceil(log(eps (1 - r)) / log r) for
+    0 < r < 1, capped at taps; a state at r = 0 keeps one tap and one at
+    r >= 1 keeps all taps.  The cut is rounded up to the end of the block of
+    B taps that holds it: a state's head multipliers are zero from the cut
+    on, and its scale multipliers from the first block that starts at or
+    past it, so no power underflows.  The dropped tail of a state,
+    |c_n b_bar_n| r^t / (1 - r) for the t taps it keeps, is then at most
+    eps |c_n b_bar_n| where its own cut stops it.  A state capped at taps,
+    which the slowest state sets so that r^taps <= eps, drops at most
+    eps / (1 - r) |c_n b_bar_n|: at r = e^-0.01 its own cut is 4066, the cap
+    3605, and it drops about 100 eps |c_n b_bar_n|.
     """
-    lam = np.concatenate([ssm.lambda_bar for ssm in ssms])
-    radius = np.abs(lam)
-    taps = _kernel_taps(radius, length)
+    radius = np.abs(poles)
+    decaying = (radius > 0.0) & (radius < 1.0)
+    r = np.where(decaying, radius, 0.5)  # any radius with a finite logarithm
+    cut = np.ceil(np.log(_EPS * (1.0 - r)) / np.log(r))
+    own = np.where(decaying, np.minimum(cut, taps), np.where(radius == 0.0, 1, taps))
     block = math.isqrt(max(taps, 1) - 1) + 1  # ceil(sqrt(taps))
     rows = -(-taps // block)
-    n = lam.shape[0]
-    own = _state_taps(radius, taps)
+    n = poles.shape[0]
     head = np.ones((block, n), dtype=complex)
-    np.cumprod(np.where(np.arange(1, block)[:, None] < own, lam, 0.0), axis=0, out=head[1:])
+    np.cumprod(np.where(np.arange(1, block)[:, None] < own, poles, 0.0), axis=0, out=head[1:])
     scale = np.ones((rows, n), dtype=complex)
-    step = head[-1] * lam  # lambda^B, or 0 where the state stops before B
+    step = head[-1] * poles  # lambda^B, or 0 where the state stops before B
     np.cumprod(np.where(block * np.arange(1, rows)[:, None] < own, step, 0.0), axis=0,
                out=scale[1:])
-    # cb[out, in, n] = c_n b_bar_n, so each column's matmul sums over every state
-    cb = c_tilde[:, None, :] * np.concatenate([ssm.b_bar for ssm in ssms]).T
-    out_width, in_width = cb.shape[:2]
-    part = (scale * cb.reshape(-1, 1, n)).reshape(-1, n) @ head.T
+    out_width, in_width = residues.shape[:2]
+    part = (scale * residues.reshape(-1, 1, n)).reshape(-1, n) @ head.T
     kernel = part.real.reshape(out_width * in_width, rows * block)[:, :taps]
     return kernel.T.reshape(taps, out_width, in_width)
 
@@ -302,25 +291,32 @@ def _kernel_spectrum(ssms: list[DiscreteDiagonalSSM], c_tilde: np.ndarray, w_out
                      d: np.ndarray, length: int) -> tuple[int, int, np.ndarray]:
     """The kernel step: taps, block length and spectrum of the folded kernel.
 
-    The folded kernel is the bank's output kernel (`_output_kernel`) with
-    W_out and D folded in, K'[j] = W_out K[j] and K'[0] += W_out D.  Its
+    It stacks the bank once, every channel's lambda_bar (the poles) and
+    b_bar in channel order, and takes the taps from the poles' moduli
+    (`_kernel_taps`).  The folded kernel is the output kernel of those poles
+    with residues c_n b_bar_n (`_output_kernel`), with W_out and D folded
+    in, K'[j] = W_out K[j] and K'[0] += W_out D.  Its
     spectrum, shape (out, in, size // 2 + 1), is one rfft at the block length
     `_block_length` takes for its taps on length steps.  One entry is kept
     for the next call.  Its key is the exact bytes, shape and dtype of every
-    array the kernel reads (each channel's lambda_bar and b_bar, c_tilde,
-    W_out and the matrix D), with the taps and the block length: a call that
+    array the kernel reads (the stacked lambda_bar and b_bar, c_tilde, W_out
+    and the matrix D), with the taps and the block length: a call that
     matches it reuses the stored spectrum, which is bit for bit what it would
-    recompute, and any other call, one after an in-place edit of a weight
-    included, recomputes the spectrum and replaces the entry.
+    recompute, a bank split into other channels that stacks to the same
+    arrays included, and any other call, one after an in-place edit of a
+    weight included, recomputes the spectrum and replaces the entry.
     """
-    taps = _kernel_taps(np.abs(np.concatenate([ssm.lambda_bar for ssm in ssms])), length)
+    poles = np.concatenate([ssm.lambda_bar for ssm in ssms])
+    b_bar = np.concatenate([ssm.b_bar for ssm in ssms])
+    taps = _kernel_taps(np.abs(poles), length)
     size = _block_length(taps, length)
-    arrays = [a for ssm in ssms for a in (ssm.lambda_bar, ssm.b_bar)] + [c_tilde, w_out, d]
-    key = (taps, size, *((a.dtype.str, a.shape, a.tobytes()) for a in arrays))
+    key = (taps, size, *((a.dtype.str, a.shape, a.tobytes())
+                         for a in (poles, b_bar, c_tilde, w_out, d)))
     entry = _spectrum_memo[0]
     if entry is not None and entry[0] == key:
         return taps, size, entry[1]
-    kernel = w_out @ _output_kernel(ssms, c_tilde, length)
+    # residues[out, in, n] = c_n b_bar_n, so each column's matmul sums over every state
+    kernel = w_out @ _output_kernel(poles, c_tilde[:, None, :] * b_bar.T, taps)
     kernel[:1] += w_out @ d  # a slice: zero-length input has no taps
     spectrum = np.fft.rfft(kernel, size, axis=0).transpose(1, 2, 0)
     spectrum.flags.writeable = False  # the entry must stay what it was computed as
@@ -421,11 +417,11 @@ def layer_forward(config: FilterBankConfig, weights: LayerWeights,
     and spectrum, and the convolution step (`_causal_convolve`) convolves the
     input with that spectrum by overlap-save, multiplying each batch of
     outputs by its rows' gate as it writes them.  The kernel step keeps the
-    last bank's spectrum: a call whose lambda_bar, b_bar, C_tilde, W_out and
-    D are byte for byte those of the previous call, at a length of the same
-    taps and block length, reuses it, and any other call recomputes it.  No
-    state trajectory is built, and besides per-batch buffers and the kept
-    spectrum the layer allocates only its output.  A non-finite output
+    last bank's spectrum: a call whose stacked lambda_bar and b_bar, C_tilde,
+    W_out and D are byte for byte those of the previous call, at a length of
+    the same taps and block length, reuses it, and any other call recomputes
+    it.  No state trajectory is built, and besides per-batch buffers and the
+    kept spectrum the layer allocates only its output.  A non-finite output
     raises ArithmeticError, on every call.
 
     scan=True is the only accepted value; the keyword stays only until the next

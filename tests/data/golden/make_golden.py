@@ -58,6 +58,9 @@ CASES = [
                                     "--out", OUT], 0),
     ("measure_a0.25_s17_t3.csv", ["measure", "--alphas", "0.25", "--samples", "17",
                                   "--t", "3", "--out", OUT], 0),
+    # criteria 3, 5 and 9 fail, so verify exits 1; its wall times are not compared
+    ("verify_a0-0.5-0.9_n8_s0.json", ["verify", "--alpha-grid", "0,0.5,0.9", "--n", "8",
+                                      "--json", "--seed", "0"], 1),
 ]
 
 

@@ -14,14 +14,23 @@ from hypothesis import strategies as st
 import fractalssm.ssm as ssm_mod
 from fractalssm.spectral import SpectralInit, spectral_init
 from fractalssm.ssm import (_FFT_LENGTHS, _FFT_SIZES, DiscreteDiagonalSSM, FilterBankConfig,
-                            LayerWeights, SequenceBatch, _block_length, _output_kernel,
-                            _silu_gate, build_filter_bank, layer_forward, zoh_discretize)
+                            LayerWeights, SequenceBatch, _block_length, _kernel_taps,
+                            _output_kernel, _silu_gate, build_filter_bank, layer_forward,
+                            zoh_discretize)
 from fractalssm.verify import _layer_reference, _random_system
 
 
 def toy_init(lam: complex) -> SpectralInit:
     return SpectralInit(eigenvalues=np.array([lam]),
                         b_tilde=np.array([[1.0 + 0.0j]]), cond_v=1.0)
+
+
+def bank_kernel(ssms, c_tilde, length: int) -> np.ndarray:
+    """`_output_kernel` of the bank on length steps, stacked as the kernel step stacks it."""
+    poles = np.concatenate([ssm.lambda_bar for ssm in ssms])
+    b_bar = np.concatenate([ssm.b_bar for ssm in ssms])
+    return _output_kernel(poles, c_tilde[:, None, :] * b_bar.T,
+                          _kernel_taps(np.abs(poles), length))
 
 
 def random_system(rng, n: int, width: int = 1) -> DiscreteDiagonalSSM:
@@ -321,7 +330,7 @@ class TestOutputKernel:
 
     @staticmethod
     def assert_matches(ssms, c_tilde, length, taps):
-        kernel = _output_kernel(ssms, c_tilde, length)
+        kernel = bank_kernel(ssms, c_tilde, length)
         expected = TestOutputKernel.oracle(ssms, c_tilde, taps)
         assert kernel.shape == expected.shape
         # a state may stop at its own cut, dropping at most eps |c_n b_n| from each tap
@@ -374,14 +383,14 @@ class TestOutputKernel:
         total = sum(ssm.lambda_bar.shape[0] for ssm in ssms)
         c_tilde = rng.standard_normal((1, total)) + 1j * rng.standard_normal((1, total))
         with np.errstate(under="raise"):
-            kernel = _output_kernel(ssms, c_tilde, 10000)
+            kernel = bank_kernel(ssms, c_tilde, 10000)
         assert kernel.shape[0] > 2000 and np.all(np.isfinite(kernel))
 
     @staticmethod
     def kept_taps(ssms, c, length):
         """The kernel's taps and the taps each state keeps, with C = diag(c):
         column n of the kernel is state n alone, zero from its last kept tap on."""
-        kernel = _output_kernel(ssms, np.diag(c), length)[:, :, 0]
+        kernel = bank_kernel(ssms, np.diag(c), length)[:, :, 0]
         kept = np.array([np.flatnonzero(column)[-1] + 1 for column in kernel.T])
         return kernel.shape[0], kept
 
@@ -466,7 +475,7 @@ class TestOutputKernel:
         c_tilde = rng.standard_normal((1, 64)) + 1j * rng.standard_normal((1, 64))
         tracemalloc.start()
         try:
-            kernel = _output_kernel([ssm], c_tilde, 10000)
+            kernel = bank_kernel([ssm], c_tilde, 10000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -550,7 +559,7 @@ class TestConvolutionPath:
     @staticmethod
     def taps(ssms, length):
         c_tilde = np.ones((1, sum(s.lambda_bar.shape[0] for s in ssms)))
-        return _output_kernel(ssms, c_tilde, length).shape[0]
+        return bank_kernel(ssms, c_tilde, length).shape[0]
 
     def test_all_zero_poles_keep_one_tap(self):
         rng = np.random.default_rng(23)
@@ -829,17 +838,17 @@ class TestSpectrumMemo:
         return layer_forward(config, weights, ssms, z_in).values
 
     @pytest.fixture
-    def kernel_lengths(self, monkeypatch):
-        """The length of every `_output_kernel` call, in order."""
-        lengths = []
+    def kernel_calls(self, monkeypatch):
+        """The taps of every `_output_kernel` call, in order."""
+        taps_seen = []
         output_kernel = ssm_mod._output_kernel
 
-        def spy(ssms, c_tilde, length):
-            lengths.append(length)
-            return output_kernel(ssms, c_tilde, length)
+        def spy(poles, residues, taps):
+            taps_seen.append(taps)
+            return output_kernel(poles, residues, taps)
 
         monkeypatch.setattr(ssm_mod, "_output_kernel", spy)
-        return lengths
+        return taps_seen
 
     @staticmethod
     def layer(seed, channels=2, delta=0.05):
@@ -850,7 +859,7 @@ class TestSpectrumMemo:
                                                     d=rng.standard_normal((3, 2)))
         return config, weights, ssms
 
-    def test_repeated_call_reuses_the_spectrum(self, kernel_lengths):
+    def test_repeated_call_reuses_the_spectrum(self, kernel_calls):
         config, weights, ssms = self.layer(30)
         rng = np.random.default_rng(30)
         z_in = SequenceBatch(rng.standard_normal((3000, 2)))
@@ -859,11 +868,11 @@ class TestSpectrumMemo:
         # a fresh input of the same length reuses it too
         fresh = SequenceBatch(rng.standard_normal((3000, 2)))
         out = layer_forward(config, weights, ssms, fresh).values
-        assert kernel_lengths == [3000]
+        assert kernel_calls == [721]
         assert np.array_equal(out, self.cleared(config, weights, ssms, fresh))
 
     @pytest.mark.parametrize("edit", ["lambda_bar", "b_bar", "c_tilde", "w_out", "d"])
-    def test_in_place_edit_recomputes(self, edit, kernel_lengths):
+    def test_in_place_edit_recomputes(self, edit, kernel_calls):
         config, weights, ssms = self.layer(31)
         z_in = SequenceBatch(np.random.default_rng(31).standard_normal((3000, 2)))
         before = self.cleared(config, weights, ssms, z_in)
@@ -872,11 +881,11 @@ class TestSpectrumMemo:
         # a phase turn keeps every radius, so the taps and block length stay
         array.flat[1] *= np.exp(0.3j) if edit == "lambda_bar" else 0.5
         after = layer_forward(config, weights, ssms, z_in).values
-        assert kernel_lengths == [3000, 3000]
+        assert kernel_calls == [721, 721]
         assert not np.array_equal(after, before)
         assert np.array_equal(after, self.cleared(config, weights, ssms, z_in))
 
-    def test_two_banks_in_turn(self, kernel_lengths):
+    def test_two_banks_in_turn(self, kernel_calls):
         rng = np.random.default_rng(32)
         layers = [self.layer(32), self.layer(33, channels=3, delta=0.04)]
         inputs = [SequenceBatch(rng.standard_normal((3000, 2))) for _ in layers]
@@ -884,12 +893,13 @@ class TestSpectrumMemo:
         for _ in range(2):
             for layer, z_in, out in zip(layers, inputs, expected):
                 assert np.array_equal(layer_forward(*layer, z_in).values, out)
-        assert len(kernel_lengths) == 6
+        assert len(kernel_calls) == 6
 
     def test_equal_bytes_in_other_shapes_do_not_collide(self):
         # one channel of 4 states and two of 2 whose lambda_bar, b_bar pairs
-        # run through the same 8 values in the same order: joined, the arrays'
-        # bytes are equal, but the systems differ
+        # run through the same 8 values in the same order: joined channel by
+        # channel, the arrays' bytes are equal, but the systems differ, and
+        # their stacked lambda_bar and b_bar differ too
         rng = np.random.default_rng(34)
         values = rng.uniform(0.3, 0.9, 8) * np.exp(1j * rng.uniform(-np.pi, np.pi, 8))
         one = [DiscreteDiagonalSSM(lambda_bar=values[:4], b_bar=values[4:, None], delta=1.0)]
@@ -909,7 +919,25 @@ class TestSpectrumMemo:
         for config, ssms, out in zip(configs, (one, two), expected):
             assert np.array_equal(layer_forward(config, weights, ssms, z_in).values, out)
 
-    def test_lengths_below_and_above_the_taps(self, kernel_lengths):
+    def test_restacked_bank_reuses_the_spectrum(self, kernel_calls):
+        # a bank of two channels of 2 states, and the same 4 states as one
+        # channel: the kernel step stacks both to the same lambda_bar and b_bar
+        two = TestConvolutionPath.bank(0.05, channels=2, block=2, width=2)
+        one = [DiscreteDiagonalSSM(lambda_bar=np.concatenate([s.lambda_bar for s in two]),
+                                   b_bar=np.concatenate([s.b_bar for s in two]), delta=0.05)]
+        rng = np.random.default_rng(38)
+        config_two, weights = TestConvolutionPath.layer(two, width=2, out_width=3, seed=38,
+                                                        d=rng.standard_normal((3, 2)))
+        config_one = FilterBankConfig(channels=1, block_state=4, input_width=2,
+                                      output_width=3, delta=0.05)
+        z_in = SequenceBatch(rng.standard_normal((3000, 2)))
+        first = self.cleared(config_one, weights, one, z_in)
+        out = layer_forward(config_two, weights, two, z_in).values
+        assert len(kernel_calls) == 1
+        assert np.array_equal(out, first)
+        assert np.array_equal(out, self.cleared(config_two, weights, two, z_in))
+
+    def test_lengths_below_and_above_the_taps(self, kernel_calls):
         # 700 and 720 steps keep all their taps, in one block of 1440 points
         # each; 3000 and 3001 steps keep 721 taps in one block of 4000, and
         # 100000 steps run several blocks of the kernel's length
@@ -920,12 +948,12 @@ class TestSpectrumMemo:
                   for length in (700, 720, 3000, 3001, 100000)}
         expected = {length: self.cleared(config, weights, ssms, z_in)
                     for length, z_in in inputs.items()}
-        kernel_lengths.clear()
+        kernel_calls.clear()
         for length in (700, 720, 3000, 3001, 700, 100000, 3000):
             out = layer_forward(config, weights, ssms, inputs[length]).values
             assert np.array_equal(out, expected[length])
         # 3001 steps reuse the spectrum of 3000: the same taps and block length
-        assert kernel_lengths == [700, 720, 3000, 700, 100000, 3000]
+        assert kernel_calls == [700, 720, 721, 700, 721, 721]
 
     def test_threads_share_the_kept_spectrum(self):
         # more threads than cores, switching often, two on each of two banks
@@ -956,7 +984,7 @@ class TestSpectrumMemo:
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
 
-    def test_every_call_checks_finiteness(self, kernel_lengths):
+    def test_every_call_checks_finiteness(self, kernel_calls):
         ssms = [DiscreteDiagonalSSM(lambda_bar=np.array([1.5 + 0j, 0.5 + 0j]),
                                     b_bar=np.ones((2, 1), dtype=complex), delta=1.0)]
         config, weights = TestConvolutionPath.layer(ssms)
@@ -965,7 +993,7 @@ class TestSpectrumMemo:
             for _ in range(2):
                 with pytest.raises(ArithmeticError):
                     layer_forward(config, weights, ssms, SequenceBatch(np.ones((4096, 1))))
-        assert kernel_lengths == [4096]   # the second call reuses the spectrum
+        assert kernel_calls == [4096]   # the second call reuses the spectrum
 
 
 class TestSequenceBatch:

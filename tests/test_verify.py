@@ -530,8 +530,8 @@ class TestScanEquivalenceGroups:
     def test_truncated_kernel_fails(self, monkeypatch):
         real_kernel = ssm_mod._output_kernel
 
-        def half_kernel(ssms, c_tilde, length):
-            kernel = real_kernel(ssms, c_tilde, length)
+        def half_kernel(poles, residues, taps):
+            kernel = real_kernel(poles, residues, taps)
             return kernel[:-(-len(kernel) // 2)]
 
         monkeypatch.setattr(ssm_mod, "_output_kernel", half_kernel)
