@@ -12,12 +12,12 @@ import json
 import math
 import sys
 
-from . import fileio
-from .measure import measure_profile
 from .operators import build_A, build_operators, check_alpha
 from .spectral import condition_number, eig_triangular, spectral_init
 from .ssm import check_step, layer_forward, zoh_discretize
-from .verify import SIGNALS, ode_consistency, run_full_suite
+
+# `fileio`, `measure` and `verify` are imported by the commands that use
+# them, so `run`, `matrix`, `spectrum` and `discretize` never load the oracles
 
 __all__ = ["main"]
 
@@ -56,6 +56,8 @@ def _parse_grid(raw: str) -> list[float]:
 
 
 def _cmd_matrix(args) -> int:
+    from . import fileio
+
     ops = build_operators(args.alpha, args.n)
     fileio.write_operator_file(args.out, ops)
     print(f"wrote {args.out} (alpha={ops.alpha:g}, n={ops.n})")
@@ -63,6 +65,8 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_full_suite
+
     grid = _parse_grid(args.alpha_grid)
     reports = run_full_suite(grid, args.n, seed=args.seed)
     payload = {
@@ -102,6 +106,9 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_measure(args) -> int:
+    from . import fileio
+    from .measure import measure_profile
+
     alphas = _parse_grid(args.alphas)
     header, table = measure_profile(alphas, args.samples, args.t)
     fileio.write_table_csv(args.out, header, table.T)
@@ -110,6 +117,8 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from . import fileio
+
     config, inits, weights = fileio.read_model_file(args.model)
     z_in = fileio.read_sequence_csv(args.input)
     ssms = [zoh_discretize(init, delta)
@@ -121,6 +130,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_discretize(args) -> int:
+    from . import fileio
+
     check_step(args.delta)
     init = spectral_init(args.alpha, args.n, args.input_width)
     ssm = zoh_discretize(init, args.delta)
@@ -130,6 +141,11 @@ def _cmd_discretize(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .verify import SIGNALS, ode_consistency
+
+    if args.signal not in SIGNALS:
+        raise ValueError(f"unknown signal {args.signal!r}; choose from "
+                         + ", ".join(sorted(SIGNALS)))
     report = ode_consistency(args.alpha, args.n, SIGNALS[args.signal],
                              t=args.t, h=args.h)
     payload = {"name": report.name, "max_deviation": report.max_deviation,
@@ -201,7 +217,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="finite-difference check of the update law")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--n", type=int, default=8)
-    p.add_argument("--signal", choices=sorted(SIGNALS), default="sin")
+    p.add_argument("--signal", default="sin",
+                   help="test signal by name; an unknown name lists the valid ones")
     p.add_argument("--t", type=float, default=3.0)
     p.add_argument("--h", type=float, default=None)
     json_flag(p)
@@ -210,9 +227,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_numbers(argv: list[str]) -> list[str]:
+    """argv with each negative number joined to the option before it
+    (`--alpha -1e-12` becomes `--alpha=-1e-12`): argparse takes only `-1` and
+    `-.5` as numbers and reads a token like `-1e-12` or `-inf` as an option."""
+    joined = []
+    for token in argv:
+        if (joined and joined[-1].startswith("--") and "=" not in joined[-1]
+                and token.startswith("-") and _is_number(token)):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_numbers(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:   # fileio.SchemaError is a ValueError

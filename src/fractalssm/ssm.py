@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.fft  # noqa: F401  (numpy loads it lazily; a first layer call must not)
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .operators import check_alpha, check_state_dim

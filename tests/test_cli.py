@@ -399,6 +399,13 @@ class TestOracleCommand:
         assert run_cli("oracle", "--alpha", "0.5", "--n", "4") == 1
         assert capsys.readouterr().err.startswith("computation failed: invalid rule")
 
+    def test_unknown_signal_is_usage_error(self, capsys):
+        # the names come from verify.SIGNALS, which the parser does not import
+        assert run_cli("oracle", "--alpha", "0", "--n", "4", "--signal", "cos") == 2
+        err = capsys.readouterr().err
+        assert "unknown signal 'cos'" in err
+        assert all(name in err for name in verify.SIGNALS)
+
     @pytest.mark.parametrize("signal", sorted(verify.SIGNALS))
     def test_every_signal_is_an_option(self, signal, capsys):
         assert run_cli("oracle", "--alpha", "0", "--n", "4", "--signal", signal, "--json") == 0

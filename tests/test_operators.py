@@ -211,7 +211,7 @@ ALPHA_ENTRY_POINTS = {
     "check_scale_invariance": lambda alpha, tmp, capsys: check_scale_invariance(alpha, 2, 2.0),
     "ode_consistency": lambda alpha, tmp, capsys: ode_consistency(alpha, 2, np.sin, 3.0),
     "run_full_suite": lambda alpha, tmp, capsys: run_full_suite([alpha], 2),
-    # the = form, since argparse reads a bare -1e-12 as an option
+    # the = form; test_cli_reads_negative_numbers_after_a_space has the space form
     "cli matrix": lambda alpha, tmp, capsys: _cli(
         ["matrix", f"--alpha={alpha!r}", "--n", 2, "--out", tmp / "op.json"], capsys),
     "cli spectrum": lambda alpha, tmp, capsys: _cli(
@@ -240,6 +240,24 @@ class TestAlphaBound:
     @pytest.mark.parametrize("entry", CHEAP_ENTRY_POINTS)
     def test_bound_itself_accepted(self, entry, tmp_path, capsys):
         ALPHA_ENTRY_POINTS[entry](ALPHA_MAX, tmp_path, capsys)
+
+
+# argparse alone takes only -1 and -.5 as numbers; these reach the commands' own checks
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--alpha", "-1e-12", "--n", 2], r"\[0, 0\.95\], got -1e-12"),
+    (["oracle", "--alpha", 0, "--n", 2, "--t", "-1e-3"], r"t > 2h > 0"),
+    (["measure", "--alphas", 0.5, "--samples", 2, "--t", "-1e-3", "--out", "m.csv"],
+     r"current time must be finite and positive, got -0\.001"),
+    (["discretize", "--alpha", 0.5, "--n", 2, "--delta", "-1e-3", "--out", "d.json"],
+     r"timestep must be finite and positive, got -0\.001"),
+    (["discretize", "--alpha", 0.5, "--n", 2, "--delta", "-inf", "--out", "d.json"],
+     r"timestep must be finite and positive, got -inf"),
+], ids=["alpha", "oracle-t", "measure-t", "delta", "delta-inf"])
+def test_cli_reads_negative_numbers_after_a_space(argv, message, tmp_path, capsys,
+                                                  monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match=message):
+        _cli(argv, capsys)
 
 
 class TestStateBound:
