@@ -23,7 +23,7 @@ for x in xs:
 print("\nunit mass across the family:")
 for alpha in (0.0, 0.5, 0.9, 0.95):
     m = FractionalMeasure(alpha, t=3.0)
-    print(f"  alpha={alpha:4}: total mass = {total_mass(m, order=32):.15f}")
+    print(f"  alpha={alpha:4}: total mass = {total_mass(m):.15f}")
 
 # --- mass profiles ---------------------------------------------------------
 # closed forms: the oldest p-fraction carries 1-(1-p)^(1-a), the most recent

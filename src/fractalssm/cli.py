@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .operators import build_A, build_operators, check_alpha
@@ -22,22 +21,14 @@ from .ssm import check_step, layer_forward, zoh_discretize
 __all__ = ["main"]
 
 
-def _finite_or_null(value):
-    """value with each non-finite float in it made None, which JSON writes as null."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {key: _finite_or_null(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_finite_or_null(item) for item in value]
-    return value
-
-
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     """Print payload as strict JSON under --json (a non-finite float is null,
     as JSON.stringify writes it), else the text lines."""
     if getattr(args, "json", False):
-        print(json.dumps(_finite_or_null(payload), indent=1, allow_nan=False))
+        # the lenient encoding writes NaN and +-Infinity, which the decoder's
+        # constant hook reads back as None
+        plain = json.loads(json.dumps(payload, allow_nan=True), parse_constant=lambda _: None)
+        print(json.dumps(plain, indent=1, allow_nan=False))
     else:
         for line in text_lines:
             print(line)

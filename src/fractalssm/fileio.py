@@ -157,7 +157,11 @@ def _init_out(init: SpectralInit) -> dict:
 def _init_in(doc: dict, config: FilterBankConfig, alpha: float) -> SpectralInit:
     # the config fixes the shapes and alpha; a model reads none of the keys older
     # channels also carry: "alpha", "n", "input_width", the eigenbasis "v" and
-    # "v_inv", and "cond_v", which alpha and n fix: spectral_init recomputes it
+    # "v_inv", and "cond_v", which alpha and n fix: spectral_init recomputes it.
+    # That costs 0.13 ms a channel at n = 8 and 5.7 ms at n = 256 (one BLAS
+    # thread, pinned), and `fractal run` never reads cond_v; it stays until an
+    # error flag on eps * cond_v reads it or the V^-1 B route is retired
+    # (ROADMAP.md, items 2 and 6)
     n = config.block_state
     return SpectralInit(
         eigenvalues=_complex_in(doc["lambda"], (n,), "lambda"),

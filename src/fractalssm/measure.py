@@ -63,16 +63,15 @@ def density(m: FractionalMeasure, x) -> np.ndarray | float:
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def total_mass(m: FractionalMeasure, order: int = 16) -> float:
+def total_mass(m: FractionalMeasure) -> float:
     """Quadrature check of unit mass, via the substitution x = t(1+eta)/2.
 
     The substitution maps the density integral onto the Jacobi weight
-    (1-eta)^(-alpha); the t-dependent factors are kept explicit so that
-    their cancellation is exercised numerically rather than algebraically.
+    (1-eta)^(-alpha), summed by a 32-node Gauss-Jacobi rule; the
+    t-dependent factors are kept explicit so that their cancellation is
+    exercised numerically rather than algebraically.
     """
-    if order < 4:
-        raise ValueError(f"order must be >= 4, got {order}")
-    rule = gauss_jacobi(JacobiParam(-m.alpha, 0.0), order)
+    rule = gauss_jacobi(JacobiParam(-m.alpha, 0.0), 32)
     jac = (m.t / 2.0) ** (1.0 - m.alpha)
     pref = (1.0 - m.alpha) / m.t ** (1.0 - m.alpha)
     return pref * jac * float(np.sum(rule.weights))

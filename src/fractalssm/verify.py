@@ -192,7 +192,7 @@ def _check_measure_normalization(grid) -> OracleReport:
     detail = []
     for alpha in grid:
         m = measure_mod.FractionalMeasure(alpha, t=1.0)
-        dev = abs(measure_mod.total_mass(m, order=32) - 1.0)
+        dev = abs(measure_mod.total_mass(m) - 1.0)
         detail.append({"alpha": alpha, "deviation": dev})
     return OracleReport("measure-normalization",
                         _worst([row["deviation"] for row in detail]), 1e-10, detail)

@@ -114,7 +114,7 @@ def test_c05_condition_numbers():
 def test_c06_measure_normalization():
     worst = 0.0
     for alpha in ALPHA_GRID + [0.95]:
-        worst = max(worst, abs(total_mass(FractionalMeasure(alpha, 1.0), order=32) - 1.0))
+        worst = max(worst, abs(total_mass(FractionalMeasure(alpha, 1.0)) - 1.0))
     ok = worst < 1e-10
     record_criterion(6, "measure-normalization", ok, f"max dev {worst:.2e}")
     assert worst < 1e-10

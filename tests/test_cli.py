@@ -1,12 +1,13 @@
 """End-to-end CLI contract tests: exit codes, files, determinism."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from fractalssm import fileio, quadrature, verify
-from fractalssm.cli import main
+from fractalssm.cli import _emit, main
 from fractalssm.spectral import SpectralInit
 from fractalssm.ssm import FilterBankConfig, LayerWeights, SequenceBatch, build_filter_bank
 
@@ -52,6 +53,16 @@ def test_output_directory_is_created(argv, tmp_path, capsys):
     out = tmp_path / "a" / "b" / "out"
     assert run_cli(*argv, "--out", str(out)) == 0
     assert out.is_file()
+
+
+def test_json_output_nulls_non_finite_floats(capsys):
+    payload = {"a": float("nan"),
+               "b": [1.5, float("inf"), (float("-inf"), 2)],
+               "c": {"d": (float("nan"),), "e": np.float64("-inf")}}
+    _emit(argparse.Namespace(json=True), payload, [])
+    assert capsys.readouterr().out == (
+        '{\n "a": null,\n "b": [\n  1.5,\n  null,\n  [\n   null,\n   2\n  ]\n ],\n'
+        ' "c": {\n  "d": [\n   null\n  ],\n  "e": null\n }\n}\n')
 
 
 class TestOptionScope:

@@ -59,17 +59,13 @@ class TestTotalMass:
     @pytest.mark.parametrize("alpha,tol", [(0.0, 1e-14), (0.5, 1e-12), (0.9, 1e-10)])
     def test_unit_mass(self, alpha, tol):
         m = FractionalMeasure(alpha, t=1.0)
-        assert total_mass(m, order=32) == pytest.approx(1.0, abs=tol)
+        assert total_mass(m) == pytest.approx(1.0, abs=tol)
 
     def test_grid_normalization(self):
         for alpha in list(np.arange(0.0, 0.91, 0.1)) + [0.95]:
             for t in (0.5, 1.0, 7.3):
                 m = FractionalMeasure(float(alpha), t)
-                assert total_mass(m, order=32) == pytest.approx(1.0, abs=1e-10)
-
-    def test_order_floor(self):
-        with pytest.raises(ValueError):
-            total_mass(FractionalMeasure(0.5, 1.0), order=2)
+                assert total_mass(m) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestMassProfiles:
